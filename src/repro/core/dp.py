@@ -33,8 +33,9 @@ continuous evaluator in the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .. import obs
 from ..circuit.analysis import is_fanout_free
@@ -45,7 +46,7 @@ from ..circuit.gates import (
     output_probability,
     side_input_sensitization_probability,
 )
-from ..circuit.netlist import Circuit
+from ..circuit.netlist import Node
 from .problem import (
     TestPoint,
     TestPointType,
@@ -61,15 +62,22 @@ __all__ = ["DPSolver", "solve_tree", "quantized_tree_check"]
 #: A (observation?, control-type-or-None) decision at one node.
 _Decision = Tuple[bool, Optional[TestPointType]]
 
+#: A table key: (node name, environment observability bucket).
+_Key = Tuple[str, int]
 
-@dataclass
-class _Entry:
-    """One cell of the DP table: best known way to realize a ``p`` bucket."""
+#: One cell of a DP table — the best known way to realize a ``p`` bucket —
+#: as a flat tuple ``(cost, decision index, *child back-pointers)``: no
+#: pointers at a leaf, ``(o_c, p_c)`` under a unary gate and
+#: ``(o_a, p_a, o_b, p_b)`` under a binary gate.
+_Cell = Tuple
 
-    cost: float
-    decision: _Decision
-    # (child_name, child_o_idx, child_p_idx) back-pointers.
-    children: Tuple[Tuple[str, int, int], ...]
+#: Grouped decisions of one table: ``(wire observability, decision
+#: indices, o-free?)`` (see :meth:`DPSolver._groups`).
+_Groups = List[Tuple[float, Tuple[int, ...], bool]]
+
+#: A decision group's candidate stream: ``(records, decisions enumerated)``
+#: with records ``(p bucket, cell)`` (see :meth:`DPSolver._stream`).
+_Stream = Tuple[List[Tuple[int, _Cell]], int]
 
 
 class DPSolver:
@@ -146,12 +154,19 @@ class DPSolver:
         self._leaf_probs = dict(leaf_probabilities or {})
         self._enforced = dict(enforced_faults or {})
         self._out_set = set(circuit.outputs)
-        self._tables: Dict[Tuple[str, int], Dict[int, _Entry]] = {}
+        self._tables: Dict[_Key, Dict[int, _Cell]] = {}
         self._decisions = self._decision_space()
+        self._decision_costs = [self._decision_cost(d) for d in self._decisions]
         self._table_cells = 0
         self._decisions_enumerated = 0
+        # Per-solve transition tables, filled on first use.
+        self._group_cache: Dict[Tuple[int, bool], _Groups] = {}
+        self._child_obs_cache: Dict[
+            Tuple[GateType, float], Tuple[int, List[int]]
+        ] = {}
+        self._post_cache: Dict[GateType, tuple] = {}
         self._sens_cache: Dict[GateType, List[float]] = {}
-        self._prob_cache: Dict[GateType, List[List[float]]] = {}
+        self._streams: Dict[Tuple[str, float, Tuple[int, ...]], _Stream] = {}
 
     # ------------------------------------------------------------------
     def _decision_space(self) -> List[_Decision]:
@@ -203,127 +218,105 @@ class DPSolver:
         """Independent-event observability combination."""
         return 1.0 - (1.0 - a) * (1.0 - b)
 
-    # ------------------------------------------------------------------
-    def _table(self, name: str, o_idx: int) -> Dict[int, _Entry]:
-        """Memoized DP table of node ``name`` under environment obs bucket."""
-        # An observed node's post-CP line is directly visible regardless of
-        # what the parent contributes.
+    def _key(self, name: str, o_idx: int) -> _Key:
+        """Table key: an observed node's post-CP line is directly visible
+        regardless of what its parent contributes, so it has one table."""
         if name in self._out_set:
-            o_idx = self.grid.top_index
-        key = (name, o_idx)
-        cached = self._tables.get(key)
-        if cached is not None:
-            return cached
-        if self.budget is not None:
-            self.budget.tick("dp.table")
+            return (name, self.grid.top_index)
+        return (name, o_idx)
 
-        grid = self.grid
-        o_env = grid.value(o_idx)
-        node = self.circuit.node(name)
-        table: Dict[int, _Entry] = {}
-        theta = self.threshold - 1e-12
-        check0, check1 = self._enforced_at(name)
+    def _pinned(self, name: str, o_indices: List[int]) -> List[int]:
+        """``o_indices`` as table keys of ``name`` (see :meth:`_key`)."""
+        if name in self._out_set:
+            return [self.grid.top_index] * len(o_indices)
+        return o_indices
 
-        # Decisions sharing a wire observability share the expensive child
-        # enumeration and the fault feasibility check, so group them.
-        groups: Dict[float, List[_Decision]] = {}
-        must_check = check0 or check1
-        for decision in self._decisions:
-            op, cp = decision
-            factor = control_observability_factor(cp) if cp else 1.0
-            wire_obs = self._combine(1.0 if op else 0.0, factor * o_env)
-            if must_check and wire_obs < theta:
-                continue  # no excitation can rescue a dead wire
-            groups.setdefault(wire_obs, []).append(decision)
+    # ------------------------------------------------------ precomputation
+    def _groups(self, o_idx: int, must_check: bool) -> _Groups:
+        """Decisions grouped by the wire observability they leave.
 
-        def commit(
-            p_pre: float,
-            wire_obs: float,
-            decisions: List[_Decision],
-            base_cost: float,
-            children: Tuple[Tuple[str, int, int], ...],
-        ) -> None:
-            if check0 and p_pre * wire_obs < theta:
-                return
-            if check1 and (1.0 - p_pre) * wire_obs < theta:
-                return
-            self._decisions_enumerated += len(decisions)
-            for decision in decisions:
-                cp = decision[1]
-                p_post = (
-                    control_probability_transform(cp, p_pre) if cp else p_pre
-                )
-                p_idx = grid.index(p_post)
-                cost = base_cost + self._decision_cost(decision)
-                existing = table.get(p_idx)
-                if existing is None or cost < existing.cost - 1e-12:
-                    table[p_idx] = _Entry(cost, decision, children)
+        Decisions sharing a wire observability share the child enumeration
+        and the fault feasibility check.  Groups keep first-appearance
+        order, decisions keep decision-space order.  A group is *o-free*
+        when each of its decisions fixes the wire observability whatever
+        the environment grants (an observation point makes it 1, a random
+        re-drive without one makes it 0).  Its candidate stream then recurs
+        in every table of the node, so :meth:`_build` keeps it.
+        """
+        key = (o_idx, must_check)
+        cached = self._group_cache.get(key)
+        if cached is None:
+            o_env = self.grid.value(o_idx)
+            theta = self.threshold - 1e-12
+            by_obs: Dict[float, List[int]] = {}
+            for d, (op, cp) in enumerate(self._decisions):
+                factor = control_observability_factor(cp) if cp else 1.0
+                wire_obs = self._combine(1.0 if op else 0.0, factor * o_env)
+                if must_check and wire_obs < theta:
+                    continue  # no excitation can rescue a dead wire
+                by_obs.setdefault(wire_obs, []).append(d)
+            o_free = [
+                op or cp is TestPointType.CONTROL_RANDOM
+                for op, cp in self._decisions
+            ]
+            cached = [
+                (w, tuple(ds), all(o_free[d] for d in ds))
+                for w, ds in by_obs.items()
+            ]
+            self._group_cache[key] = cached
+        return cached
 
-        if node.is_input or not node.fanins:
-            if node.is_input:
-                p_pre = self._leaf_probability(name)
-            else:  # tie cell
-                p_pre = 1.0 if node.gate_type is GateType.CONST1 else 0.0
-            for wire_obs, decisions in groups.items():
-                commit(p_pre, wire_obs, decisions, 0.0, ())
-        elif len(node.fanins) == 1:
-            child = node.fanins[0]
-            gt = node.gate_type
-            for wire_obs, decisions in groups.items():
-                # Unary gates pass observability through unchanged.
-                child_o_idx = grid.floor_index(wire_obs)
-                child_table = self._table(child, child_o_idx)
-                for pc_idx, centry in child_table.items():
-                    p_pre = output_probability(gt, [grid.value(pc_idx)])
-                    commit(
-                        p_pre,
-                        wire_obs,
-                        decisions,
-                        centry.cost,
-                        ((child, child_o_idx, pc_idx),),
-                    )
-        else:
-            child_a, child_b = node.fanins
-            gt = node.gate_type
-            sens = self._sens_table(gt)
-            prob = self._prob_table(gt)
-            for wire_obs, decisions in groups.items():
-                # Raising observability only relaxes subtree constraints, so
-                # the table at the *maximum* child observability carries a
-                # superset of every achievable probability bucket — iterate
-                # achievable states only, not the whole grid.
-                ob_of = [
-                    grid.floor_index(wire_obs * s) for s in sens
-                ]
-                top_o = grid.floor_index(wire_obs)
-                ref_a = self._table(child_a, top_o)
-                for pa_idx in ref_a:
-                    o_b_idx = ob_of[pa_idx]
-                    table_b = self._table(child_b, o_b_idx)
-                    if not table_b:
-                        continue
-                    row = prob[pa_idx]
-                    for pb_idx, bentry in table_b.items():
-                        o_a_idx = ob_of[pb_idx]
-                        aentry = self._table(child_a, o_a_idx).get(pa_idx)
-                        if aentry is None:
-                            continue
-                        commit(
-                            row[pb_idx],
-                            wire_obs,
-                            decisions,
-                            aentry.cost + bentry.cost,
-                            (
-                                (child_a, o_a_idx, pa_idx),
-                                (child_b, o_b_idx, pb_idx),
-                            ),
-                        )
+    def _child_obs(
+        self, gate_type: GateType, wire_obs: float
+    ) -> Tuple[int, List[int]]:
+        """``(top_o, ob_of)`` of a binary gate under one wire observability.
 
-        self._tables[key] = table
-        self._table_cells += len(table)
-        if self.budget is not None:
-            self.budget.charge("dp_cells", len(table), "dp.table")
-        return table
+        ``ob_of[q]`` is a child's observability bucket when its sibling
+        sits in probability bucket ``q``.  Raising observability only
+        relaxes subtree constraints, so the child-a table at ``top_o`` (the
+        wire observability itself) carries a superset of every achievable
+        child-a bucket.
+        """
+        key = (gate_type, wire_obs)
+        cached = self._child_obs_cache.get(key)
+        if cached is None:
+            floor = self.grid.floor_index
+            cached = (
+                floor(wire_obs),
+                [floor(wire_obs * s) for s in self._sens_table(gate_type)],
+            )
+            self._child_obs_cache[key] = cached
+        return cached
+
+    def _post_tables(self, gate_type: GateType, arity: int) -> tuple:
+        """``(p_pre, post)`` bucket tables of a gate type, per decision.
+
+        ``p_pre`` is the gate's output probability per input bucket (per
+        pair of buckets for a binary gate); ``post[d]`` maps the same
+        inputs to the bucket of the probability decision ``d`` presents
+        downstream.  ``output_probability`` and the control transforms run
+        elementwise on bucket-value arrays: numpy's float64 arithmetic
+        performs the same IEEE operations in the same order, so every
+        entry equals the scalar call bit for bit.
+        """
+        cached = self._post_cache.get(gate_type)
+        if cached is None:
+            vals = np.asarray(self.grid.values())
+            if arity == 1:
+                inputs = [vals]
+            else:
+                inputs = np.meshgrid(vals, vals, indexing="ij")
+            pre = output_probability(gate_type, inputs)
+            by_cp: Dict[Optional[TestPointType], list] = {}
+            for _op, cp in self._decisions:
+                if cp not in by_cp:
+                    post = control_probability_transform(cp, pre) if cp else pre
+                    by_cp[cp] = np.broadcast_to(
+                        self.grid.index_array(post), pre.shape
+                    ).tolist()
+            cached = (pre.tolist(), [by_cp[cp] for _op, cp in self._decisions])
+            self._post_cache[gate_type] = cached
+        return cached
 
     def _sens_table(self, gate_type: GateType) -> List[float]:
         """Side-input sensitization per sibling probability bucket (cached)."""
@@ -336,17 +329,229 @@ class DPSolver:
             self._sens_cache[gate_type] = cached
         return cached
 
-    def _prob_table(self, gate_type: GateType) -> List[List[float]]:
-        """Gate output probability per input bucket pair (cached)."""
-        cached = self._prob_cache.get(gate_type)
-        if cached is None:
-            vals = self.grid.values()
-            cached = [
-                [output_probability(gate_type, [va, vb]) for vb in vals]
-                for va in vals
-            ]
-            self._prob_cache[gate_type] = cached
-        return cached
+    # -------------------------------------------------------- table build
+    def _demand(self, key: _Key) -> Dict[int, _Cell]:
+        """Table ``key``, building it and every table it reads first.
+
+        An explicit work stack replaces recursion, so tree depth is
+        unbounded.  Each stack frame holds a table waiting for its
+        children and the generator of the children it still reads; a
+        table is built once that generator runs dry.  Children are built
+        in the order the enumeration first reads them, so the set of
+        tables and the budget's tick/charge sequence are those of a
+        depth-first recursion.
+        """
+        tables = self._tables
+        if key in tables:
+            return tables[key]
+        budget = self.budget
+        if budget is not None:
+            budget.tick("dp.table")
+        stack = [(key, self._missing_children(key))]
+        while stack:
+            top, missing = stack[-1]
+            child = next(missing, None)
+            if child is None:
+                stack.pop()
+                self._build(top)
+                continue
+            if budget is not None:
+                budget.tick("dp.table")
+            stack.append((child, self._missing_children(child)))
+        return tables[key]
+
+    def _missing_children(self, key: _Key) -> Iterator[_Key]:
+        """Yield the unbuilt child tables ``key`` reads, in first-read order.
+
+        Which tables a binary gate reads depends on its children's
+        contents, so the caller must build each yielded table before
+        resuming.  A group with a cached stream read all its tables when
+        the stream was made.
+        """
+        name, o_idx = key
+        node = self.circuit.node(name)
+        if not node.fanins:
+            return
+        tables = self._tables
+        child_key = self._key
+        check0, check1 = self._enforced_at(name)
+        for wire_obs, ds, o_free in self._groups(o_idx, check0 or check1):
+            if o_free and (name, wire_obs, ds) in self._streams:
+                continue
+            if len(node.fanins) == 1:
+                ck = child_key(node.fanins[0], self.grid.floor_index(wire_obs))
+                if ck not in tables:
+                    yield ck
+                continue
+            child_a, child_b = node.fanins
+            top_o, ob_of = self._child_obs(node.gate_type, wire_obs)
+            o_a_of = self._pinned(child_a, ob_of)
+            o_b_of = self._pinned(child_b, ob_of)
+            ka = child_key(child_a, top_o)
+            if ka not in tables:
+                yield ka
+            seen_b = set()
+            for pa_idx in tables[ka]:
+                kb = (child_b, o_b_of[pa_idx])
+                if kb in seen_b:
+                    continue  # same child-b table, same child-a reads
+                seen_b.add(kb)
+                if kb not in tables:
+                    yield kb
+                for pb_idx in tables[kb]:
+                    k = (child_a, o_a_of[pb_idx])
+                    if k not in tables:
+                        yield k
+
+    def _build(self, key: _Key) -> None:
+        """Fill table ``key`` from its (already built) child tables.
+
+        Evaluation order is the tie contract: groups in first-appearance
+        order; within a group, child-a buckets in child-a key order, then
+        child-b buckets in child-b key order, then decisions in
+        decision-space order.  A bucket keeps the position of its first
+        feasible candidate, and a later candidate replaces the winner only
+        when cheaper by more than 1e-12.  Each group's candidates arrive as
+        the records of :meth:`_stream`; o-free groups reuse the node's
+        cached stream.
+        """
+        name, o_idx = key
+        node = self.circuit.node(name)
+        check0, check1 = self._enforced_at(name)
+        streams = self._streams
+        table: Dict[int, _Cell] = {}
+        get = table.get
+        enumerated = 0
+        for wire_obs, ds, o_free in self._groups(o_idx, check0 or check1):
+            if o_free:
+                stream_key = (name, wire_obs, ds)
+                stream = streams.get(stream_key)
+                if stream is None:
+                    stream = self._stream(node, wire_obs, ds, check0, check1)
+                    streams[stream_key] = stream
+            else:
+                stream = self._stream(node, wire_obs, ds, check0, check1)
+            records, n = stream
+            enumerated += n
+            for p_idx, cell in records:
+                cur = get(p_idx)
+                if cur is None or cell[0] < cur[0] - 1e-12:
+                    table[p_idx] = cell
+
+        self._tables[key] = table
+        self._table_cells += len(table)
+        self._decisions_enumerated += enumerated
+        if self.budget is not None:
+            self.budget.charge("dp_cells", len(table), "dp.table")
+
+    def _stream(
+        self,
+        node: Node,
+        wire_obs: float,
+        ds: Tuple[int, ...],
+        check0: bool,
+        check1: bool,
+    ) -> _Stream:
+        """One decision group's candidates, reduced to those that can win.
+
+        Returns ``(records, enumerated)``: the candidates, in evaluation
+        order, that undercut every earlier candidate of their bucket, and
+        the number of decisions the group enumerates (the ``decisions``
+        statistic).  Under the 1e-12 rule a winner's cost never exceeds an
+        earlier candidate's by more than 1e-12, so only such a strict
+        prefix minimum can ever replace it; a bucket's first candidate is
+        always one.  Replaying the records therefore builds the same cells
+        in the same key order as replaying every candidate.
+        """
+        theta = self.threshold - 1e-12
+        dcost = self._decision_costs
+        n_ds = len(ds)
+        best: Dict[int, float] = {}
+        get = best.get
+        records: List[Tuple[int, _Cell]] = []
+        record = records.append
+        enumerated = 0
+
+        if not node.fanins:
+            if node.is_input:
+                p_pre = self._leaf_probability(node.name)
+            else:  # tie cell
+                p_pre = 1.0 if node.gate_type is GateType.CONST1 else 0.0
+            if check0 and p_pre * wire_obs < theta:
+                return records, 0
+            if check1 and (1.0 - p_pre) * wire_obs < theta:
+                return records, 0
+            for d in ds:
+                cp = self._decisions[d][1]
+                p_idx = self.grid.index(
+                    control_probability_transform(cp, p_pre) if cp else p_pre
+                )
+                cost = dcost[d]
+                cur = get(p_idx)
+                if cur is None or cost < cur:
+                    best[p_idx] = cost
+                    record((p_idx, (cost, d)))
+            return records, n_ds
+
+        tables = self._tables
+        if len(node.fanins) == 1:
+            child = node.fanins[0]
+            pre, post = self._post_tables(node.gate_type, 1)
+            # Unary gates pass observability through unchanged.
+            o_c = self._key(child, self.grid.floor_index(wire_obs))[1]
+            specs = [(post[d], dcost[d], d) for d in ds]
+            for pc_idx, centry in tables[(child, o_c)].items():
+                p_pre = pre[pc_idx]
+                if check0 and p_pre * wire_obs < theta:
+                    continue
+                if check1 and (1.0 - p_pre) * wire_obs < theta:
+                    continue
+                enumerated += n_ds
+                base = centry[0]
+                for post_d, dc, d in specs:
+                    p_idx = post_d[pc_idx]
+                    cost = base + dc
+                    cur = get(p_idx)
+                    if cur is None or cost < cur:
+                        best[p_idx] = cost
+                        record((p_idx, (cost, d, o_c, pc_idx)))
+            return records, enumerated
+
+        child_a, child_b = node.fanins
+        prob, post = self._post_tables(node.gate_type, 2)
+        top_o, ob_of = self._child_obs(node.gate_type, wire_obs)
+        o_a_of = self._pinned(child_a, ob_of)
+        o_b_of = self._pinned(child_b, ob_of)
+        # Child-a tables by the child-b bucket that selects them.
+        a_of = [tables.get((child_a, o)) for o in o_a_of]
+        for pa_idx in tables[self._key(child_a, top_o)]:
+            o_b = o_b_of[pa_idx]
+            table_b = tables[(child_b, o_b)]
+            if not table_b:
+                continue
+            row = prob[pa_idx]
+            specs = [(post[d][pa_idx], dcost[d], d) for d in ds]
+            for pb_idx, bentry in table_b.items():
+                aentry = a_of[pb_idx].get(pa_idx)
+                if aentry is None:
+                    continue
+                p_pre = row[pb_idx]
+                if check0 and p_pre * wire_obs < theta:
+                    continue
+                if check1 and (1.0 - p_pre) * wire_obs < theta:
+                    continue
+                enumerated += n_ds
+                base = aentry[0] + bentry[0]
+                for post_d, dc, d in specs:
+                    p_idx = post_d[pb_idx]
+                    cost = base + dc
+                    cur = get(p_idx)
+                    if cur is None or cost < cur:
+                        best[p_idx] = cost
+                        record(
+                            (p_idx, (cost, d, o_a_of[pb_idx], pa_idx, o_b, pb_idx))
+                        )
+        return records, enumerated
 
     # ------------------------------------------------------------------
     def _roots(self) -> List[str]:
@@ -365,33 +570,31 @@ class DPSolver:
             grid_size=len(self.grid),
             threshold=self.threshold,
         ) as sp:
-            total_cost = 0.0
             picks: List[Tuple[str, int, int]] = []
             feasible = True
             for root in self._roots():
                 env = self._root_obs.get(root, 1.0)
-                o_idx = self.grid.floor_index(env)
-                table = self._table(root, o_idx)
+                key = self._key(root, self.grid.floor_index(env))
+                table = self._demand(key)
                 if not table:
                     feasible = False
                     continue
-                best_p = min(table, key=lambda p: (table[p].cost, p))
-                total_cost += table[best_p].cost
-                picks.append((root, o_idx, best_p))
+                best_p = min(table, key=lambda p: (table[p][0], p))
+                picks.append((*key, best_p))
 
             points: List[TestPoint] = []
             stack = list(picks)
             while stack:
                 name, o_idx, p_idx = stack.pop()
-                if name in self._out_set:
-                    o_idx = self.grid.top_index
                 entry = self._tables[(name, o_idx)][p_idx]
-                op, cp = entry.decision
+                op, cp = self._decisions[entry[1]]
                 if op:
                     points.append(TestPoint(name, TestPointType.OBSERVATION))
                 if cp is not None:
                     points.append(TestPoint(name, cp))
-                stack.extend(entry.children)
+                fanins = self.circuit.node(name).fanins
+                for i, child in enumerate(fanins):
+                    stack.append((child, entry[2 + 2 * i], entry[3 + 2 * i]))
 
             sp.set(
                 table_cells=self._table_cells,

@@ -145,12 +145,15 @@ class TestPointCosts:
 
     def of(self, kind: TestPointType) -> float:
         """Cost of one point of ``kind``."""
-        return {
-            TestPointType.OBSERVATION: self.observation,
-            TestPointType.CONTROL_AND: self.control_and,
-            TestPointType.CONTROL_OR: self.control_or,
-            TestPointType.CONTROL_RANDOM: self.control_random,
-        }[kind]
+        if kind is TestPointType.OBSERVATION:
+            return self.observation
+        if kind is TestPointType.CONTROL_AND:
+            return self.control_and
+        if kind is TestPointType.CONTROL_OR:
+            return self.control_or
+        if kind is TestPointType.CONTROL_RANDOM:
+            return self.control_random
+        raise KeyError(kind)
 
     def total(self, points: Sequence[TestPoint]) -> float:
         """Total cost of a placement set."""

@@ -28,6 +28,8 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, List, Optional, Sequence
 
+import numpy as np
+
 __all__ = ["ProbabilityGrid"]
 
 
@@ -109,6 +111,14 @@ class ProbabilityGrid:
             return len(self._values) - 1
         below, above = self._values[i - 1], self._values[i]
         return i if (above - p) <= (p - below) else i - 1
+
+    def index_array(self, p: "np.ndarray") -> "np.ndarray":
+        """:meth:`index` of every element of ``p``, bit for bit."""
+        vals = np.asarray(self._values)
+        p = np.minimum(1.0, np.maximum(0.0, p))
+        i = np.clip(np.searchsorted(vals, p, side="left"), 1, len(vals) - 1)
+        below, above = vals[i - 1], vals[i]
+        return np.where((above - p) <= (p - below), i, i - 1)
 
     def floor_index(self, p: float) -> int:
         """Index of the largest grid value ≤ ``p`` (conservative)."""

@@ -242,3 +242,39 @@ class TestQuantizedTreeCheck:
                     TestPoint("x0", TestPointType.CONTROL_OR),
                 ],
             )
+
+
+class TestTransitionTables:
+    """The DP's precomputed tables equal the scalar probability algebra."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [ProbabilityGrid(16), ProbabilityGrid.for_threshold(0.0017)],
+        ids=["uniform16", "geometric"],
+    )
+    def test_post_tables_match_scalar_rounding(self, grid, wand8):
+        from repro.circuit.gates import output_probability
+        from repro.core.problem import control_probability_transform
+
+        solver = DPSolver(TPIProblem(circuit=wand8, threshold=0.01), grid=grid)
+        vals = grid.values()
+
+        def bucket(cp, p):
+            return grid.index(control_probability_transform(cp, p) if cp else p)
+
+        for gt in (GateType.AND, GateType.OR, GateType.NAND, GateType.NOR,
+                   GateType.XOR, GateType.XNOR):
+            prob, post = solver._post_tables(gt, 2)
+            for i, va in enumerate(vals):
+                for j, vb in enumerate(vals):
+                    p = output_probability(gt, [va, vb])
+                    assert prob[i][j] == p
+                    for d, (_op, cp) in enumerate(solver._decisions):
+                        assert post[d][i][j] == bucket(cp, p)
+        for gt in (GateType.NOT, GateType.BUF):
+            pre, post = solver._post_tables(gt, 1)
+            for i, v in enumerate(vals):
+                p = output_probability(gt, [v])
+                assert pre[i] == p
+                for d, (_op, cp) in enumerate(solver._decisions):
+                    assert post[d][i] == bucket(cp, p)

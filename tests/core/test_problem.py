@@ -77,6 +77,26 @@ class TestCosts:
         costs = TestPointCosts(observation=2.0)
         assert costs.of(TestPointType.OBSERVATION) == 2.0
 
+    def test_of_reads_the_field_of_every_kind(self):
+        costs = TestPointCosts(0.3, 0.7, 1.1, 0.9)
+        fields = {
+            TestPointType.OBSERVATION: costs.observation,
+            TestPointType.CONTROL_AND: costs.control_and,
+            TestPointType.CONTROL_OR: costs.control_or,
+            TestPointType.CONTROL_RANDOM: costs.control_random,
+        }
+        assert set(fields) == set(TestPointType)
+        for kind, value in fields.items():
+            assert costs.of(kind) == value
+
+    def test_total_sums_per_point_costs(self):
+        costs = TestPointCosts(0.3, 0.7, 1.1, 0.9)
+        pts = [TestPoint(f"n{i}", kind) for i, kind in enumerate(TestPointType)]
+        pts.append(TestPoint("m", TestPointType.OBSERVATION))
+        # Left-to-right float sum, exactly as before the lookup changed.
+        assert costs.total(pts) == 0 + 0.3 + 0.7 + 1.1 + 0.9 + 0.3
+        assert costs.total([]) == 0
+
 
 class TestProblem:
     def test_threshold_validation(self, and2):

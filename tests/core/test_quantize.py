@@ -1,5 +1,8 @@
 """Unit and property tests for probability grids."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -97,3 +100,32 @@ class TestRoundingProperties:
     def test_explicit_values_need_three(self):
         with pytest.raises(ValueError):
             ProbabilityGrid(values=[0.0])
+
+
+class TestIndexArray:
+    """The vectorized rounding must agree with :meth:`index` bit for bit."""
+
+    GRIDS = [
+        ProbabilityGrid(4),
+        ProbabilityGrid(16),
+        ProbabilityGrid.for_threshold(0.0017),
+        ProbabilityGrid.geometric(0.004, ratio=1.5),
+    ]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=repr)
+    def test_matches_scalar_index_on_grid_points_and_midpoints(self, grid):
+        vals = grid.values()
+        probes = list(vals)
+        probes += [(a + b) / 2 for a, b in zip(vals, vals[1:])]
+        probes += [math.nextafter(v, 2.0) for v in vals]
+        probes += [math.nextafter(v, -1.0) for v in vals]
+        probes += [-0.5, -0.0, 1.0, 1.5, 0.5 * 0.3, 0.5 * (1.0 + 0.3)]
+        got = grid.index_array(np.asarray(probes)).tolist()
+        assert got == [grid.index(p) for p in probes]
+
+    @given(ps=st.lists(st.floats(-0.25, 1.25), min_size=1, max_size=50))
+    def test_matches_scalar_index_property(self, ps):
+        grid = ProbabilityGrid.for_threshold(0.01)
+        assert grid.index_array(np.asarray(ps)).tolist() == [
+            grid.index(p) for p in ps
+        ]
