@@ -1,14 +1,16 @@
 #!/usr/bin/env python
 """Seeded fabric chaos campaign: injected mayhem, bit-identical results.
 
-Runs the same sweep twice — once serially (ground truth), then
-repeatedly on the fabric under a probabilistic mix of every injected
-fault (worker crashes, stalled heartbeats, corrupt payloads, spurious
-exceptions, ENOSPC on journal appends, duplicate completions) — until a
-wall-clock budget runs out.  After every round it asserts the fabric's
+Computes the sweep's ground truth with a plain loop over the per-circuit
+function every fabric job executes (``_sweep_one``, no fabric involved),
+then runs the sweep repeatedly on the fabric under a probabilistic mix
+of every injected fault (worker crashes, stalled heartbeats, corrupt
+payloads, spurious exceptions, ENOSPC on journal appends, duplicate
+completions) — until a wall-clock budget runs out.  After every round it asserts the fabric's
 acceptance bar:
 
-* the outcome list is **bit-identical** to the serial sweep's, and
+* the outcome list is **bit-identical** to the direct per-circuit
+  reference, and
 * every job is committed **exactly once** across the journal's whole
   history.
 
@@ -22,10 +24,10 @@ and the fault mix gains the four store faults (torn entry, bit flip,
 stale schema, double publish) that strike the published entry *after*
 its journal commit.  After the budget runs out a final chaos-free pass
 re-runs the sweep against the battered store with a fresh journal and
-asserts the caching bar: results still bit-identical to serial, every
-cache hit served from the store, and the only misses are the entries
-the integrity envelope quarantined as corrupt (``misses == corrupt``)
-— i.e. zero recomputation beyond what corruption forced.
+asserts the caching bar: results still bit-identical to the reference,
+every cache hit served from the store, and the only misses are the
+entries the integrity envelope quarantined as corrupt (``misses ==
+corrupt``) — i.e. zero recomputation beyond what corruption forced.
 
 Usage (CI runs this as the chaos-smoke job)::
 
@@ -43,8 +45,9 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.analysis.experiments import run_circuit_sweep
+from repro.analysis.experiments import _sweep_one, run_circuit_sweep
 from repro.circuit import generators, write_bench_file
+from repro.core.cascade import DEFAULT_CASCADE
 from repro.fabric import quarantine_dir_for
 from repro.resilience.chaos import FabricChaosSpec
 
@@ -132,16 +135,12 @@ def main(argv=None) -> int:
         else {}
     )
 
-    serial = [
-        asdict(o)
-        for o in run_circuit_sweep(
-            paths,
-            out_dir / "serial.jsonl",
-            n_patterns=N_PATTERNS,
-            measure_coverage=True,
-        )
+    reference = [
+        asdict(_sweep_one(p, N_PATTERNS, 0.001, None, DEFAULT_CASCADE,
+                          measure_coverage=True))
+        for p in paths
     ]
-    print(f"serial baseline: {len(serial)} circuits", flush=True)
+    print(f"direct reference: {len(reference)} circuits", flush=True)
 
     deadline = time.monotonic() + args.budget_ms / 1000.0
     rounds = 0
@@ -161,7 +160,6 @@ def main(argv=None) -> int:
                 journal,
                 n_patterns=N_PATTERNS,
                 measure_coverage=True,
-                fabric=True,
                 workers=args.workers,
                 lease_timeout_s=1.0,
                 chaos=chaos,
@@ -170,12 +168,12 @@ def main(argv=None) -> int:
         ]
         counts = _commit_counts(journal)
         problems = []
-        if fabric != serial:
+        if fabric != reference:
             # Quarantines are a legal, visible difference only when the
             # injected fault genuinely exhausted a job's attempts; with
             # first_attempt_only chaos (the default) retries must
             # converge, so *any* difference is a violation.
-            problems.append("results differ from serial baseline")
+            problems.append("results differ from the direct reference")
         if any(n != 1 for n in counts.values()):
             problems.append(
                 "duplicate commits: "
@@ -219,7 +217,6 @@ def main(argv=None) -> int:
                     out_dir / "final-verify.journal",
                     n_patterns=N_PATTERNS,
                     measure_coverage=True,
-                    fabric=True,
                     workers=args.workers,
                     lease_timeout_s=1.0,
                     store=store_dir,
@@ -231,8 +228,8 @@ def main(argv=None) -> int:
         misses = int(counters.get("fabric.store.misses", 0))
         corrupt = int(counters.get("fabric.store.corrupt", 0))
         problems = []
-        if final != serial:
-            problems.append("store-served results differ from serial")
+        if final != reference:
+            problems.append("store-served results differ from the reference")
         if hits + misses != N_CIRCUITS:
             problems.append(
                 f"expected {N_CIRCUITS} store lookups, saw "
@@ -251,7 +248,7 @@ def main(argv=None) -> int:
         else:
             print(
                 f"final verify: ok ({hits} cache hits, {misses} "
-                f"corruption-forced recomputes, bit-identical to serial)",
+                f"corruption-forced recomputes, bit-identical to the reference)",
                 flush=True,
             )
 

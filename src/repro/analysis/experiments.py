@@ -8,23 +8,23 @@ same logic is importable from notebooks and examples.
 Long runs are expected to hit bad inputs and budget exhaustion (general
 TPI is NP-complete), so the module also hosts the *hardened* drivers
 (DESIGN.md §8): :func:`run_circuit_sweep` isolates per-circuit crashes and
-checkpoints every outcome to a JSONL results file so a killed sweep
-resumes where it stopped, and :func:`run_experiments_checkpointed` does
-the same at experiment granularity.
+runs every circuit as a job of a sweep-fabric campaign
+(:mod:`repro.fabric`) whose journal commits each outcome durably, so a
+killed sweep resumes where it stopped, and
+:func:`run_experiments_checkpointed` does the same at experiment
+granularity.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..circuit.analysis import has_reconvergent_fanout, is_fanout_free
-from ..ioutil import atomic_write_text, read_jsonl_tolerant
 from ..circuit.bench_io import parse_bench_file
 from ..circuit.generators import random_tree
 from ..circuit.library import benchmark, benchmark_names
@@ -671,9 +671,10 @@ def run_e5_weighted_random(
 class SweepOutcome:
     """One circuit's result inside a :func:`run_circuit_sweep` run.
 
-    ``status`` is ``"ok"``, ``"parse_error"``, ``"budget_exceeded"`` or
+    ``status`` is ``"ok"``, ``"parse_error"``, ``"budget_exceeded"``,
     ``"error"`` (any other exception, recorded instead of propagated so a
-    sweep survives individual circuits going wrong).  Failed circuits keep
+    sweep survives individual circuits going wrong) or ``"quarantined"``
+    (the fabric gave up on a job that kept failing).  Failed circuits keep
     the error type and message; successful ones record which cascade stage
     produced the solution and how many stages were skipped over.
     """
@@ -697,7 +698,7 @@ class SweepOutcome:
         return self.status == "ok"
 
     def to_json(self) -> str:
-        """One checkpoint line (stable key order)."""
+        """One JSON record (stable key order)."""
         return json.dumps(asdict(self), sort_keys=True)
 
     def describe(self) -> str:
@@ -795,9 +796,9 @@ def _sweep_one(
 # take/return plain JSON-able data: they are dispatched by kind inside
 # worker processes (repro.fabric.worker) and their results land verbatim
 # in the fabric's journal.  Domain failures (parse errors, budget
-# exhaustion, experiment crashes) are *results* here, exactly as in the
-# serial drivers; only an exception escaping the executor is a fabric
-# failure that triggers retry/quarantine.
+# exhaustion, experiment crashes) are *results* here (a failed outcome
+# record); only an exception escaping the executor is a fabric failure
+# that triggers retry/quarantine.
 # ---------------------------------------------------------------------------
 def _budget_spec(budget: Optional[Budget]) -> Optional[Dict[str, object]]:
     """JSON-able budget limits (clocks restart on reconstruction)."""
@@ -882,60 +883,6 @@ def _sweep_content_key(path: Path) -> str:
             return "path:" + str(path)
 
 
-def _quarantine_checkpoint_lines(
-    path: Path,
-    lines: Sequence[str],
-    reason: str,
-    survivors: Optional[Sequence[str]] = None,
-) -> Path:
-    """Move unusable checkpoint lines to a ``.bad`` sidecar, loudly.
-
-    The lines are preserved verbatim in the sidecar (appended — corruption
-    is evidence, not garbage).  When ``survivors`` is given the checkpoint
-    itself is atomically rewritten to just those lines, so the bad lines
-    are *moved*, not copied, and the next resume is clean.
-    """
-    sidecar = path.with_name(path.name + ".bad")
-    with sidecar.open("a", encoding="utf-8") as sink:
-        for line in lines:
-            sink.write(line + "\n")
-    if survivors is not None:
-        atomic_write_text(
-            path, "".join(line + "\n" for line in survivors)
-        )
-    warnings.warn(
-        f"quarantined {len(lines)} corrupt checkpoint line(s) from "
-        f"{path} to {sidecar} ({reason}); resuming with the rest",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    obs.event(
-        "sweep_checkpoint_quarantined",
-        path=str(path),
-        sidecar=str(sidecar),
-        n_lines=len(lines),
-        reason=reason,
-    )
-    obs.count("sweep.quarantined_lines", len(lines))
-    return sidecar
-
-
-def _read_checkpoint_lines(path: Path) -> List[dict]:
-    """Parse a JSONL checkpoint, quarantining unparseable lines.
-
-    A killed run tears at most the final line, but a corrupted disk or a
-    concurrent writer can mangle any of them; every line that fails to
-    decode (or decodes to a non-object) is moved to the ``.bad`` sidecar
-    via :func:`_quarantine_checkpoint_lines` and the rest are returned.
-    """
-    records, good, bad = read_jsonl_tolerant(path)
-    if bad:
-        _quarantine_checkpoint_lines(
-            path, bad, "undecodable JSONL", survivors=good
-        )
-    return records
-
-
 def run_circuit_sweep(
     paths: Sequence[Union[str, Path]],
     results_path: Union[str, Path],
@@ -944,11 +891,10 @@ def run_circuit_sweep(
     escape_budget: float = 0.001,
     budget: Optional[Budget] = None,
     solvers: Sequence[str] = DEFAULT_CASCADE,
-    resume: bool = True,
     max_circuits: Optional[int] = None,
     measure_coverage: bool = False,
     jobs: int = 1,
-    fabric: bool = False,
+    fabric: bool = True,
     workers: int = 1,
     lease_timeout_s: float = 30.0,
     chaos=None,
@@ -958,21 +904,26 @@ def run_circuit_sweep(
 ) -> List[SweepOutcome]:
     """Plan test points for every circuit file, surviving bad apples.
 
-    Each circuit runs in isolation: a parse error, budget exhaustion or
-    crash is recorded as a failed :class:`SweepOutcome` and the sweep moves
-    on.  Every outcome is appended (and flushed) to ``results_path`` as one
-    JSONL line *before* the next circuit starts, so a killed run loses at
-    most the circuit in flight; with ``resume=True`` (default) a rerun
-    skips circuits already recorded there.
+    The sweep runs as a supervised fabric campaign
+    (:class:`~repro.fabric.FabricSupervisor`).  Each netlist becomes one
+    content-addressed job (structurally identical circuits under the
+    same config collapse to a single job), executed by leased workers —
+    or in-process with ``workers <= 1`` — and committed exactly once to
+    the journal at ``results_path``.  Each circuit runs in isolation: a
+    parse error, budget exhaustion or crash is recorded as a failed
+    :class:`SweepOutcome` and the sweep moves on; a job that keeps
+    killing its worker is quarantined (``status="quarantined"``, carrying
+    its last fabric error).  A killed run loses at most the jobs in
+    flight, and a rerun with the same journal and config serves every
+    committed job from it without recomputation.
 
     Parameters
     ----------
     paths:
         Netlist files (``.bench`` / ``.v`` / ``.sv``).
     results_path:
-        JSONL checkpoint/results file (created if missing).  In fabric
-        mode this is the fabric *journal* — a different (typed, durable)
-        record format; don't mix serial and fabric runs on one file.
+        The fabric journal (created if missing; use a new path to start
+        over).
     budget:
         Per-circuit cooperative budget; each circuit gets a fresh clock
         (:meth:`~repro.resilience.Budget.renewed`).
@@ -987,29 +938,25 @@ def run_circuit_sweep(
     jobs:
         Worker processes for the coverage measurement's fault simulation.
     fabric:
-        Run the sweep as a supervised fabric campaign
-        (:class:`~repro.fabric.FabricSupervisor`): content-addressed
-        dedup, leased workers, exactly-once journal commits, poison-job
-        quarantine.  Results are bit-identical to the serial path.
-        Fabric campaigns are always resumable (the journal is
-        content-addressed), so ``resume`` is ignored.
+        Must be True; ``False`` asked for the removed serial checkpoint
+        runner and raises :class:`ValueError`.
     workers:
-        Fabric pool width (``<= 1`` runs the fabric serially in-process).
+        Fabric pool width (``<= 1`` runs the campaign in-process).
     lease_timeout_s:
         Fabric lease liveness window.
     chaos:
         Optional :class:`~repro.resilience.chaos.FabricChaosSpec` for
-        fault-injection campaigns (fabric mode only).
+        fault-injection campaigns.
     interrupt:
         Optional :class:`~repro.resilience.interrupt.GracefulInterrupt`;
-        when it reports SIGTERM/SIGINT the sweep stops at the next item
-        boundary (checkpoint already flushed) by raising
+        when it reports SIGTERM/SIGINT the sweep stops at the next job
+        boundary (commits already durable) by raising
         :class:`~repro.errors.SweepInterrupted`.
     store:
         Optional directory of a cross-campaign
-        :class:`~repro.fabric.store.ResultStore` (fabric mode only).
-        Jobs with a verified store entry commit without recomputation;
-        fresh commits are published back for future campaigns.
+        :class:`~repro.fabric.store.ResultStore`.  Jobs with a verified
+        store entry commit without recomputation; fresh commits are
+        published back for future campaigns.
     store_verify_fraction:
         Seeded fraction of store hits re-executed and compared bit-exact
         (cache-poisoning audit); only meaningful with ``store``.
@@ -1017,135 +964,16 @@ def run_circuit_sweep(
     Returns the outcomes for all circuits in ``paths`` that have run so
     far, recorded-or-fresh, in ``paths`` order.
     """
-    results_path = Path(results_path)
-    file_paths = [Path(p) for p in paths]
-    if store is not None and not fabric:
+    if not fabric:
         raise ValueError(
-            "store= requires fabric=True (the result store is keyed by "
-            "fabric job ids)"
+            "fabric=False asked for the serial checkpoint runner, which "
+            "was removed: every sweep runs on the fabric"
         )
-    if fabric:
-        return _run_sweep_fabric(
-            file_paths,
-            results_path,
-            n_patterns=n_patterns,
-            escape_budget=escape_budget,
-            budget=budget,
-            solvers=solvers,
-            max_circuits=max_circuits,
-            measure_coverage=measure_coverage,
-            jobs=jobs,
-            workers=workers,
-            lease_timeout_s=lease_timeout_s,
-            chaos=chaos,
-            interrupt=interrupt,
-            store=store,
-            store_verify_fraction=store_verify_fraction,
-        )
-    completed: Dict[str, SweepOutcome] = {}
-    if resume and results_path.exists():
-        mistyped: List[str] = []
-        for record in _read_checkpoint_lines(results_path):
-            try:
-                outcome = SweepOutcome(**record)
-            except TypeError:
-                # Decoded fine but doesn't match the outcome schema (stale
-                # format, foreign writer): quarantine it and rerun that
-                # circuit rather than abort the whole resume.
-                mistyped.append(json.dumps(record, sort_keys=True))
-                continue
-            completed[outcome.path] = outcome
-        if mistyped:
-            _quarantine_checkpoint_lines(
-                results_path,
-                mistyped,
-                "not a SweepOutcome record",
-                survivors=[o.to_json() for o in completed.values()],
-            )
-    if results_path.parent != Path(""):
-        results_path.parent.mkdir(parents=True, exist_ok=True)
-
-    outcomes: List[SweepOutcome] = []
-    ran = 0
-    with obs.span(
-        "sweep", n_circuits=len(file_paths), results=str(results_path)
-    ) as sweep_span:
-        heartbeat = obs.Heartbeat("sweep")
-        with results_path.open("a", encoding="utf-8") as sink:
-            for path in file_paths:
-                heartbeat.beat(
-                    circuits_done=len(outcomes),
-                    circuits_total=len(file_paths),
-                    circuits_ran=ran,
-                )
-                prior = completed.get(str(path))
-                if prior is not None:
-                    obs.count("sweep.skipped")
-                    outcomes.append(prior)
-                    continue
-                if max_circuits is not None and ran >= max_circuits:
-                    break
-                ran += 1
-                with obs.span("sweep.circuit", circuit=path.stem) as sp:
-                    outcome = _sweep_one(
-                        path,
-                        n_patterns,
-                        escape_budget,
-                        budget,
-                        solvers,
-                        measure_coverage=measure_coverage,
-                        jobs=jobs,
-                    )
-                    sp.set(status=outcome.status)
-                sink.write(outcome.to_json() + "\n")
-                sink.flush()
-                obs.count("sweep.circuits")
-                outcomes.append(outcome)
-                if interrupt is not None:
-                    # Item boundary: the outcome above is already durable,
-                    # so stopping here is always resumable.
-                    interrupt.check(
-                        completed=len(outcomes),
-                        remaining=len(file_paths) - len(outcomes),
-                    )
-        sweep_span.set(
-            ran=ran,
-            skipped=len(outcomes) - ran,
-            failures=sum(1 for o in outcomes if not o.ok),
-        )
-    return outcomes
-
-
-def _run_sweep_fabric(
-    file_paths: List[Path],
-    results_path: Path,
-    *,
-    n_patterns: int,
-    escape_budget: float,
-    budget: Optional[Budget],
-    solvers: Sequence[str],
-    max_circuits: Optional[int],
-    measure_coverage: bool,
-    jobs: int,
-    workers: int,
-    lease_timeout_s: float,
-    chaos,
-    interrupt,
-    store: Union[str, Path, None] = None,
-    store_verify_fraction: float = 0.05,
-) -> List[SweepOutcome]:
-    """Sweep as a fabric campaign: dedup, leases, exactly-once commits.
-
-    Each netlist becomes one content-addressed job (structurally
-    identical circuits under the same config collapse to a single job);
-    committed results are rehydrated per requested path, so the returned
-    outcome list is bit-identical to the serial driver's, in ``paths``
-    order.  Quarantined (poison) jobs surface as ``status="quarantined"``
-    outcomes carrying their last fabric error.
-    """
     from ..fabric import FabricSupervisor, ResultJournal, ResultStore
     from ..fabric.jobs import Job
 
+    results_path = Path(results_path)
+    file_paths = [Path(p) for p in paths]
     if results_path.parent != Path(""):
         results_path.parent.mkdir(parents=True, exist_ok=True)
     # Everything that can change a result belongs in the identity config;
@@ -1189,7 +1017,7 @@ def _run_sweep_fabric(
                 continue
             if not journal.is_done(job.job_id):
                 if max_circuits is not None and fresh >= max_circuits:
-                    continue  # left for a later resume, like serial
+                    continue  # left for a later resume
                 fresh += 1
             seen[job.job_id] = job
             campaign.append(job)
@@ -1232,7 +1060,7 @@ def _run_sweep_fabric(
                         error=last.get("message"),
                     )
                 )
-            # else: capped by max_circuits — not run yet, like serial.
+            # else: capped by max_circuits — not run yet.
         return outcomes
     finally:
         journal.close()
@@ -1260,8 +1088,6 @@ def experiment_runners() -> Dict[str, Callable[[], ExperimentResult]]:
 def run_experiments_checkpointed(
     keys: Sequence[str],
     results_path: Union[str, Path],
-    resume: bool = True,
-    fabric: bool = False,
     workers: int = 1,
     lease_timeout_s: float = 30.0,
     chaos=None,
@@ -1272,14 +1098,13 @@ def run_experiments_checkpointed(
     """Run experiments with per-experiment crash isolation and resume.
 
     Mirrors :func:`run_circuit_sweep` at experiment granularity: each
-    experiment's rendered table (or failure) is appended to
-    ``results_path`` as one JSONL record as soon as it finishes, and with
-    ``resume=True`` already-recorded experiments are not rerun.  With
-    ``fabric=True`` the campaign runs on the sweep fabric instead
-    (leased workers, exactly-once journal at ``results_path``, poison
-    quarantine); fabric campaigns are always resumable, so ``resume`` is
-    ignored there.  ``interrupt`` stops at the next experiment boundary
-    by raising :class:`~repro.errors.SweepInterrupted`.
+    experiment is one fabric job (leased workers, or in-process with
+    ``workers <= 1``), its rendered table (or failure) is committed
+    exactly once to the journal at ``results_path``, and a rerun serves
+    already-committed experiments from it.  ``interrupt`` stops at the
+    next experiment boundary by raising
+    :class:`~repro.errors.SweepInterrupted`.  Records come back in
+    ``keys`` order.
     """
     runners = experiment_runners()
     unknown = [k for k in keys if k not in runners]
@@ -1287,64 +1112,10 @@ def run_experiments_checkpointed(
         raise ExperimentError(
             f"unknown experiments {unknown} (choose from {list(runners)})"
         )
-    results_path = Path(results_path)
-    if store is not None and not fabric:
-        raise ValueError(
-            "store= requires fabric=True (the result store is keyed by "
-            "fabric job ids)"
-        )
-    if fabric:
-        return _run_experiments_fabric(
-            list(keys),
-            results_path,
-            workers=workers,
-            lease_timeout_s=lease_timeout_s,
-            chaos=chaos,
-            interrupt=interrupt,
-            store=store,
-            store_verify_fraction=store_verify_fraction,
-        )
-    done: Dict[str, dict] = {}
-    if resume and results_path.exists():
-        for record in _read_checkpoint_lines(results_path):
-            if "experiment" in record:
-                done[record["experiment"]] = record
-
-    records: List[dict] = []
-    with results_path.open("a", encoding="utf-8") as sink:
-        for key in keys:
-            prior = done.get(key)
-            if prior is not None:
-                obs.count("experiments.skipped")
-                records.append(prior)
-                continue
-            record = execute_experiment_job({"experiment": key})
-            sink.write(json.dumps(record, sort_keys=True) + "\n")
-            sink.flush()
-            records.append(record)
-            if interrupt is not None:
-                interrupt.check(
-                    completed=len(records),
-                    remaining=len(keys) - len(records),
-                )
-    return records
-
-
-def _run_experiments_fabric(
-    keys: List[str],
-    results_path: Path,
-    *,
-    workers: int,
-    lease_timeout_s: float,
-    chaos,
-    interrupt,
-    store: Union[str, Path, None] = None,
-    store_verify_fraction: float = 0.05,
-) -> List[dict]:
-    """Experiment campaign on the fabric; records in ``keys`` order."""
     from ..fabric import FabricSupervisor, ResultJournal, ResultStore
     from ..fabric.jobs import Job
 
+    results_path = Path(results_path)
     if results_path.parent != Path(""):
         results_path.parent.mkdir(parents=True, exist_ok=True)
     config: Dict[str, object] = {"schema": "experiment-job/1"}

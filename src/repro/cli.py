@@ -8,11 +8,11 @@ Subcommands:
 * ``report <bench|name|trace.jsonl>`` — testability profile of a
   circuit, or a human-readable summary of a recorded trace;
 * ``experiments`` — run the reconstructed evaluation suite (T1–T4, F1–F4);
-* ``sweep`` — plan test points over many netlist files with per-circuit
-  crash isolation and a resumable JSONL results file; ``--fabric
-  --workers N`` runs it as a supervised fabric campaign (leased worker
-  processes, content-addressed dedup, exactly-once journal commits,
-  poison-job quarantine) with bit-identical results;
+* ``sweep`` — plan test points over many netlist files as a supervised
+  fabric campaign: per-circuit crash isolation, leased worker processes
+  (``--workers N``; 1 runs in-process), content-addressed dedup,
+  exactly-once commits to a resumable ``--results`` journal, poison-job
+  quarantine;
 * ``fabric-status <journal>`` — inspect a fabric journal: commits,
   quarantined jobs, crash evidence (torn lines); ``--store DIR`` adds
   result-store statistics (entries, bytes, hits/misses/corrupt);
@@ -363,6 +363,29 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_foreign_results(path: str) -> None:
+    """Exit 2 when ``--results`` names a file that is not a fabric journal.
+
+    A checkpoint written by the removed serial runner decodes fine but
+    holds no journal record, so the campaign would silently recompute
+    everything and append a journal to it.  Library callers keep the
+    journal's own policy (foreign records preserved and ignored).
+    """
+    from .fabric import journal_status
+
+    if not Path(path).exists():
+        return
+    status = journal_status(path)
+    if status["foreign_records"] and not (
+        status["commits"] or status["quarantined"]
+    ):
+        raise _usage_exit(
+            f"{path} is not a fabric journal ({status['foreign_records']} "
+            f"foreign records, no commits): it looks like an old serial "
+            f"checkpoint; pass a new journal path to --results"
+        )
+
+
 def _cmd_experiments(args: argparse.Namespace) -> int:
     runners = exps.experiment_runners()
     selected = args.only or list(runners)
@@ -371,26 +394,18 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             raise _usage_exit(
                 f"unknown experiment {key!r} (choose from {list(runners)})"
             )
-    if args.fabric and args.results is None:
-        raise _usage_exit("--fabric needs --results (the fabric journal)")
-    if args.fabric and args.no_resume:
+    if args.store is not None and args.results is None:
         raise _usage_exit(
-            "--no-resume is meaningless with --fabric: the journal is "
-            "content-addressed (delete the journal file to start over)"
-        )
-    if args.store is not None and not args.fabric:
-        raise _usage_exit(
-            "--store needs --fabric (the result store is keyed by "
-            "fabric job ids)"
+            "--store needs --results (the campaign journal the store "
+            "entries are committed to)"
         )
     if args.results is not None:
-        # Checkpointed mode: crash-isolated, resumable per experiment.
+        # Fabric campaign: crash-isolated, resumable per experiment.
+        _refuse_foreign_results(args.results)
         with GracefulInterrupt() as stop:
             records = exps.run_experiments_checkpointed(
                 selected,
                 args.results,
-                resume=not args.no_resume,
-                fabric=args.fabric,
                 workers=args.workers,
                 interrupt=stop,
                 store=args.store,
@@ -440,16 +455,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise _usage_exit(f"no such file or directory: {spec!r}")
     if not paths:
         raise _usage_exit("no netlist files (.bench/.v/.sv) to sweep")
-    if args.no_resume and args.fabric:
-        raise _usage_exit(
-            "--no-resume is meaningless with --fabric: the journal is "
-            "content-addressed (delete the journal file to start over)"
-        )
-    if args.store is not None and not args.fabric:
-        raise _usage_exit(
-            "--store needs --fabric (the result store is keyed by "
-            "fabric job ids)"
-        )
+    _refuse_foreign_results(args.results)
     with GracefulInterrupt() as stop:
         outcomes = exps.run_circuit_sweep(
             paths,
@@ -458,11 +464,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             escape_budget=args.escape,
             budget=_budget_from_args(args),
             solvers=tuple(args.solvers),
-            resume=not args.no_resume,
             max_circuits=args.max_circuits,
             measure_coverage=args.measure_coverage,
             jobs=args.jobs,
-            fabric=args.fabric,
             workers=args.workers,
             lease_timeout_s=args.lease_timeout,
             interrupt=stop,
@@ -810,8 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument(
             "--store", metavar="DIR", default=None,
             help="cross-campaign result store: verified cache hits skip "
-            "recomputation, fresh commits are published back "
-            "(requires --fabric)",
+            "recomputation, fresh commits are published back",
         )
         g.add_argument(
             "--store-verify", type=float, default=0.05, metavar="FRACTION",
@@ -873,8 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="plan test points over many netlist files; crash-isolated, "
-        "checkpointed to --results, resumable",
+        help="plan test points over many netlist files as a fabric "
+        "campaign; crash-isolated, journaled to --results, resumable",
     )
     p.add_argument(
         "paths", nargs="+",
@@ -882,7 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--results", required=True, metavar="FILE",
-        help="JSONL results/checkpoint file (appended; enables resume)",
+        help="fabric journal (appended; a rerun resumes from it — use a "
+        "new path to start over)",
     )
     p.add_argument("--patterns", type=int, default=1024, help="pattern budget")
     p.add_argument("--escape", type=float, default=0.001, help="escape budget ε")
@@ -890,10 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--solvers", nargs="+", choices=list(SOLVER_CASCADE),
         default=list(DEFAULT_CASCADE), metavar="SOLVER",
         help=f"cascade stages, most precise first (default: {' '.join(DEFAULT_CASCADE)})",
-    )
-    p.add_argument(
-        "--no-resume", action="store_true",
-        help="re-run circuits already recorded in --results",
     )
     p.add_argument(
         "--max-circuits", type=int, metavar="N",
@@ -912,16 +912,11 @@ def build_parser() -> argparse.ArgumentParser:
         "fabric",
         "supervised campaign execution: leased worker processes, "
         "content-addressed dedup, exactly-once journal commits, "
-        "poison-job quarantine; results are bit-identical to serial",
-    )
-    g.add_argument(
-        "--fabric", action="store_true",
-        help="run the sweep on the fabric (--results becomes the "
-        "fabric journal)",
+        "poison-job quarantine",
     )
     g.add_argument(
         "--workers", type=int, default=2, metavar="N",
-        help="fabric pool width (default 2; 1 = in-process serial fabric)",
+        help="worker processes (default 2; 1 runs every job in-process)",
     )
     g.add_argument(
         "--lease-timeout", type=float, default=30.0, metavar="SECONDS",
@@ -940,7 +935,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect a fabric journal: commits, quarantined jobs, "
         "crash evidence",
     )
-    p.add_argument("journal", help="fabric journal file (sweep --fabric --results)")
+    p.add_argument(
+        "journal", help="fabric journal file (sweep/experiments --results)"
+    )
     p.add_argument(
         "--store", metavar="DIR", default=None,
         help="also report this result store's statistics (entries, "
@@ -1076,24 +1073,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--results", metavar="FILE",
-        help="JSONL checkpoint file: isolate experiment failures and "
-        "resume completed experiments from it",
-    )
-    p.add_argument(
-        "--no-resume", action="store_true",
-        help="with --results: re-run experiments already recorded",
+        help="fabric journal: run the suite as a campaign that isolates "
+        "experiment failures and resumes committed experiments from it",
     )
     g = p.add_argument_group(
         "fabric", "supervised campaign over a worker pool (with --results)"
     )
     g.add_argument(
-        "--fabric", action="store_true",
-        help="run as a fabric campaign: leased workers, exactly-once "
-        "journal at --results, poison-job quarantine",
-    )
-    g.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="fabric pool width (default 1: serial in-process)",
+        help="worker processes (default 1: every experiment in-process)",
     )
     add_store(g)
     add_observability(p)

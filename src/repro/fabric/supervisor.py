@@ -930,10 +930,17 @@ class FabricSupervisor:
     # Serial paths
     # ------------------------------------------------------------------
     def _drain_serial(self, queue: WorkQueue) -> None:
-        """Run everything left in-process (degraded or workers<=1)."""
+        """Run everything left in-process (degraded or workers<=1).
+
+        Beats the same ``fabric`` heartbeat as the pool loop between
+        jobs, so a stalled in-process campaign stays visible.
+        """
         obs.count("fabric.serial_drains")
+        beat = obs.Heartbeat("fabric")
         while queue.unfinished:
-            if self.interrupt is not None and self.interrupt.requested:
+            if self.interrupt is not None:
+                # A no-op unless a signal arrived: stops at a job
+                # boundary, every earlier commit already durable.
                 self.interrupt.check(
                     completed=queue.n_done, remaining=queue.unfinished
                 )
@@ -941,6 +948,11 @@ class FabricSupervisor:
             if lease is None:
                 return  # only leased-elsewhere work remains
             self._run_in_parent(queue, lease)
+            beat.beat(
+                fabric_done=queue.n_done,
+                fabric_pending=queue.n_pending,
+                fabric_leased=queue.n_leased,
+            )
 
     def _run_in_parent(self, queue: WorkQueue, lease: Lease) -> None:
         """Execute one leased job in-process; commit through the gate.

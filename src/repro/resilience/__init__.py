@@ -12,10 +12,10 @@ The resilience layer has three parts, threaded through the whole pipeline:
   experiment runner (:mod:`repro.analysis.experiments`), which *consume*
   budget failures: the cascade degrades to a cheaper solver, the runner
   records the failure and moves on to the next circuit;
-* deterministic chaos hooks (:class:`ChaosSpec`) that inject worker
-  crashes / hangs / corrupted payloads into the parallel fault-sim
-  fan-out, so the hardened retry/respawn/degrade machinery in
-  :mod:`repro.sim.parallel` is provable rather than hopeful.
+* deterministic chaos hooks (:class:`FabricChaosSpec`) that inject
+  worker crashes / stalls / corrupted payloads / journal and store
+  faults into sweep-fabric campaigns, so the supervisor's
+  retry/respawn/quarantine machinery is provable rather than hopeful.
 
 DESIGN.md §8 describes the degradation cascade and why NP-completeness
 makes budgets first-class here; §11 covers the chaos hook contract.
@@ -34,19 +34,12 @@ from ..errors import (
     SweepInterrupted,
 )
 from .budget import Budget, Deadline
-from .chaos import (
-    CHAOS_ACTIONS,
-    FABRIC_CHAOS_ACTIONS,
-    ChaosSpec,
-    FabricChaosSpec,
-)
+from .chaos import FABRIC_CHAOS_ACTIONS, FabricChaosSpec
 from .interrupt import GracefulInterrupt
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
     "Budget",
-    "CHAOS_ACTIONS",
-    "ChaosSpec",
     "FABRIC_CHAOS_ACTIONS",
     "FabricChaosSpec",
     "Deadline",

@@ -1,37 +1,21 @@
-"""Deterministic fault injection for the parallel fan-out (chaos hooks).
+"""Deterministic fault injection for the sweep fabric (chaos hooks).
 
-The hardened :func:`repro.sim.parallel.run_parallel` promises that worker
-crashes, hangs, corrupted chunk payloads, and spurious worker exceptions
-never change the *result* — only the wall clock.  That promise is worth
-nothing untested, and real crashes are not reproducible; a
-:class:`ChaosSpec` makes them so.  It is carried into every worker and
-consulted once per ``(chunk, attempt)``:
-
-* ``crash`` — the worker process dies hard (``os._exit``), breaking the
-  pool mid-flight (exercises pool respawn + chunk re-dispatch);
-* ``hang`` — the worker sleeps ``hang_seconds`` before computing
-  (exercises the per-chunk deadline and stale-result handling);
-* ``corrupt`` — the worker returns a truncated payload (exercises the
-  parent's shape validation + retry);
-* ``spurious`` — the worker raises a ``RuntimeError`` (exercises plain
-  per-chunk retry).
-
-Injection is **seeded and deterministic**: the decision for a chunk is a
-pure function of ``(seed, chunk_index, attempt)``, so a failing run
-replays exactly.  ``forced`` pins specific chunks to specific actions for
+The fabric (:mod:`repro.fabric`) promises that worker crashes, stalled
+heartbeats, corrupted payloads, spurious worker exceptions, journal
+writes hitting ENOSPC, duplicate completions racing the commit point, and
+corrupted result-store entries never change a campaign's *results* —
+only its wall clock.  That promise is worth nothing untested, and real
+crashes are not reproducible; a :class:`FabricChaosSpec` makes them so.
+Injection is **seeded and deterministic**: the decision for a job is a
+pure function of ``(seed, job_index, attempt)``, so a failing campaign
+replays exactly.  ``forced`` pins specific jobs to specific actions for
 targeted tests.  By default (``first_attempt_only=True``) chaos applies
-only to a chunk's first attempt, so every hardened run must converge to
-the serial result — which is exactly the property the chaos tests
+only to a job's first attempt, so every campaign must converge to the
+chaos-free result — which is exactly the property the chaos tests
 assert.
 
-The sweep fabric (:mod:`repro.fabric`) has its own, wider fault surface —
-besides worker-process mayhem it must survive *supervisor-side* failures
-(journal writes hitting ENOSPC, duplicate completions racing the commit
-point).  :class:`FabricChaosSpec` covers it with the same contract:
-seeded, deterministic per ``(job_index, attempt)``, and off by default.
-
-Nothing here ever fires in production: ``run_parallel(chaos=None)`` /
-``FabricSupervisor(chaos=None)`` (the defaults) skip every hook.
+Nothing here ever fires in production: ``FabricSupervisor(chaos=None)``
+(the default) skips every hook.
 """
 
 from __future__ import annotations
@@ -40,75 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
-__all__ = [
-    "CHAOS_ACTIONS",
-    "ChaosSpec",
-    "FABRIC_CHAOS_ACTIONS",
-    "FabricChaosSpec",
-]
-
-#: Everything a chaos hook can do to a chunk attempt.
-CHAOS_ACTIONS = ("crash", "hang", "corrupt", "spurious")
-
-
-@dataclass(frozen=True)
-class ChaosSpec:
-    """Seeded fault-injection plan for one ``run_parallel`` call.
-
-    ``crash``/``hang``/``corrupt``/``spurious`` are per-chunk
-    probabilities (bands of one uniform draw, so they must sum to at most
-    1).  ``forced`` overrides the draw for specific chunk indices:
-    ``((0, "crash"), (1, "hang"))`` crashes chunk 0's worker and hangs
-    chunk 1's.
-    """
-
-    seed: int = 0
-    crash: float = 0.0
-    hang: float = 0.0
-    corrupt: float = 0.0
-    spurious: float = 0.0
-    #: How long a "hang" sleeps before computing (keep well above the
-    #: caller's ``chunk_timeout`` so the deadline actually fires).
-    hang_seconds: float = 30.0
-    #: With True (default) chaos only strikes a chunk's first attempt, so
-    #: retries converge; False re-rolls per attempt (torture mode).
-    first_attempt_only: bool = True
-    forced: Tuple[Tuple[int, str], ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        total = self.crash + self.hang + self.corrupt + self.spurious
-        if total > 1.0 + 1e-12:
-            raise ValueError(
-                f"chaos probabilities sum to {total:g} > 1"
-            )
-        for _idx, act in self.forced:
-            if act not in CHAOS_ACTIONS:
-                raise ValueError(
-                    f"unknown chaos action {act!r} "
-                    f"(choose from {CHAOS_ACTIONS})"
-                )
-
-    def action(self, chunk_index: int, attempt: int) -> Optional[str]:
-        """The action (if any) to inflict on this chunk attempt.
-
-        Pure and deterministic: same spec + same ``(chunk_index,
-        attempt)`` always returns the same answer, in the parent and in
-        any worker.
-        """
-        if attempt > 0 and self.first_attempt_only:
-            return None
-        for idx, act in self.forced:
-            if idx == chunk_index:
-                return act
-        bands = (
-            ("crash", self.crash),
-            ("hang", self.hang),
-            ("corrupt", self.corrupt),
-            ("spurious", self.spurious),
-        )
-        return _banded_roll(
-            f"chaos:{self.seed}:{chunk_index}:{attempt}", bands
-        )
+__all__ = ["FABRIC_CHAOS_ACTIONS", "FabricChaosSpec"]
 
 
 def _banded_roll(
@@ -153,9 +69,10 @@ FABRIC_CHAOS_ACTIONS = (
 class FabricChaosSpec:
     """Seeded fault-injection plan for one fabric campaign.
 
-    Mirrors :class:`ChaosSpec` (banded probabilities over one uniform
-    draw per ``(job_index, attempt)``, ``forced`` pins, first-attempt-
-    only by default) over the fabric's fault surface:
+    Banded probabilities over one uniform draw per ``(job_index,
+    attempt)`` (so they must sum to at most 1), ``forced`` pins
+    (``((1, "crash"),)`` crashes job 1's worker), first-attempt-only by
+    default, over the fabric's fault surface:
 
     * ``crash`` — the worker leasing the job dies hard, breaking the
       pool (exercises pool respawn, lease bookkeeping, the breaker);

@@ -1,20 +1,15 @@
-"""Shared retry/backoff policy for every fan-out that re-dispatches work.
+"""Retry/backoff policy of the sweep fabric, the one retry ladder.
 
-Two subsystems retry failed work units: the parallel fault-sim fan-out
-(:mod:`repro.sim.parallel`, retrying crashed/corrupt/timed-out chunks)
-and the sweep fabric (:mod:`repro.fabric`, re-dispatching expired leases
-and failed jobs).  Both used to hand-roll the same capped exponential
-backoff; :class:`RetryPolicy` is that logic extracted once, with one
-addition the fabric needs — **deterministic seeded jitter**, so many
+The fabric (:mod:`repro.fabric`) re-dispatches expired leases and
+failed jobs with capped exponential backoff.  :class:`RetryPolicy`
+holds that schedule, with **deterministic seeded jitter**, so many
 supervisors retrying against the same contended resource (a shared
 filesystem, one overloaded host) de-synchronize without sacrificing
 replayability: the delay for a given ``(seed, key, attempt)`` is a pure
 function, so a chaos campaign that failed replays with the exact same
 timing decisions.
 
-The default policy (``base 0.05 s, doubling, cap 0.5 s, no jitter``) is
-bit-for-bit the schedule the parallel fan-out always used; the existing
-chaos tests pin it.
+The default policy is ``base 0.05 s, doubling, cap 0.5 s, no jitter``.
 """
 
 from __future__ import annotations
@@ -35,9 +30,8 @@ class RetryPolicy:
     max_attempts:
         Total tries per work unit (first attempt + retries).  An
         ``attempt`` counter of ``max_attempts`` means the unit is out of
-        chances (:meth:`should_retry` returns False) and the caller
-        degrades — the parallel fan-out computes the chunk in-parent,
-        the fabric quarantines the job.
+        chances (:meth:`should_retry` returns False) and the fabric
+        quarantines the job.
     backoff_base_s / backoff_cap_s:
         Delay before retry ``k`` (1-based) is
         ``min(base * 2**(k-1), cap)`` seconds.
@@ -101,6 +95,6 @@ class RetryPolicy:
         return replace(self, **changes)
 
 
-#: The schedule the parallel fan-out has always used; the fabric layers
-#: jitter on top via ``DEFAULT_RETRY_POLICY.replaced(jitter=...)``.
+#: The default schedule; the fabric layers jitter on top via
+#: ``DEFAULT_RETRY_POLICY.replaced(jitter=...)``.
 DEFAULT_RETRY_POLICY = RetryPolicy()

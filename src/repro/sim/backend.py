@@ -61,10 +61,6 @@ class SimulationBackend:
     #: The resolved kernel name this backend serves.
     name: str = "interp"
 
-    def available(self) -> bool:
-        """Whether this backend can run in the current process."""
-        return True
-
     # -- per-pass fast paths (None -> interpreted fallback) -------------
     def logic_runner(self, circuit: Circuit):
         return None
@@ -163,9 +159,6 @@ class NumpyBackend(SimulationBackend):
     """Word-parallel uint64/float64 array engine (:mod:`repro.sim.npsim`)."""
 
     name = "numpy"
-
-    def available(self) -> bool:
-        return npsim.HAVE_NUMPY
 
     def logic_runner(self, circuit: Circuit):
         plan = npsim.get_plan(circuit)

@@ -13,10 +13,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, List
 
-try:  # numpy is a declared dependency, but the int-word core must not need it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
+import numpy as np
 
 __all__ = [
     "ones_mask",
@@ -210,14 +207,6 @@ def unpack_patterns(words: List[int], n_patterns: int) -> List[List[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _require_numpy():
-    if _np is None:  # pragma: no cover - exercised only on stripped installs
-        raise RuntimeError(
-            "numpy is required for ndarray word packing but is not installed"
-        )
-    return _np
-
-
 def word_count(n_patterns: int) -> int:
     """Number of 64-bit words needed to hold ``n_patterns`` pattern bits."""
     if n_patterns < 0:
@@ -233,7 +222,6 @@ def word_to_ndarray(word: int, n_patterns: int):
     ``n_patterns`` are masked off so the array round-trips exactly through
     :func:`ndarray_to_word`.  Copy the array before mutating it.
     """
-    np = _require_numpy()
     n_words = word_count(n_patterns)
     buf = (word & ones_mask(n_patterns)).to_bytes(n_words * 8, "little")
     return np.frombuffer(buf, dtype="<u8")
@@ -246,7 +234,6 @@ def ndarray_to_word(arr) -> int:
     contiguous native little-endian array converts without copying the
     payload more than once.
     """
-    np = _require_numpy()
     arr = np.ascontiguousarray(arr, dtype="<u8")
     return int.from_bytes(arr.data, "little")
 
@@ -257,7 +244,6 @@ def pack_bits_ndarray(bits: Iterable[int]):
     Equivalent to ``word_to_ndarray(pack_bits(bits), len(bits))`` but built
     with :func:`numpy.packbits` — no intermediate bignum.
     """
-    np = _require_numpy()
     arr = np.asarray(list(bits) if not hasattr(bits, "__len__") else bits,
                      dtype=np.uint8)
     packed = np.packbits(arr, bitorder="little")
@@ -275,7 +261,6 @@ def unpack_bits_ndarray(arr, n_patterns: int) -> List[int]:
     Exact inverse of :func:`pack_bits_ndarray`; matches
     :func:`unpack_bits` applied to :func:`ndarray_to_word`.
     """
-    np = _require_numpy()
     if n_patterns <= 0:
         return []
     arr = np.ascontiguousarray(arr, dtype="<u8")
@@ -290,7 +275,6 @@ def pack_patterns_ndarray(patterns: List[List[int]], n_signals: int):
     ``(n_signals, word_count(len(patterns)))`` and row ``s`` equals
     ``word_to_ndarray(pack_patterns(patterns, n_signals)[s], len(patterns))``.
     """
-    np = _require_numpy()
     n_patterns = len(patterns)
     for p, pattern in enumerate(patterns):
         if len(pattern) != n_signals:

@@ -101,15 +101,6 @@ def resolve_kernel(kernel: Optional[str]) -> str:
         raise SimulationError(
             f"unknown kernel mode {kernel!r} (choose from {KERNEL_MODES})"
         )
-    if kernel == "numpy":
-        # Lazy import: the word-parallel backend needs numpy, which the
-        # int-word core deliberately does not.
-        from . import npsim
-
-        if not npsim.HAVE_NUMPY:
-            raise SimulationError(
-                "kernel 'numpy' requires numpy, which is not installed"
-            )
     return kernel
 
 

@@ -49,22 +49,15 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .. import obs
 from ..circuit.gates import GateType
 from ..circuit.netlist import Circuit
 from ..errors import SimulationError
 from .bitops import ndarray_to_word, ones_mask, word_count, word_to_ndarray
 
-try:  # pragma: no cover - import guard exercised only on stripped installs
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None
-    HAVE_NUMPY = False
-
 __all__ = [
-    "HAVE_NUMPY",
     "BATCH_CHUNK_BYTES",
     "BATCH_TILE_MIN_SITES",
     "DELTA_MIN_MEAN_WIDTH",
@@ -99,13 +92,6 @@ _INVERT_TYPES = (GateType.NAND, GateType.NOR, GateType.XNOR)
 _ALL_ONES = 0xFFFFFFFFFFFFFFFF
 
 
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:  # pragma: no cover - stripped installs only
-        raise SimulationError(
-            "kernel 'numpy' requires numpy, which is not installed"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Pattern masks
 # ---------------------------------------------------------------------------
@@ -119,7 +105,6 @@ def mask_array(n_patterns: int):
     """Read-only uint64 mask with the low ``n_patterns`` bits set."""
     arr = _MASKS.get(n_patterns)
     if arr is None:
-        _require_numpy()
         n_words = word_count(n_patterns)
         arr = np.full(n_words, _ALL_ONES, dtype=np.uint64)
         rem = n_patterns & 63
@@ -765,7 +750,6 @@ class CircuitPlan:
     """
 
     def __init__(self, circuit: Circuit) -> None:
-        _require_numpy()
         circuit.validate()
         with obs.span("npsim.plan", circuit=circuit.name):
             self._build(circuit)
@@ -1259,7 +1243,7 @@ DELTA_MIN_MEAN_WIDTH = 32.0
 def delta_profitable(plan: "CircuitPlan") -> bool:
     """Whether :class:`PlacementDelta` is expected to beat the
     interpreted dirty-cone walk on this plan (see
-    :data:`DELTA_MIN_MEAN_WIDTH`; answers, never raises, without numpy).
+    :data:`DELTA_MIN_MEAN_WIDTH`).
     """
     raw = os.environ.get("REPRO_NP_DELTA_MIN_WIDTH")
     try:
@@ -1346,7 +1330,6 @@ class PlacementDelta:
     """
 
     def __init__(self, plan: "CircuitPlan") -> None:
-        _require_numpy()
         self.plan = plan
         self.aux = plan.delta_aux()
 
@@ -1641,7 +1624,6 @@ def get_plan(circuit: Circuit) -> CircuitPlan:
     Keyed by structural hash — structurally identical circuits share one
     plan, and a netlist rewrite can never be served stale index arrays.
     """
-    _require_numpy()
     key = circuit.structural_hash()
     with _PLANS_LOCK:
         plan = _PLANS.get(key)

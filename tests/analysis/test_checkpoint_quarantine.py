@@ -1,4 +1,11 @@
-"""Checkpoint resume hardening: corrupt JSONL lines quarantine, not abort."""
+"""Resume hardening: corrupt journal lines are counted, never fatal.
+
+A sweep's ``--results`` file is a fabric journal.  A corrupted disk or a
+foreign writer can mangle any line of it, not just the torn tail of a
+killed run; a resume must skip every undecodable or foreign line,
+re-run only the jobs whose commits were lost, and leave the corrupt
+lines in place as evidence (``fabric-status`` counts them).
+"""
 
 from __future__ import annotations
 
@@ -6,12 +13,10 @@ import json
 
 import pytest
 
-from repro.analysis.experiments import (
-    _read_checkpoint_lines,
-    run_circuit_sweep,
-)
+from repro.analysis.experiments import run_circuit_sweep
 from repro.circuit.bench_io import write_bench
 from repro.circuit.generators import c17, random_dag
+from repro.fabric import journal_status
 
 
 @pytest.fixture
@@ -21,76 +26,38 @@ def sweep_env(tmp_path):
         p = tmp_path / f"c{i}.bench"
         p.write_text(write_bench(circuit))
         paths.append(p)
-    return paths, tmp_path / "sweep.jsonl"
-
-
-def _sidecar(ckpt):
-    return ckpt.with_name(ckpt.name + ".bad")
-
-
-class TestReadCheckpointLines:
-    def test_clean_file_reads_without_sidecar(self, tmp_path):
-        path = tmp_path / "ok.jsonl"
-        path.write_text('{"a": 1}\n{"b": 2}\n')
-        assert _read_checkpoint_lines(path) == [{"a": 1}, {"b": 2}]
-        assert not _sidecar(path).exists()
-
-    def test_corrupt_lines_anywhere_are_quarantined(self, tmp_path):
-        path = tmp_path / "mixed.jsonl"
-        path.write_text(
-            "garbage not json\n"
-            '{"first": 1}\n'
-            "{torn in the midd\n"
-            '{"second": 2}\n'
-            '[1, 2, 3]\n'
-            '{"third": 3}\n'
-            '{"torn tail": '
-        )
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            records = _read_checkpoint_lines(path)
-        assert records == [{"first": 1}, {"second": 2}, {"third": 3}]
-        bad = _sidecar(path).read_text().splitlines()
-        assert len(bad) == 4
-        assert "garbage not json" in bad
-        # The bad lines were MOVED: the checkpoint now holds only good
-        # lines, so the next read is clean and quarantines nothing new.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _read_checkpoint_lines(path) == records
-        assert len(_sidecar(path).read_text().splitlines()) == 4
+    return paths, tmp_path / "sweep.journal"
 
 
 class TestSweepResume:
     def test_resume_survives_corrupt_checkpoint(self, sweep_env):
-        paths, ckpt = sweep_env
-        first = run_circuit_sweep(paths, ckpt, n_patterns=64)
+        paths, journal = sweep_env
+        first = run_circuit_sweep(paths, journal, n_patterns=64)
         assert all(o.ok for o in first)
 
-        lines = ckpt.read_text().splitlines()
-        # Corrupt the FIRST record (not just a torn tail), add a
-        # schema-mismatched but decodable record, and tear the tail.
+        lines = journal.read_text().splitlines()
+        # Corrupt the FIRST commit (not just a torn tail), add a
+        # decodable foreign record, and tear the tail.
         lines[0] = lines[0][: len(lines[0]) // 2]
         lines.append(json.dumps({"foreign": True, "schema": 9}))
         lines.append('{"torn": ')
-        ckpt.write_text("\n".join(lines) + "\n")
+        journal.write_text("\n".join(lines) + "\n")
 
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            second = run_circuit_sweep(paths, ckpt, n_patterns=64)
-        # Both circuits present: the quarantined one re-ran, the intact
-        # record was reused.
+        second = run_circuit_sweep(paths, journal, n_patterns=64)
+        # Both circuits present: the job whose commit was destroyed
+        # re-ran, the intact commit was reused.
         assert [o.circuit for o in second] == [o.circuit for o in first]
         assert all(o.ok for o in second)
-        assert _sidecar(ckpt).exists()
+        status = journal_status(journal)
+        assert status["commits"] == len(paths)
+        assert status["torn_lines"] == 2
+        assert status["foreign_records"] == 1
+        # The corrupt lines stay where they were: no sidecar, no rewrite.
+        assert not journal.with_name(journal.name + ".bad").exists()
+        assert journal.read_text().startswith(lines[0] + "\n")
 
-        # A third resume needs no reruns and no new quarantine warnings:
-        # the corrupt lines were moved out of the checkpoint.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            third = run_circuit_sweep(
-                paths, ckpt, n_patterns=64, max_circuits=0
-            )
+        # A third resume needs no reruns and appends nothing.
+        before = journal.read_text()
+        third = run_circuit_sweep(paths, journal, n_patterns=64, max_circuits=0)
         assert [o.circuit for o in third] == [o.circuit for o in first]
+        assert journal.read_text() == before

@@ -163,7 +163,6 @@ def _forced_numpy_delta():
     equivalence must hold on them regardless, so these tests force the
     engine via its environment override.
     """
-    pytest.importorskip("numpy")
     prior = os.environ.get("REPRO_NP_DELTA_MIN_WIDTH")
     os.environ["REPRO_NP_DELTA_MIN_WIDTH"] = "0"
     try:
@@ -253,7 +252,6 @@ class TestNumpyDeltaEquivalence:
                 _assert_identical(inc_np.base, ref)
 
     def test_narrow_plans_decline_the_engine_by_default(self):
-        pytest.importorskip("numpy")
         from repro.sim.backend import get_backend
 
         # A deep chain has mean level width ~1 — far below the cutoff.
@@ -279,7 +277,6 @@ class TestSolverEquivalence:
         assert fast.feasible == slow.feasible
 
     def test_greedy_identical_across_kernels(self):
-        pytest.importorskip("numpy")
         # Wide levels put the numpy solve on the vectorized delta engine
         # (no env override) — the chosen points must not move.
         from repro.sim.backend import get_backend

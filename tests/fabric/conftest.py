@@ -1,14 +1,41 @@
-"""Fabric suite fixtures: circuit files, counters, journal forensics."""
+"""Fabric suite fixtures: circuit files, counters, journal forensics,
+and the direct per-circuit reference every campaign is compared with."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from repro import obs
+from repro.analysis.experiments import _sweep_one
 from repro.circuit import generators, write_bench_file
+from repro.core.cascade import DEFAULT_CASCADE
 from repro.obs.recorder import RunRecorder
+
+
+def direct_sweep(paths, n_patterns, measure_coverage=False):
+    """Reference outcomes: ``_sweep_one`` per path, no fabric involved.
+
+    A campaign is judged against this plain loop over the per-circuit
+    function every job executes — never against another campaign, which
+    would hide a bug both share.  Returns ``asdict`` records.
+    """
+    return [
+        asdict(
+            _sweep_one(
+                Path(path),
+                n_patterns,
+                0.001,
+                None,
+                DEFAULT_CASCADE,
+                measure_coverage=measure_coverage,
+            )
+        )
+        for path in paths
+    ]
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
-"""The fabric's CLI surface: sweep --fabric, fabric-status, pack, store-gc."""
+"""The fabric's CLI surface: sweep, experiments --results, fabric-status,
+pack, store-gc."""
 
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ class TestSweepFabric:
             str(journal),
             "--patterns",
             "64",
-            "--fabric",
             "--workers",
             "2",
         ]
@@ -37,19 +37,52 @@ class TestSweepFabric:
     def test_no_resume_with_fabric_is_a_usage_error(
         self, tmp_path, bench_paths, capsys
     ):
+        # Both flags are gone: every sweep runs on the fabric, and a new
+        # journal path is how a campaign starts over.
+        for flags in (["--fabric"], ["--no-resume"], ["--fabric", "--no-resume"]):
+            with pytest.raises(SystemExit) as ei:
+                main(
+                    [
+                        "sweep",
+                        str(bench_paths[0].parent),
+                        "--results",
+                        str(tmp_path / "j.journal"),
+                        *flags,
+                    ]
+                )
+            assert ei.value.code == EXIT_USAGE
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "j.journal").exists()
+
+    def test_old_serial_checkpoint_is_refused(
+        self, tmp_path, bench_paths, capsys
+    ):
+        # A checkpoint of the removed serial runner: one bare outcome
+        # record per line, no journal records.
+        old = tmp_path / "old.jsonl"
+        old.write_text(
+            "".join(
+                json.dumps({"circuit": p.stem, "path": str(p), "status": "ok"})
+                + "\n"
+                for p in bench_paths
+            )
+        )
+        before = old.read_text()
         with pytest.raises(SystemExit) as ei:
             main(
                 [
                     "sweep",
                     str(bench_paths[0].parent),
                     "--results",
-                    str(tmp_path / "j.journal"),
-                    "--fabric",
-                    "--no-resume",
+                    str(old),
+                    "--patterns",
+                    "64",
                 ]
             )
         assert ei.value.code == EXIT_USAGE
-        assert "content-addressed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(old) in err and "new journal path" in err
+        assert old.read_text() == before
 
 
 class TestExperimentsFabric:
@@ -61,7 +94,6 @@ class TestExperimentsFabric:
             "t2",
             "--results",
             str(journal),
-            "--fabric",
         ]
         assert main(argv) == EXIT_OK
         assert "1 ok, 0 failed" in capsys.readouterr().err
@@ -70,26 +102,43 @@ class TestExperimentsFabric:
         assert journal.read_text() == before
 
     def test_fabric_without_results_is_a_usage_error(self, capsys):
+        # --results alone makes the suite a fabric campaign; the old
+        # --fabric switch no longer exists.
         with pytest.raises(SystemExit) as ei:
             main(["experiments", "--only", "t2", "--fabric"])
         assert ei.value.code == EXIT_USAGE
-        assert "--results" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_no_resume_with_fabric_is_a_usage_error(self, tmp_path, capsys):
+        for flags in (["--fabric"], ["--no-resume"], ["--fabric", "--no-resume"]):
+            with pytest.raises(SystemExit) as ei:
+                main(
+                    [
+                        "experiments",
+                        "--only",
+                        "t2",
+                        "--results",
+                        str(tmp_path / "exp.journal"),
+                        *flags,
+                    ]
+                )
+            assert ei.value.code == EXIT_USAGE
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "exp.journal").exists()
+
+    def test_old_serial_checkpoint_is_refused(self, tmp_path, capsys):
+        old = tmp_path / "old.jsonl"
+        old.write_text(
+            json.dumps({"experiment": "t2", "status": "ok", "rendered": "T2"})
+            + "\n"
+        )
+        before = old.read_text()
         with pytest.raises(SystemExit) as ei:
-            main(
-                [
-                    "experiments",
-                    "--only",
-                    "t2",
-                    "--results",
-                    str(tmp_path / "exp.journal"),
-                    "--fabric",
-                    "--no-resume",
-                ]
-            )
+            main(["experiments", "--only", "t2", "--results", str(old)])
         assert ei.value.code == EXIT_USAGE
-        assert "content-addressed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(old) in err and "new journal path" in err
+        assert old.read_text() == before
 
 
 class TestFabricStatus:
@@ -103,7 +152,6 @@ class TestFabricStatus:
             bench_paths,
             journal,
             n_patterns=64,
-            fabric=True,
             workers=2,
             chaos=FabricChaosSpec(
                 forced=((1, "spurious"),), first_attempt_only=False
@@ -144,7 +192,6 @@ def store_campaign(tmp_path, bench_paths):
                 str(journal),
                 "--patterns",
                 "64",
-                "--fabric",
                 "--workers",
                 "1",
                 "--store",
@@ -157,32 +204,22 @@ def store_campaign(tmp_path, bench_paths):
 
 
 class TestStoreCli:
-    def test_store_without_fabric_is_a_usage_error(
-        self, tmp_path, bench_paths, capsys
-    ):
-        for command in (
-            [
-                "sweep",
-                str(bench_paths[0].parent),
-                "--results",
-                str(tmp_path / "r.jsonl"),
-                "--store",
-                str(tmp_path / "store"),
-            ],
-            [
-                "experiments",
-                "--only",
-                "t2",
-                "--results",
-                str(tmp_path / "e.jsonl"),
-                "--store",
-                str(tmp_path / "store"),
-            ],
-        ):
-            with pytest.raises(SystemExit) as ei:
-                main(command)
-            assert ei.value.code == EXIT_USAGE
-            assert "--fabric" in capsys.readouterr().err
+    def test_store_without_fabric_is_a_usage_error(self, tmp_path, capsys):
+        # Without --results, experiments runs outside any fabric
+        # campaign, so there is no journal for store entries to back.
+        with pytest.raises(SystemExit) as ei:
+            main(
+                [
+                    "experiments",
+                    "--only",
+                    "t2",
+                    "--store",
+                    str(tmp_path / "store"),
+                ]
+            )
+        assert ei.value.code == EXIT_USAGE
+        assert "--store needs --results" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
 
     def test_fabric_status_reports_store(
         self, bench_paths, store_campaign, capsys

@@ -3,8 +3,9 @@
 The property under test is the ISSUE's acceptance bar verbatim: a fabric
 sweep that is SIGKILLed mid-campaign (no atexit, no finally, no flush —
 the process group just stops existing) and then resumed produces results
-bit-identical to a serial sweep, with every job committed exactly once
-across the *entire* journal history, torn lines included.
+bit-identical to the direct per-circuit reference, with every job
+committed exactly once across the *entire* journal history, torn lines
+included.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import pytest
 from repro.analysis import experiments as exps
 from repro.circuit import generators, write_bench_file
 
+from .conftest import direct_sweep
+
 N_CIRCUITS = 12
 N_PATTERNS = 256
 
@@ -37,7 +40,6 @@ run_circuit_sweep(
     sys.argv[2],
     n_patterns={n_patterns},
     measure_coverage=True,
-    fabric=True,
     workers=2,
 )
 """
@@ -124,17 +126,11 @@ def test_kill9_then_resume_is_bit_identical(tmp_path, many_circuits):
         journal,
         n_patterns=N_PATTERNS,
         measure_coverage=True,
-        fabric=True,
         workers=2,
     )
-
-    serial = exps.run_circuit_sweep(
-        many_circuits,
-        tmp_path / "serial.jsonl",
-        n_patterns=N_PATTERNS,
-        measure_coverage=True,
+    assert [asdict(o) for o in resumed] == direct_sweep(
+        many_circuits, N_PATTERNS, measure_coverage=True
     )
-    assert [asdict(o) for o in resumed] == [asdict(o) for o in serial]
 
     # Exactly-once across the whole history: pre-kill commits were not
     # re-committed on resume, and every job has exactly one record.

@@ -1,10 +1,11 @@
-"""The fabric's acceptance bar: bit-identical to serial, exactly once.
+"""The fabric's acceptance bar: bit-identical to the direct reference,
+exactly once.
 
-Every test runs the same circuits through the serial sweep driver and
-through the fabric (with some injected failure), then asserts the
-outcome lists are *equal as data* and that the journal holds exactly one
-commit per job.  Chaos may change scheduling; it must never change
-results.
+Every test runs the same circuits through a plain per-circuit loop
+(:func:`direct_sweep`) and through the fabric (with some injected
+failure), then asserts the outcome lists are *equal as data* and that
+the journal holds exactly one commit per job.  Chaos may change
+scheduling; it must never change results.
 """
 
 from __future__ import annotations
@@ -20,29 +21,24 @@ from repro.fabric import quarantine_dir_for
 from repro.resilience.chaos import FabricChaosSpec
 from repro.resilience.interrupt import GracefulInterrupt
 
+from .conftest import direct_sweep
+
 N_PATTERNS = 64
-
-
-def _serial(paths, results_path):
-    outcomes = exps.run_circuit_sweep(
-        paths, results_path, n_patterns=N_PATTERNS
-    )
-    return [asdict(o) for o in outcomes]
 
 
 def _fabric(paths, journal_path, **kw):
     kw.setdefault("workers", 2)
     outcomes = exps.run_circuit_sweep(
-        paths, journal_path, n_patterns=N_PATTERNS, fabric=True, **kw
+        paths, journal_path, n_patterns=N_PATTERNS, **kw
     )
     return [asdict(o) for o in outcomes]
 
 
 class TestBitIdentity:
     def test_no_chaos(self, tmp_path, bench_paths, commit_counts):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        reference = direct_sweep(bench_paths, N_PATTERNS)
         fabric = _fabric(bench_paths, tmp_path / "fabric.journal")
-        assert fabric == serial
+        assert fabric == reference
         counts = commit_counts(tmp_path / "fabric.journal")
         assert len(counts) == len(bench_paths)
         assert set(counts.values()) == {1}
@@ -53,10 +49,10 @@ class TestBitIdentity:
         clone = bench_paths[0].with_name("clone.bench")
         shutil.copyfile(bench_paths[0], clone)
         paths = list(bench_paths) + [clone]
-        serial = _serial(paths, tmp_path / "serial.jsonl")
+        reference = direct_sweep(paths, N_PATTERNS)
         with counters() as ctrs:
             fabric = _fabric(paths, tmp_path / "fabric.journal")
-        assert fabric == serial
+        assert fabric == reference
         assert ctrs.value("sweep.deduped") == 1
         assert ctrs.value("fabric.commits") == len(bench_paths)
         # The clone's outcome is the shared result under its own name.
@@ -84,7 +80,7 @@ class TestChaos:
     def test_forced_fault_is_invisible_in_results(
         self, tmp_path, bench_paths, commit_counts, counters, mode
     ):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        reference = direct_sweep(bench_paths, N_PATTERNS)
         chaos = FabricChaosSpec(
             seed=7, forced=((1, mode),), stall_seconds=2.5
         )
@@ -93,7 +89,7 @@ class TestChaos:
             fabric = _fabric(
                 bench_paths, journal, chaos=chaos, lease_timeout_s=1.0
             )
-        assert fabric == serial
+        assert fabric == reference
         counts = commit_counts(journal)
         assert len(counts) == len(bench_paths)
         assert set(counts.values()) == {1}, "a job committed twice"
@@ -111,7 +107,7 @@ class TestChaos:
     def test_probabilistic_mix_converges(
         self, tmp_path, bench_paths, commit_counts
     ):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        reference = direct_sweep(bench_paths, N_PATTERNS)
         chaos = FabricChaosSpec(
             seed=3,
             crash=0.2,
@@ -122,7 +118,7 @@ class TestChaos:
         )
         journal = tmp_path / "fabric.journal"
         fabric = _fabric(bench_paths, journal, chaos=chaos)
-        assert fabric == serial
+        assert fabric == reference
         assert set(commit_counts(journal).values()) == {1}
 
 
@@ -149,10 +145,10 @@ class TestQuarantine:
         qdir = quarantine_dir_for(journal)
         artifacts = list(qdir.glob("*/job.json"))
         assert len(artifacts) == 1
-        # Healthy jobs match what serial would have produced.
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        # Healthy jobs match the direct reference.
+        reference = direct_sweep(bench_paths, N_PATTERNS)
         assert good == [
-            s for s in serial if s["circuit"] != bench_paths[1].stem
+            s for s in reference if s["circuit"] != bench_paths[1].stem
         ]
 
     def test_resume_never_retries_poison(
@@ -178,14 +174,14 @@ class TestBreaker:
         # the respawn also breaks, the breaker trips and the campaign
         # drains in-process — where there is no worker to kill, so the
         # exact same results land anyway.
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        reference = direct_sweep(bench_paths, N_PATTERNS)
         chaos = FabricChaosSpec(
             forced=((0, "crash"), (1, "crash")), first_attempt_only=False
         )
         journal = tmp_path / "fabric.journal"
         with counters() as ctrs:
             fabric = _fabric(bench_paths, journal, chaos=chaos)
-        assert fabric == serial
+        assert fabric == reference
         assert set(commit_counts(journal).values()) == {1}
         assert ctrs.value("fabric.breaker_trips") == 1
         assert ctrs.value("fabric.serial_drains") >= 1
@@ -203,15 +199,11 @@ class TestExperimentsOnFabric:
         )
         # workers=1 keeps execution in-process so the monkeypatch holds.
         journal = tmp_path / "exps.journal"
-        records = exps.run_experiments_checkpointed(
-            ["t1"], journal, fabric=True, workers=1
-        )
+        records = exps.run_experiments_checkpointed(["t1"], journal, workers=1)
         assert records == [
             {"experiment": "t1", "status": "ok", "rendered": "TABLE t1"}
         ]
-        again = exps.run_experiments_checkpointed(
-            ["t1"], journal, fabric=True, workers=1
-        )
+        again = exps.run_experiments_checkpointed(["t1"], journal, workers=1)
         assert again == records
 
 
@@ -225,7 +217,34 @@ class TestInterrupt:
         with pytest.raises(SweepInterrupted):
             _fabric(bench_paths, journal, workers=1, interrupt=stop)
         # Rerunning without the stop request completes the campaign and
-        # is still bit-identical to serial.
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        # is still bit-identical to the direct reference.
+        reference = direct_sweep(bench_paths, N_PATTERNS)
         fabric = _fabric(bench_paths, journal, workers=1)
-        assert fabric == serial
+        assert fabric == reference
+
+
+class TestHeartbeat:
+    def test_in_process_campaign_beats_the_fabric_heartbeat(
+        self, tmp_path, bench_paths, monkeypatch
+    ):
+        # workers=1 drains in-process; a stalled drain must stay visible
+        # in the trace just like the pool loop's.
+        import json
+
+        from repro import obs
+        from repro.obs.recorder import RunRecorder
+
+        monkeypatch.setenv("REPRO_HEARTBEAT_SEC", "0.000001")
+        trace = tmp_path / "run.jsonl"
+        with obs.recording(RunRecorder(trace)):
+            _fabric(bench_paths, tmp_path / "fabric.journal", workers=1)
+        beats = [
+            record
+            for record in map(json.loads, trace.read_text().splitlines())
+            if record.get("event") == "event"
+            and record.get("name") == "heartbeat"
+        ]
+        assert beats, "no heartbeat from the in-process drain"
+        assert {b["loop"] for b in beats} == {"fabric"}
+        assert beats[-1]["fabric_done"] == len(bench_paths)
+        assert {"fabric_pending", "fabric_leased"} <= set(beats[-1])

@@ -1,6 +1,7 @@
 """The caching bar: store-served campaigns bit-identical, exactly once.
 
-A store-enabled campaign must equal the serial sweep bit-for-bit, both
+A store-enabled campaign must equal the direct per-circuit reference
+(:func:`direct_sweep`) bit-for-bit, both
 when computing fresh (publishing every result) and when serving a later
 campaign entirely from cache — and must stay that way under every
 injected store fault, with corrupt entries quarantined rather than
@@ -21,45 +22,44 @@ from repro.errors import DivergenceError
 from repro.fabric.store import ResultStore, payload_digest
 from repro.resilience.chaos import FabricChaosSpec
 
+from .conftest import direct_sweep
+
 N_PATTERNS = 64
-
-
-def _serial(paths, results_path):
-    outcomes = exps.run_circuit_sweep(
-        paths, results_path, n_patterns=N_PATTERNS
-    )
-    return [asdict(o) for o in outcomes]
 
 
 def _fabric(paths, journal_path, **kw):
     kw.setdefault("workers", 2)
     kw.setdefault("store_verify_fraction", 0.0)
     outcomes = exps.run_circuit_sweep(
-        paths, journal_path, n_patterns=N_PATTERNS, fabric=True, **kw
+        paths, journal_path, n_patterns=N_PATTERNS, **kw
     )
     return [asdict(o) for o in outcomes]
 
 
 class TestStoreCampaign:
     def test_store_requires_fabric(self, tmp_path, bench_paths):
-        with pytest.raises(ValueError, match="fabric"):
+        # The fabric is the only runner: asking for the removed serial
+        # checkpoint runner is an error, with or without a store.
+        with pytest.raises(ValueError, match="fabric=False"):
             exps.run_circuit_sweep(
                 bench_paths,
-                tmp_path / "serial.jsonl",
+                tmp_path / "run.journal",
                 n_patterns=N_PATTERNS,
+                fabric=False,
                 store=tmp_path / "store",
             )
+        assert not (tmp_path / "run.journal").exists()
 
     def test_first_campaign_publishes_and_matches_serial(
         self, tmp_path, bench_paths, counters, commit_counts
     ):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        reference = direct_sweep(bench_paths, N_PATTERNS)
         store = tmp_path / "store"
         with counters() as ctrs:
             fabric = _fabric(
                 bench_paths, tmp_path / "run1.journal", store=store
             )
-        assert fabric == serial
+        assert fabric == reference
         assert ctrs.value("fabric.store.misses") == len(bench_paths)
         assert ctrs.value("fabric.store.publishes") == len(bench_paths)
         assert ctrs.value("fabric.store.hits") == 0
@@ -69,14 +69,14 @@ class TestStoreCampaign:
     def test_second_campaign_all_hits_zero_recomputation(
         self, tmp_path, bench_paths, counters, commit_counts
     ):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        reference = direct_sweep(bench_paths, N_PATTERNS)
         store = tmp_path / "store"
         _fabric(bench_paths, tmp_path / "run1.journal", store=store)
         with counters() as ctrs:
             second = _fabric(
                 bench_paths, tmp_path / "run2.journal", store=store
             )
-        assert second == serial
+        assert second == reference
         assert ctrs.value("fabric.store.hits") == len(bench_paths)
         assert ctrs.value("fabric.store.misses") == 0
         assert ctrs.value("fabric.dispatches") == 0, "recomputation happened"
@@ -111,7 +111,7 @@ class TestShadowVerification:
     def test_honest_hits_survive_full_verification(
         self, tmp_path, bench_paths, counters
     ):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        reference = direct_sweep(bench_paths, N_PATTERNS)
         store = tmp_path / "store"
         _fabric(bench_paths, tmp_path / "run1.journal", store=store)
         with counters() as ctrs:
@@ -121,7 +121,7 @@ class TestShadowVerification:
                 store=store,
                 store_verify_fraction=1.0,
             )
-        assert second == serial
+        assert second == reference
         assert ctrs.value("fabric.store.verifications") == len(bench_paths)
         assert ctrs.value("fabric.store.hits") == len(bench_paths)
 
@@ -170,7 +170,7 @@ class TestStoreChaos:
     def test_forced_store_fault_is_invisible_in_results(
         self, tmp_path, bench_paths, commit_counts, counters, fault
     ):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        reference = direct_sweep(bench_paths, N_PATTERNS)
         store = tmp_path / "store"
         chaos = FabricChaosSpec(seed=7, forced=((1, fault),))
         first = _fabric(
@@ -180,7 +180,7 @@ class TestStoreChaos:
             chaos=chaos,
             workers=1,
         )
-        assert first == serial, "store fault leaked into campaign results"
+        assert first == reference, "store fault leaked into campaign results"
         assert set(commit_counts(tmp_path / "run1.journal").values()) == {1}
 
         # A fresh campaign against the battered store: the corrupted
@@ -190,7 +190,7 @@ class TestStoreChaos:
             second = _fabric(
                 bench_paths, tmp_path / "run2.journal", store=store, workers=1
             )
-        assert second == serial
+        assert second == reference
         expected_corrupt = 0 if fault == "store_double" else 1
         assert ctrs.value("fabric.store.corrupt") == expected_corrupt
         assert ctrs.value("fabric.store.hits") == (
@@ -207,7 +207,7 @@ class TestStoreChaos:
     def test_store_mix_with_worker_faults_converges(
         self, tmp_path, bench_paths, commit_counts
     ):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        reference = direct_sweep(bench_paths, N_PATTERNS)
         store = tmp_path / "store"
         chaos = FabricChaosSpec(
             seed=3,
@@ -221,11 +221,11 @@ class TestStoreChaos:
         )
         journal = tmp_path / "run1.journal"
         fabric = _fabric(bench_paths, journal, store=store, chaos=chaos)
-        assert fabric == serial
+        assert fabric == reference
         assert set(commit_counts(journal).values()) == {1}
         # And the store still round-trips a clean follow-up campaign.
         second = _fabric(bench_paths, tmp_path / "run2.journal", store=store)
-        assert second == serial
+        assert second == reference
 
 
 class TestExperimentsStore:
@@ -244,7 +244,7 @@ class TestExperimentsStore:
         )
         store = tmp_path / "store"
         records = exps.run_experiments_checkpointed(
-            ["t1"], tmp_path / "run1.journal", fabric=True, workers=1,
+            ["t1"], tmp_path / "run1.journal", workers=1,
             store=store, store_verify_fraction=0.0,
         )
         assert records == [
@@ -253,15 +253,9 @@ class TestExperimentsStore:
         assert calls["n"] == 1
         with counters() as ctrs:
             again = exps.run_experiments_checkpointed(
-                ["t1"], tmp_path / "run2.journal", fabric=True, workers=1,
+                ["t1"], tmp_path / "run2.journal", workers=1,
                 store=store, store_verify_fraction=0.0,
             )
         assert again == records
         assert calls["n"] == 1, "cached experiment was recomputed"
         assert ctrs.value("fabric.store.hits") == 1
-
-    def test_store_requires_fabric(self, tmp_path):
-        with pytest.raises(ValueError, match="fabric"):
-            exps.run_experiments_checkpointed(
-                ["t1"], tmp_path / "run.jsonl", store=tmp_path / "store"
-            )

@@ -132,7 +132,7 @@ class TestSweepCommand:
             json.loads(line) for line in results.read_text().splitlines()
         ]
         assert len(records) == 3
-        assert {r["status"] for r in records} == {"ok", "parse_error"}
+        assert {r["result"]["status"] for r in records} == {"ok", "parse_error"}
 
         # Second invocation must not re-run anything.
         rc = main(

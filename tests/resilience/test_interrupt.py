@@ -87,10 +87,10 @@ class TestSweepBoundaryStop:
                 interrupt=StopAfterFirst(install=False),
             )
         assert ei.value.completed == 1
-        # The interrupted item was flushed before the raise.
+        # The interrupted item was committed before the raise.
         lines = results.read_text().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["circuit"] == bench_paths[0].stem
+        assert json.loads(lines[0])["result"]["circuit"] == bench_paths[0].stem
 
         # Rerunning the same command finishes the campaign.
         outcomes = exps.run_circuit_sweep(

@@ -36,7 +36,7 @@ class TestCrashIsolation:
         assert bad.status == "parse_error"
         assert bad.error_type == "ParseError"
         assert "ghost" in bad.error
-        # every outcome checkpointed as one JSONL line
+        # every outcome committed as one journal record
         assert len(_records(results)) == 3
 
     def test_budget_exhaustion_recorded(self, circuit_dir, tmp_path):
@@ -108,14 +108,6 @@ class TestResume:
             _paths(circuit_dir), results, n_patterns=64
         )
         assert {o.circuit for o in outcomes} == {"a_wand4", "c17", "corrupt"}
-
-    def test_no_resume_reruns_everything(self, circuit_dir, tmp_path):
-        results = tmp_path / "results.jsonl"
-        run_circuit_sweep(_paths(circuit_dir), results, n_patterns=64)
-        run_circuit_sweep(
-            _paths(circuit_dir), results, n_patterns=64, resume=False
-        )
-        assert len(_records(results)) == 6  # appended a second full pass
 
 
 class TestSweepOutcome:

@@ -76,7 +76,7 @@ class TestPacking:
 class TestNdarrayBridge:
     """uint64 ndarray ↔ bignum word bridge used by the numpy backend."""
 
-    np = pytest.importorskip("numpy")
+    import numpy as np
 
     @given(st.integers(0, (1 << 200) - 1), st.integers(0, 200))
     def test_word_roundtrip(self, word, n_patterns):

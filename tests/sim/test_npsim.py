@@ -11,15 +11,14 @@ numpy divergence the same way it catches a miscompiled kernel.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
 from repro.circuit import generators
 from repro.core import TestPoint, TestPointType, TPIProblem, evaluate_placement
-from repro.errors import DivergenceError, SimulationError
+from repro.errors import DivergenceError
 from repro.sim import (
     FaultSimulator,
     LogicSimulator,
@@ -27,7 +26,6 @@ from repro.sim import (
     resolve_kernel,
 )
 from repro.sim import npsim
-from repro.sim.backend import get_backend
 from repro.sim.npsim import (
     PackedState,
     clear_plans,
@@ -67,17 +65,6 @@ class TestKernelResolution:
 
         assert "numpy" in KERNEL_MODES
         assert resolve_kernel("numpy") == "numpy"
-
-    def test_unavailable_numpy_rejected(self, monkeypatch):
-        monkeypatch.setattr(npsim, "HAVE_NUMPY", False)
-        with pytest.raises(SimulationError):
-            resolve_kernel("numpy")
-
-    def test_backend_availability_tracks_numpy(self, monkeypatch):
-        backend = get_backend("numpy")
-        assert backend.available()
-        monkeypatch.setattr(npsim, "HAVE_NUMPY", False)
-        assert not backend.available()
 
 
 class TestPlanRegistry:

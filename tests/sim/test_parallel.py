@@ -152,7 +152,6 @@ class TestCubeShardedNumpy:
 
     @pytest.mark.parametrize("mode", ["exact", "coverage"])
     def test_bit_identical_to_interp_serial(self, mode):
-        pytest.importorskip("numpy")
         circuit, stimulus, n = _workload(8, n_gates=60, n_patterns=256)
         serial = FaultSimulator(circuit, kernel="interp").run(stimulus, n)
         parallel = run_parallel(
@@ -164,7 +163,6 @@ class TestCubeShardedNumpy:
             assert parallel.detection_word == serial.detection_word
 
     def test_worker_priming_wraps_shipped_matrices(self):
-        np = pytest.importorskip("numpy")
         from repro.sim import npsim
         from repro.sim import parallel as par_mod
         from repro.sim.parallel import _init_worker
@@ -188,12 +186,12 @@ class TestCubeShardedNumpy:
         finally:
             par_mod._WORKER_STATE = saved
 
-    def test_chaos_churn_keeps_result_identical(self):
-        pytest.importorskip("numpy")
-        from repro.resilience.chaos import ChaosSpec
-
+    def test_chaos_churn_keeps_result_identical(self, chunk_failure):
+        # A worker dying mid-shard sends the whole call to the serial
+        # fallback, which must reproduce the sharded cube's bits.
         circuit, stimulus, n = _workload(10, n_gates=60, n_patterns=256)
         serial = FaultSimulator(circuit, kernel="numpy").run(stimulus, n)
+        chunk_failure("die", circuit, "numpy", 4)
         churned = run_parallel(
             circuit,
             stimulus,
@@ -201,7 +199,6 @@ class TestCubeShardedNumpy:
             jobs=4,
             mode="exact",
             kernel="numpy",
-            chaos=ChaosSpec(seed=5, crash=0.3, corrupt=0.3),
         )
         assert churned.detection_word == serial.detection_word
         assert churned.first_detect == serial.first_detect

@@ -1,24 +1,34 @@
-"""Chaos hardening: injected worker failures must never change results.
+"""The plain pool's single fallback: a failing worker never changes results.
 
-Every test compares a `run_parallel` call under deterministic fault
-injection (`ChaosSpec`) against the plain serial `FaultSimulator.run`:
-the contract is bit-identical detection words and first-detect indices
-no matter what the workers do, with the recovery visible in the
-`parallel.retries` / `parallel.degraded` observability counters.
+`run_parallel` answers every worker failure the same way — a worker that
+dies, raises, or returns a malformed payload: every chunk payload is
+discarded and the whole call is recomputed serially in the parent with
+the caller's budget.  The failures are injected through a module-level
+stand-in for the worker's chunk function (the ``chunk_failure`` fixture;
+forked workers inherit the patched module), and every test asserts the
+result is bit-identical to the plain serial simulator.  The traced tests also pin the observable
+contract: exactly one `fault_sim.parallel_fallback` event, and no worker
+telemetry merged (no `parallel.chunk_telemetry`, no `worker.*`
+counters).  A worker's budget sentinel is not a failure: it still raises.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro import obs
 from repro.circuit import generators
+from repro.errors import BudgetExceededError
 from repro.obs.recorder import RunRecorder
-from repro.resilience import ChaosSpec
+from repro.resilience import Budget
 from repro.sim import FaultSimulator, UniformRandomSource, run_parallel
 
+JOBS = 3
 
-def _workload(seed=0, n_gates=30, n_patterns=128):
+
+def _workload(seed=0, n_gates=40, n_patterns=192):
     circuit = generators.random_dag(5, n_gates, seed=seed)
     stimulus = UniformRandomSource(seed=seed).generate(
         circuit.inputs, n_patterns
@@ -26,159 +36,135 @@ def _workload(seed=0, n_gates=30, n_patterns=128):
     return circuit, stimulus, n_patterns
 
 
-def _serial(circuit, stimulus, n):
-    return FaultSimulator(circuit).run(stimulus, n)
+def _serial(circuit, stimulus, n, mode="exact", kernel=None, **kw):
+    sim = FaultSimulator(circuit, kernel=kernel)
+    if mode == "coverage":
+        return sim.run_coverage(stimulus, n, **kw)
+    return sim.run(stimulus, n, **kw)
 
 
 def _assert_identical(parallel, serial):
     assert parallel.detection_word == serial.detection_word
     assert parallel.first_detect == serial.first_detect
-    assert parallel.n_patterns == serial.n_patterns
+    assert list(parallel.detection_word) == list(serial.detection_word)
+    assert parallel.coverage_only == serial.coverage_only
 
 
-class _Counters:
-    """Context manager capturing obs counters for one block."""
-
-    def __enter__(self):
-        self.recorder = RunRecorder(None)
-        self.previous = obs.set_recorder(self.recorder)
-        return self
-
-    def __exit__(self, *exc):
-        obs.set_recorder(self.previous)
-        self.snapshot = self.recorder.metrics.snapshot().get("counters", {})
-        self.recorder.close()
-        return False
-
-    def value(self, name):
-        return self.snapshot.get(name, 0.0)
-
-
-class TestChaosSpec:
-    def test_deterministic_action(self):
-        spec = ChaosSpec(seed=3, crash=0.25, hang=0.25)
-        actions = [spec.action(i, 0) for i in range(50)]
-        assert actions == [spec.action(i, 0) for i in range(50)]
-        assert any(actions)  # 50% total probability: some chunk is hit
-
-    def test_first_attempt_only(self):
-        spec = ChaosSpec(seed=0, forced=((0, "crash"),))
-        assert spec.action(0, 0) == "crash"
-        assert spec.action(0, 1) is None
-
-    def test_probabilities_validated(self):
-        with pytest.raises(ValueError):
-            ChaosSpec(crash=0.7, hang=0.7)
-
-    def test_forced_action_validated(self):
-        with pytest.raises(ValueError):
-            ChaosSpec(forced=((0, "explode"),))
+def _traced(tmp_path, circuit, stimulus, n, **kwargs):
+    """run_parallel under a file recorder: (result, counters, event names)."""
+    path = tmp_path / "run.jsonl"
+    recorder = RunRecorder(path)
+    previous = obs.set_recorder(recorder)
+    try:
+        result = run_parallel(circuit, stimulus, n, jobs=JOBS, **kwargs)
+    finally:
+        obs.set_recorder(previous)
+        recorder.close()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    counters = next(
+        r for r in records if r.get("event") == "metrics"
+    )["metrics"]["counters"]
+    events = [r["name"] for r in records if r.get("event") == "event"]
+    return result, counters, events
 
 
-class TestCrashAndHang:
-    def test_worker_crash_and_hung_chunk_seed0(self):
-        """The acceptance scenario: crash + hang, seed 0, bit-identical."""
-        circuit, stimulus, n = _workload(seed=0)
-        serial = _serial(circuit, stimulus, n)
-        chaos = ChaosSpec(
-            seed=0, forced=((0, "crash"), (1, "hang")), hang_seconds=5.0
-        )
-        with _Counters() as counters:
-            parallel = run_parallel(
-                circuit,
-                stimulus,
-                n,
-                jobs=2,
-                chaos=chaos,
-                chunk_timeout=0.75,
-            )
-        _assert_identical(parallel, serial)
-        assert (
-            counters.value("parallel.retries")
-            + counters.value("parallel.degraded")
-            > 0
-        )
+def _assert_single_fallback(counters, events):
+    assert events.count("fault_sim.parallel_fallback") == 1
+    assert "parallel.chunk_telemetry" not in events
+    assert "parallel.worker_summary" not in events
+    assert not [name for name in counters if name.startswith("worker.")]
+    assert "parallel.chunks_merged" not in counters
 
-    def test_seeded_random_crashes(self):
+
+@pytest.mark.parametrize("kernel", ["compiled", "numpy"])
+@pytest.mark.parametrize("mode", ["exact", "coverage"])
+class TestSingleFallback:
+    def test_dead_worker_falls_back_bit_identical(
+        self, tmp_path, chunk_failure, mode, kernel
+    ):
         circuit, stimulus, n = _workload(seed=1)
-        serial = _serial(circuit, stimulus, n)
-        parallel = run_parallel(
-            circuit, stimulus, n, jobs=2,
-            chaos=ChaosSpec(seed=7, crash=0.5),
+        chunk_failure("die", circuit, kernel, JOBS)
+        result, counters, events = _traced(
+            tmp_path, circuit, stimulus, n, mode=mode, kernel=kernel
         )
-        _assert_identical(parallel, serial)
+        _assert_identical(
+            result, _serial(circuit, stimulus, n, mode=mode, kernel=kernel)
+        )
+        _assert_single_fallback(counters, events)
 
-
-class TestCorruptAndSpurious:
-    def test_corrupt_payload_retried(self):
+    def test_malformed_payload_falls_back_bit_identical(
+        self, tmp_path, chunk_failure, mode, kernel
+    ):
         circuit, stimulus, n = _workload(seed=2)
-        serial = _serial(circuit, stimulus, n)
-        with _Counters() as counters:
-            parallel = run_parallel(
-                circuit, stimulus, n, jobs=2,
-                chaos=ChaosSpec(seed=0, forced=((0, "corrupt"),)),
-            )
-        _assert_identical(parallel, serial)
-        assert counters.value("parallel.retries") >= 1
-
-    def test_spurious_exception_retried(self):
-        circuit, stimulus, n = _workload(seed=3)
-        serial = _serial(circuit, stimulus, n)
-        with _Counters() as counters:
-            parallel = run_parallel(
-                circuit, stimulus, n, jobs=2,
-                chaos=ChaosSpec(seed=0, forced=((1, "spurious"),)),
-            )
-        _assert_identical(parallel, serial)
-        assert counters.value("parallel.retries") >= 1
-
-    def test_everything_at_once(self):
-        circuit, stimulus, n = _workload(seed=4)
-        serial = _serial(circuit, stimulus, n)
-        chaos = ChaosSpec(
-            seed=11,
-            forced=((0, "crash"), (1, "corrupt"), (2, "spurious")),
-            hang_seconds=5.0,
+        chunk_failure("malformed", circuit, kernel, JOBS)
+        result, counters, events = _traced(
+            tmp_path, circuit, stimulus, n, mode=mode, kernel=kernel
         )
-        parallel = run_parallel(
-            circuit, stimulus, n, jobs=3, chaos=chaos, chunk_timeout=2.0
+        _assert_identical(
+            result, _serial(circuit, stimulus, n, mode=mode, kernel=kernel)
         )
-        _assert_identical(parallel, serial)
+        _assert_single_fallback(counters, events)
+
+
+class TestBudgetSentinel:
+    def test_worker_budget_raises_instead_of_falling_back(self, tmp_path):
+        # max_patterns=4 leaves each chunk a share of 1: every worker
+        # exhausts its budget and returns the sentinel.
+        circuit, stimulus, n = _workload(seed=7)
+        path = tmp_path / "run.jsonl"
+        recorder = RunRecorder(path)
+        previous = obs.set_recorder(recorder)
+        try:
+            with pytest.raises(BudgetExceededError) as err:
+                run_parallel(
+                    circuit,
+                    stimulus,
+                    n,
+                    jobs=JOBS,
+                    mode="coverage",
+                    budget=Budget(max_patterns=4),
+                )
+        finally:
+            obs.set_recorder(previous)
+            recorder.close()
+        assert err.value.resource == "patterns"
+        # The limit is the chunk's share, not the caller's 4: the error
+        # came from a worker, not from a serial recomputation.
+        assert err.value.limit < 4
+        assert "fault_sim.parallel_fallback" not in path.read_text()
 
 
 class TestDegradation:
-    def test_persistent_failure_degrades_to_serial(self):
-        """Chaos on every attempt: chunks degrade, result still exact."""
+    def test_persistent_failure_degrades_to_serial(
+        self, tmp_path, chunk_failure
+    ):
+        """A worker raising on its chunk: the whole call runs serially."""
         circuit, stimulus, n = _workload(seed=5)
-        serial = _serial(circuit, stimulus, n)
-        chaos = ChaosSpec(
-            seed=0,
-            forced=((0, "corrupt"),),
-            first_attempt_only=False,  # retries fail too
+        chunk_failure("raise", circuit, "compiled", JOBS)
+        result, counters, events = _traced(
+            tmp_path, circuit, stimulus, n, kernel="compiled"
         )
-        with _Counters() as counters:
-            parallel = run_parallel(
-                circuit, stimulus, n, jobs=2, chaos=chaos, max_attempts=2
-            )
-        _assert_identical(parallel, serial)
-        assert counters.value("parallel.degraded") >= 1
+        _assert_identical(result, _serial(circuit, stimulus, n))
+        _assert_single_fallback(counters, events)
 
-    def test_coverage_mode_under_chaos(self):
+    def test_coverage_mode_under_chaos(self, chunk_failure):
         circuit, stimulus, n = _workload(seed=6)
-        serial = _serial(circuit, stimulus, n)
+        chunk_failure("die", circuit, "interp", JOBS)
         parallel = run_parallel(
-            circuit, stimulus, n, jobs=2, mode="coverage",
-            chaos=ChaosSpec(seed=0, forced=((1, "crash"),)),
+            circuit, stimulus, n, jobs=JOBS, mode="coverage", kernel="interp"
         )
+        serial = _serial(circuit, stimulus, n, kernel="interp")
         assert parallel.first_detect == serial.first_detect
         assert parallel.coverage() == serial.coverage()
 
 
 class TestSweepSurvivesChaos:
     def test_sweep_checkpoint_intact_after_chaotic_coverage(self, tmp_path):
-        """A sweep using chaotic parallel coverage loses no checkpoint data."""
+        """A jobs=2 coverage sweep commits every circuit to its journal,
+        and a resume serves all of them from it without recomputation."""
         from repro.analysis.experiments import run_circuit_sweep
         from repro.circuit.bench_io import write_bench
+        from repro.fabric import journal_status
 
         paths = []
         for i in range(3):
@@ -186,10 +172,12 @@ class TestSweepSurvivesChaos:
             p = tmp_path / f"c{i}.bench"
             p.write_text(write_bench(c))
             paths.append(p)
-        ckpt = tmp_path / "sweep.jsonl"
-        outcomes = run_circuit_sweep(
-            paths, ckpt, n_patterns=64, measure_coverage=True, jobs=2
-        )
+        journal = tmp_path / "sweep.journal"
+        kwargs = dict(n_patterns=64, measure_coverage=True, jobs=2)
+        outcomes = run_circuit_sweep(paths, journal, **kwargs)
         assert all(o.ok for o in outcomes)
-        resumed = run_circuit_sweep(paths, ckpt, n_patterns=64)
-        assert [o.circuit for o in resumed] == [o.circuit for o in outcomes]
+        assert journal_status(journal)["commits"] == len(paths)
+        before = journal.read_text()
+        resumed = run_circuit_sweep(paths, journal, **kwargs)
+        assert resumed == outcomes
+        assert journal.read_text() == before

@@ -1,10 +1,10 @@
 """Worker telemetry: per-chunk counters merged exactly once into the parent.
 
 The contract under test: every chunk of a parallel fault-sim run ships
-back a telemetry record (pid, parent run id, attempt, counter deltas),
-the parent merges exactly one record per chunk — across retries, pool
-respawns, and in-parent degradation — under the ``worker.`` namespace,
-and none of it ever changes the simulation results.
+back a telemetry record (pid, parent run id, counter deltas), the parent
+merges exactly one record per chunk under the ``worker.`` namespace when
+every chunk succeeded and none when a worker failure sends the call to
+the serial fallback, and none of it ever changes the simulation results.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 from repro import obs
 from repro.circuit import generators
 from repro.obs.recorder import RunRecorder
-from repro.resilience import ChaosSpec
 from repro.sim import FaultSimulator, UniformRandomSource, run_parallel
 from repro.sim.parallel import MIN_FAULTS_PER_JOB
 
@@ -87,8 +86,6 @@ class TestCleanRun:
         for e in chunk_events:
             assert e["run_id"] == run_id
             assert isinstance(e["pid"], int) and e["pid"] != os.getpid()
-            assert e["in_parent"] is False
-            assert e["attempt"] == 0
             assert e["seconds"] >= 0
             assert e["counters"]["fault_sim.runs"] == 1.0
         assert counters["parallel.chunks_merged"] == JOBS
@@ -134,48 +131,41 @@ class TestCleanRun:
 
 
 class TestChaosPaths:
-    def test_crash_retry_merges_once(self, tmp_path, n_faults):
-        chaos = ChaosSpec(seed=0, forced=((0, "crash"),))
-        result, counters, events, _rid = _traced_run(tmp_path, chaos=chaos)
-        assert counters["parallel.retries"] >= 1
-        chunk_events = _chunk_events(events)
-        assert sorted(e["chunk"] for e in chunk_events) == list(range(JOBS))
-        (chunk0,) = [e for e in chunk_events if e["chunk"] == 0]
-        assert chunk0["attempt"] == 1  # the retry's telemetry, once
-        assert counters["worker.fault_sim.faults"] == n_faults
-        serial = _serial_reference()
-        assert result.detection_word == serial.detection_word
-        assert result.first_detect == serial.first_detect
-
     def test_corrupt_payload_telemetry_discarded_with_it(
-        self, tmp_path, n_faults
+        self, tmp_path, n_faults, chunk_failure
     ):
-        # The corrupt attempt built a telemetry record too — rejecting
-        # the payload must reject the telemetry, or faults double-count.
-        chaos = ChaosSpec(seed=0, forced=((1, "corrupt"),))
-        _result, counters, events, _rid = _traced_run(tmp_path, chaos=chaos)
-        assert counters["parallel.retries"] >= 1
-        assert len(_chunk_events(events)) == JOBS
-        assert counters["worker.fault_sim.faults"] == n_faults
-        assert counters["parallel.chunks_merged"] == JOBS
-
-    def test_degraded_chunk_reports_in_parent(self, tmp_path, n_faults):
-        # max_attempts=1: the crashed chunk goes straight to the parent.
-        chaos = ChaosSpec(seed=0, forced=((2, "crash"),))
-        result, counters, events, run_id = _traced_run(
-            tmp_path, chaos=chaos, max_attempts=1
+        # The malformed chunk and its healthy siblings all built
+        # telemetry records — the fallback must discard every one, or
+        # the serial recomputation's faults would double-count.
+        circuit, _stimulus, _n = _workload()
+        chunk_failure("malformed", circuit, "compiled", JOBS)
+        _result, counters, events, _rid = _traced_run(
+            tmp_path, kernel="compiled"
         )
-        # The crash kills the shared pool, so sibling chunks in flight may
-        # degrade with it — at least the crashed chunk always does.
-        assert counters["parallel.degraded"] >= 1.0
-        (chunk2,) = [e for e in _chunk_events(events) if e["chunk"] == 2]
-        assert chunk2["in_parent"] is True
-        assert chunk2["pid"] == os.getpid()
-        assert chunk2["run_id"] == run_id
-        # The degraded chunk's counters flow through the same merge:
-        # totals still cover every fault exactly once.
-        assert counters["worker.fault_sim.faults"] == n_faults
-        assert counters["parallel.chunks_merged"] == JOBS
+        assert not _chunk_events(events)
+        assert not [n for n in counters if n.startswith("worker.")]
+        assert "parallel.chunks_merged" not in counters
+        assert counters["fault_sim.faults"] == n_faults
+
+    def test_degraded_chunk_reports_in_parent(
+        self, tmp_path, n_faults, chunk_failure
+    ):
+        # A dead worker: the serial recomputation runs in the parent and
+        # reports straight into the parent registry, exactly once.
+        circuit, _stimulus, _n = _workload()
+        chunk_failure("die", circuit, "compiled", JOBS)
+        result, counters, events, _rid = _traced_run(
+            tmp_path, kernel="compiled"
+        )
+        fallbacks = [
+            e for e in events if e["name"] == "fault_sim.parallel_fallback"
+        ]
+        assert len(fallbacks) == 1
+        assert fallbacks[0]["error"] == "BrokenProcessPool"
+        assert counters["fault_sim.runs"] == 1.0
+        assert counters["fault_sim.faults"] == n_faults
+        assert "fault_sim.parallel_runs" not in counters
+        assert not _chunk_events(events)
         serial = _serial_reference()
         assert result.detection_word == serial.detection_word
         assert result.first_detect == serial.first_detect
