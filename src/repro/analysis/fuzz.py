@@ -1,6 +1,6 @@
 """Differential fuzzing of the simulation and solver stack (``repro-tpi fuzz``).
 
-The compiled kernels, the incremental evaluator, and the parallel fan-out
+The numpy engine, the incremental evaluator, and the parallel fan-out
 all exist to be *faster* than the interpreted reference while computing
 the *same* answer.  The shadow guards (:mod:`repro.verify`) check that
 equivalence opportunistically on production inputs; this module attacks
@@ -8,15 +8,16 @@ it deliberately: a time-budgeted loop draws seeded random circuits from
 :mod:`repro.circuit.generators` and cross-checks every fast path against
 its arbiter —
 
-* compiled logic simulation vs the interpreter (full node-word map);
-* compiled per-cone fault simulation vs the interpreter, fault by fault;
+* numpy logic simulation vs the interpreter (full node-word map);
+* numpy fault simulation vs the interpreter, fault by fault;
 * fault dropping (:meth:`run_coverage`) vs the exact run it must match;
-* compiled COP passes vs the interpreted passes;
+* numpy COP and placement passes vs the interpreted passes;
 * :class:`IncrementalEvaluator` deltas vs a from-scratch full pass;
+* the batched fault sweep forced across word-tile and chunk seams;
 * the DP's claimed optimum vs exhaustive search under the quantized
   objective, on small fanout-free instances (the paper's exactness
   regime);
-* the chaos-hardened parallel fan-out vs a serial run.
+* the parallel fan-out vs a serial run.
 
 A divergence is minimized with :func:`shrink_circuit` — greedy structural
 reduction (drop to one output's cone, collapse gates to buffers, cut
@@ -24,15 +25,11 @@ fan-ins to fresh primary inputs) that keeps only reductions preserving
 the failure — and then persisted as a replayable repro bundle
 (``repro-tpi replay <dir>``).  Everything is derived from ``seed``, so a
 failing fuzz run replays exactly.
-
-The ``saboteur`` hook plants a bug (e.g.
-:func:`repro.verify.plant_logic_bug`) into every circuit the fuzzer
-builds — the self-test that proves the harness can actually find and
-shrink a real miscompile.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -48,7 +45,6 @@ from ..core.problem import TestPoint, TPIProblem
 from ..core.virtual import evaluate_placement
 from ..errors import BudgetExceededError, SolverError
 from ..resilience import Budget
-from ..sim.compile import clear_registry, get_compiled
 from ..sim.fault_sim import FaultSimulator
 from ..sim.logic_sim import LogicSimulator
 from ..sim.patterns import UniformRandomSource
@@ -71,8 +67,6 @@ _DP_MAX_GATES = 8
 _PARALLEL_EVERY = 8
 _COST_TOLERANCE = 1e-9
 
-Saboteur = Callable[[Circuit], object]
-
 
 @dataclass
 class _Divergence:
@@ -83,7 +77,6 @@ class _Divergence:
     expected: object
     actual: object
     message: str
-    sources: Dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -136,27 +129,15 @@ class FuzzReport:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_sources(circuit: Circuit, kernel: str = "compiled") -> Dict[str, str]:
-    """Snapshot the kernel sources the fast path actually executed.
-
-    Only the compiled backend has per-circuit generated source; the numpy
-    backend's plan is index arrays, so its bundles identify the backend
-    via the ``kernel`` context field instead.
-    """
-    if kernel != "compiled":
-        return {}
-    return dict(get_compiled(circuit).sources)
-
-
 def _stimulus(circuit: Circuit, seed: int, n_patterns: int) -> Dict[str, int]:
     return UniformRandomSource(seed).generate(circuit.inputs, n_patterns)
 
 
 def _check_logic_sim(
-    circuit: Circuit, seed: int, n_patterns: int, kernel: str = "compiled"
+    circuit: Circuit, seed: int, n_patterns: int
 ) -> Optional[_Divergence]:
     stimulus = _stimulus(circuit, seed, n_patterns)
-    fast = LogicSimulator(circuit, kernel=kernel).run(stimulus, n_patterns)
+    fast = LogicSimulator(circuit, kernel="numpy").run(stimulus, n_patterns)
     slow = LogicSimulator(circuit, kernel="interp").run(stimulus, n_patterns)
     if fast == slow:
         return None
@@ -165,20 +146,19 @@ def _check_logic_sim(
         context={
             "stimulus": stimulus,
             "n_patterns": n_patterns,
-            "kernel": kernel,
+            "kernel": "numpy",
         },
         expected=slow,
         actual=dict(fast),
-        message=f"{kernel} logic backend disagrees with interpreter",
-        sources=_kernel_sources(circuit, kernel),
+        message="numpy logic backend disagrees with interpreter",
     )
 
 
 def _check_fault_sim(
-    circuit: Circuit, seed: int, n_patterns: int, kernel: str = "compiled"
+    circuit: Circuit, seed: int, n_patterns: int
 ) -> Optional[_Divergence]:
     stimulus = _stimulus(circuit, seed, n_patterns)
-    fast = FaultSimulator(circuit, kernel=kernel).run(stimulus, n_patterns)
+    fast = FaultSimulator(circuit, kernel="numpy").run(stimulus, n_patterns)
     slow = FaultSimulator(circuit, kernel="interp").run(stimulus, n_patterns)
     bad = next(
         (
@@ -201,20 +181,19 @@ def _check_fault_sim(
             "n_patterns": n_patterns,
             "good_values": good_values,
             "variant": "detect",
-            "kernel": kernel,
+            "kernel": "numpy",
         },
         expected={str(f): w for f, w in slow.detection_word.items()},
         actual={str(f): w for f, w in fast.detection_word.items()},
-        message=f"{kernel} cone propagation disagrees with interpreter on {bad}",
-        sources=_kernel_sources(circuit, kernel),
+        message=f"numpy fault propagation disagrees with interpreter on {bad}",
     )
 
 
 def _check_coverage(
-    circuit: Circuit, seed: int, n_patterns: int, kernel: str = "compiled"
+    circuit: Circuit, seed: int, n_patterns: int
 ) -> Optional[_Divergence]:
     stimulus = _stimulus(circuit, seed, n_patterns)
-    sim = FaultSimulator(circuit, kernel=kernel)
+    sim = FaultSimulator(circuit, kernel="numpy")
     exact = sim.run(stimulus, n_patterns)
     dropped = sim.run_coverage(stimulus, n_patterns, block=16)
 
@@ -233,18 +212,15 @@ def _check_coverage(
             "stimulus": stimulus,
             "n_patterns": n_patterns,
             "block": 16,
-            "kernel": kernel,
+            "kernel": "numpy",
         },
         expected=slow,
         actual=fast,
         message="fault dropping changed coverage/first-detect vs exact run",
-        sources=_kernel_sources(circuit, kernel),
     )
 
 
-def _check_cop(
-    circuit: Circuit, seed: int, kernel: str = "compiled"
-) -> Optional[_Divergence]:
+def _check_cop(circuit: Circuit, seed: int) -> Optional[_Divergence]:
     def payload(res):
         return {
             "probability": res.probability,
@@ -252,7 +228,7 @@ def _check_cop(
             "branch_observability": res.branch_observability,
         }
 
-    fast = payload(cop_measures(circuit, kernel=kernel))
+    fast = payload(cop_measures(circuit, kernel="numpy"))
     slow = payload(cop_measures(circuit, kernel="interp"))
     if fast == slow:
         return None
@@ -261,23 +237,20 @@ def _check_cop(
         context={
             "input_probabilities": None,
             "stem_combine": "or",
-            "kernel": kernel,
+            "kernel": "numpy",
         },
         expected=slow,
         actual=fast,
-        message=f"{kernel} COP passes disagree with interpreter",
-        sources=_kernel_sources(circuit, kernel),
+        message="numpy COP passes disagree with interpreter",
     )
 
 
-def _check_placement(
-    circuit: Circuit, seed: int, kernel: str = "compiled"
-) -> Optional[_Divergence]:
+def _check_placement(circuit: Circuit, seed: int) -> Optional[_Divergence]:
     rng = random.Random(f"fuzz-place:{seed}")
     problem = TPIProblem.from_test_length(circuit, n_patterns=64)
     points = _random_points(problem, rng, rng.randint(0, 3))
     fast = _evaluation_payload(
-        evaluate_placement(problem, points, kernel=kernel)
+        evaluate_placement(problem, points, kernel="numpy")
     )
     slow = _evaluation_payload(
         evaluate_placement(problem, points, kernel="interp")
@@ -289,12 +262,11 @@ def _check_placement(
         context={
             "problem": problem_to_payload(problem),
             "points": [point_to_payload(p) for p in points],
-            "kernel": kernel,
+            "kernel": "numpy",
         },
         expected=slow,
         actual=fast,
-        message=f"{kernel} placement pass disagrees with interpreter",
-        sources=_kernel_sources(circuit, kernel),
+        message="numpy placement pass disagrees with interpreter",
     )
 
 
@@ -336,32 +308,24 @@ def _evaluation_payload(evaluation) -> dict:
     }
 
 
-def _check_incremental(
-    circuit: Circuit, seed: int, kernel: Optional[str] = None
-) -> Optional[_Divergence]:
+def _check_incremental(circuit: Circuit, seed: int) -> Optional[_Divergence]:
     rng = random.Random(f"fuzz-inc:{seed}")
     problem = TPIProblem.from_test_length(circuit, n_patterns=64)
     points = _random_points(problem, rng, rng.randint(1, 3))
     base = points[: rng.randint(0, len(points))]
-    if kernel == "numpy":
-        # Fuzz-sized circuits are narrower than the vectorized delta
-        # engine's adaptive cutoff; force it on so the lane actually
-        # attacks PlacementDelta rather than the interpreted walk.
-        import os
-
-        prior = os.environ.get("REPRO_NP_DELTA_MIN_WIDTH")
-        os.environ["REPRO_NP_DELTA_MIN_WIDTH"] = "0"
-        try:
-            inc = IncrementalEvaluator(problem, base, kernel=kernel)
-            fast = _evaluation_payload(inc.evaluate(points))
-        finally:
-            if prior is None:
-                del os.environ["REPRO_NP_DELTA_MIN_WIDTH"]
-            else:
-                os.environ["REPRO_NP_DELTA_MIN_WIDTH"] = prior
-    else:
-        inc = IncrementalEvaluator(problem, base, kernel=kernel)
+    # Fuzz-sized circuits are narrower than the vectorized delta engine's
+    # adaptive cutoff; force it on so the lane actually attacks
+    # PlacementDelta rather than the interpreted walk.
+    prior = os.environ.get("REPRO_NP_DELTA_MIN_WIDTH")
+    os.environ["REPRO_NP_DELTA_MIN_WIDTH"] = "0"
+    try:
+        inc = IncrementalEvaluator(problem, base, kernel="numpy")
         fast = _evaluation_payload(inc.evaluate(points))
+    finally:
+        if prior is None:
+            del os.environ["REPRO_NP_DELTA_MIN_WIDTH"]
+        else:
+            os.environ["REPRO_NP_DELTA_MIN_WIDTH"] = prior
     slow = _evaluation_payload(
         evaluate_placement(problem, points, kernel="interp")
     )
@@ -378,7 +342,6 @@ def _check_incremental(
         expected=slow,
         actual=fast,
         message="incremental delta disagrees with from-scratch full pass",
-        sources=_kernel_sources(circuit),
     )
 
 
@@ -423,14 +386,13 @@ def _check_dp_vs_exhaustive(
         actual={"cost": dp.cost, "feasible": dp.feasible},
         message="DP optimum disagrees with exhaustive search "
         "under the quantized objective",
-        sources={},
     )
 
 
 def _check_tiled_batch(
     circuit: Circuit, seed: int, n_patterns: int
 ) -> Optional[_Divergence]:
-    """numpy only: batched sweeps forced through word tiles and chunks.
+    """Batched sweeps forced through word tiles and chunks.
 
     A deliberately tiny memory budget makes ``propagate_batch`` split
     the fault cube along both the word axis (tile seams) and the fault
@@ -472,20 +434,19 @@ def _check_tiled_batch(
         actual=summary(fast),
         message="word-tiled batched sweep disagrees with interpreter "
         "across tile/chunk seams",
-        sources={},
     )
 
 
 def _check_parallel(
-    circuit: Circuit, seed: int, n_patterns: int, kernel: str = "compiled"
+    circuit: Circuit, seed: int, n_patterns: int
 ) -> Optional[_Divergence]:
     from ..sim.parallel import run_parallel
 
     stimulus = _stimulus(circuit, seed, n_patterns)
     parallel = run_parallel(
-        circuit, stimulus, n_patterns, jobs=2, kernel=kernel
+        circuit, stimulus, n_patterns, jobs=2, kernel="numpy"
     )
-    serial = FaultSimulator(circuit, kernel=kernel).run(
+    serial = FaultSimulator(circuit, kernel="numpy").run(
         stimulus, n_patterns
     )
     fast = {str(f): w for f, w in parallel.detection_word.items()}
@@ -499,12 +460,11 @@ def _check_parallel(
             "n_patterns": n_patterns,
             "jobs": 2,
             "mode": "exact",
-            "kernel": kernel,
+            "kernel": "numpy",
         },
         expected=slow,
         actual=fast,
         message="parallel fan-out disagrees with serial fault simulation",
-        sources=_kernel_sources(circuit, kernel),
     )
 
 
@@ -683,7 +643,6 @@ def _check_store(
                     "store rejected (quarantined) the entry it just "
                     "published"
                 ),
-                sources={"store": "ResultStore.put/get round-trip"},
             )
         cached = record.get("result")
         second = normal(execute_sweep_job(dict(payload)))
@@ -691,17 +650,17 @@ def _check_store(
             return None
         return _Divergence(
             kind="fuzz.store",
-            context=context,
+            context={
+                **context,
+                "expected_from": "execute_sweep_job (fresh)",
+                "actual_from": "store round-trip + re-execution",
+            },
             expected=first,
             actual={"cached": cached, "recomputed": second},
             message=(
                 "cached sweep result is not bit-identical to "
                 "recomputation"
             ),
-            sources={
-                "expected": "execute_sweep_job (fresh)",
-                "actual": "store round-trip + re-execution",
-            },
         )
 
 
@@ -729,9 +688,7 @@ def run_fuzz(
     max_gates: int = 40,
     n_patterns: int = 64,
     max_failures: int = 1,
-    saboteur: Optional[Saboteur] = None,
     shrink: bool = True,
-    kernel: str = "compiled",
     store: bool = False,
 ) -> FuzzReport:
     """Run a time-budgeted differential fuzzing campaign.
@@ -743,41 +700,18 @@ def run_fuzz(
     trial sequence short at a machine-dependent point — but any failure
     found is reproducible from its bundle regardless).
 
-    ``kernel`` picks the fast backend under attack (``"compiled"`` or
-    ``"numpy"``); every lane cross-checks it against the interpreted
-    arbiter, and repro bundles record the backend name in their context.
+    Every simulation lane attacks the numpy backend against the
+    interpreted arbiter, and repro bundles record the backend name in
+    their context.
 
     ``store=True`` adds the result-store lane: each circuit's sweep
     result is published to a throwaway content-addressed store, read
     back through the integrity envelope, and required to be
     bit-identical to a fresh recomputation.
     """
-    from ..sim.compile import resolve_kernel
-
-    kernel = resolve_kernel(kernel)
-    if kernel == "interp":
-        raise ValueError(
-            "fuzz needs a fast backend to attack; kernel='interp' only "
-            "names the arbiter"
-        )
     report = FuzzReport(seed=seed, budget_ms=budget_ms)
     start = time.monotonic()
     deadline = start + budget_ms / 1000.0
-    sabotaged = set()
-
-    def sabotage(c: Circuit) -> None:
-        # Plant at most once per structure: the planting swaps are not
-        # idempotent, and the shrink predicate re-runs checks repeatedly.
-        if saboteur is None:
-            return
-        h = c.structural_hash()
-        if h not in sabotaged:
-            sabotaged.add(h)
-            saboteur(c)
-
-    def run_check(check: Callable[[Circuit], Optional[_Divergence]], c: Circuit):
-        sabotage(c)
-        return check(c)
 
     try:
         trial = 0
@@ -789,25 +723,14 @@ def run_fuzz(
                 circuit = _build_circuit(trial, seed, max_gates)
                 stim_seed = trial * 7919 + seed
                 checks: List[Callable[[Circuit], Optional[_Divergence]]] = [
-                    lambda c: _check_logic_sim(
-                        c, stim_seed, n_patterns, kernel
-                    ),
-                    lambda c: _check_fault_sim(
-                        c, stim_seed, n_patterns, kernel
-                    ),
-                    lambda c: _check_coverage(
-                        c, stim_seed, n_patterns, kernel
-                    ),
-                    lambda c: _check_cop(c, stim_seed, kernel),
-                    lambda c: _check_placement(c, stim_seed, kernel),
-                    lambda c: _check_incremental(c, stim_seed, kernel),
+                    lambda c: _check_logic_sim(c, stim_seed, n_patterns),
+                    lambda c: _check_fault_sim(c, stim_seed, n_patterns),
+                    lambda c: _check_coverage(c, stim_seed, n_patterns),
+                    lambda c: _check_cop(c, stim_seed),
+                    lambda c: _check_placement(c, stim_seed),
+                    lambda c: _check_incremental(c, stim_seed),
+                    lambda c: _check_tiled_batch(c, stim_seed, n_patterns),
                 ]
-                if kernel == "numpy":
-                    checks.append(
-                        lambda c: _check_tiled_batch(
-                            c, stim_seed, n_patterns
-                        )
-                    )
                 if store:
                     checks.append(
                         lambda c: _check_store(c, stim_seed, n_patterns)
@@ -835,16 +758,14 @@ def run_fuzz(
                     # Pool spawn costs seconds; skip it when the budget is
                     # nearly spent so the campaign lands near its deadline.
                     checks.append(
-                        lambda c: _check_parallel(
-                            c, stim_seed, n_patterns, kernel
-                        )
+                        lambda c: _check_parallel(c, stim_seed, n_patterns)
                     )
                 report.trials += 1
                 obs.count("fuzz.trials")
                 for check in checks:
                     if time.monotonic() >= deadline:
                         break
-                    divergence = run_check(check, circuit)
+                    divergence = check(circuit)
                     report.checks += 1
                     obs.count("fuzz.checks")
                     if divergence is None:
@@ -853,10 +774,9 @@ def run_fuzz(
                     minimized = circuit
                     if shrink:
                         minimized = shrink_circuit(
-                            circuit,
-                            lambda c: run_check(check, c) is not None,
+                            circuit, lambda c: check(c) is not None
                         )
-                        final = run_check(check, minimized)
+                        final = check(minimized)
                         if final is None:  # pragma: no cover - paranoia
                             final, minimized = divergence, circuit
                         divergence = final
@@ -867,7 +787,6 @@ def run_fuzz(
                         expected=divergence.expected,
                         actual=divergence.actual,
                         message=divergence.message,
-                        sources=divergence.sources,
                         bundle_dir=bundle_dir,
                     )
                     failure = FuzzFailure(
@@ -892,8 +811,4 @@ def run_fuzz(
                 trial += 1
     finally:
         report.elapsed_ms = (time.monotonic() - start) * 1000.0
-        if saboteur is not None:
-            # Planted kernel corruption must not leak into later work in
-            # this process; the bundles keep the corrupt sources.
-            clear_registry()
     return report

@@ -76,7 +76,7 @@ class Circuit:
     def revision(self) -> int:
         """Structural revision counter, bumped by every mutating call.
 
-        Long-lived consumers (simulators, the compiled-kernel cache)
+        Long-lived consumers (simulators, the numpy plan cache)
         record the revision they were built against and refuse to serve
         results for a circuit that has since been rewritten — silently
         stale answers become a :class:`~repro.errors.SimulationError`.
@@ -94,9 +94,9 @@ class Circuit:
         primary-output list — everything that determines simulation and
         testability semantics — but not the circuit ``name``.  The digest
         is cached per :attr:`revision`, is identical across processes
-        (no dependence on ``PYTHONHASHSEED``), and keys the compiled
-        simulation-kernel registry (:mod:`repro.sim.compile`): two
-        structurally identical circuits share compiled kernels.
+        (no dependence on ``PYTHONHASHSEED``), and keys the numpy plan
+        registry (:func:`repro.sim.npsim.get_plan`): two structurally
+        identical circuits share one plan.
         """
         if self._hash_revision == self._revision:
             return self._hash

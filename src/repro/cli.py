@@ -24,7 +24,7 @@ Subcommands:
   under ``--max-bytes`` / ``--max-age-days`` caps (leased entries are
   never deleted);
 * ``fuzz`` — time-budgeted differential fuzzer over random circuits,
-  cross-checking interp vs compiled vs parallel vs incremental engines
+  cross-checking interp vs numpy vs parallel vs incremental engines
   and DP vs exhaustive solvers; failures are shrunk and written as
   repro bundles;
 * ``replay`` — deterministically re-run a divergence repro bundle and
@@ -60,7 +60,7 @@ the same command to continue).
 
 Self-checking: ``--guard [FRACTION]`` (default 0.01 when given) runs the
 command inside a :class:`repro.verify.GuardedSession` — a seeded sample
-of compiled/incremental results is shadow re-executed on the interpreter
+of numpy/incremental results is shadow re-executed on the interpreter
 arbiters, and every solver answer is independently certified.  A
 mismatch aborts with a replayable repro bundle (exit 4) under
 ``--bundle-dir`` (default ``repro_bundles/``); ``--guard-seed`` fixes
@@ -228,7 +228,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         bundle_dir=args.bundle_dir,
         max_gates=args.max_gates,
         n_patterns=args.patterns,
-        kernel=args.kernel,
         store=args.store,
     )
     print(report.describe())
@@ -783,8 +782,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         g.add_argument(
             "--kernel", choices=list(KERNEL_MODES), default=DEFAULT_KERNEL,
-            help="per-circuit compiled simulation kernels (default) or the "
-            "interpreted ground-truth gate walk",
+            help="word-parallel numpy engine (default) or the interpreted "
+            "ground-truth gate walk",
         )
 
     def add_guard(p: argparse.ArgumentParser) -> None:
@@ -1089,8 +1088,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fuzz",
-        help="differential fuzzer: cross-check interp/compiled/parallel/"
-        "incremental kernels and DP vs exhaustive on random circuits",
+        help="differential fuzzer: cross-check interp/numpy/parallel/"
+        "incremental engines and DP vs exhaustive on random circuits",
     )
     p.add_argument(
         "--budget-ms", type=float, default=60_000.0, metavar="MS",
@@ -1109,13 +1108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bundle-dir", default="repro_bundles", metavar="DIR",
         help="where failure repro bundles are written",
-    )
-    p.add_argument(
-        "--kernel",
-        choices=[k for k in KERNEL_MODES if k != "interp"],
-        default="compiled",
-        help="fast backend under attack; every lane cross-checks it "
-        "against the interpreted arbiter (default: compiled)",
     )
     p.add_argument(
         "--store", action="store_true",

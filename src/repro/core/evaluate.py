@@ -88,7 +88,7 @@ def measure_coverage(
     collapsed fault list (or ``faults`` when given).  ``jobs > 1`` fans the
     fault list out over worker processes; ``mode="coverage"`` enables fault
     dropping (partial detection words, exact coverage and first-detects);
-    ``kernel`` selects compiled (default) or interpreted simulation.
+    ``kernel`` selects numpy (default) or interpreted simulation.
     All three knobs preserve bit-identical coverage numbers.
     """
     source = source or UniformRandomSource(seed=1)

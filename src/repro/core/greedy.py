@@ -124,8 +124,8 @@ def solve_greedy(
         equivalence tests assert identical solutions), only slower; kept
         as the ground-truth reference for tests and benchmarks.
     kernel:
-        Evaluation kernel for the COP passes (``"compiled"``,
-        ``"numpy"`` or ``"interp"``); default is the process-wide
+        Evaluation kernel for the COP passes (``"numpy"`` or
+        ``"interp"``); default is the process-wide
         :data:`~repro.sim.compile.DEFAULT_KERNEL`.  With ``"numpy"``
         the incremental candidate scoring also runs its dirty-cone
         deltas on the array engine

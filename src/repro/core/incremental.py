@@ -40,6 +40,8 @@ from ..circuit.gates import (
     output_probability,
     side_input_sensitization_probability,
 )
+from ..sim import npsim
+from ..sim.compile import resolve_kernel
 from ..sim.faults import Fault, all_stuck_at_faults
 from .problem import (
     TestPoint,
@@ -123,21 +125,22 @@ class IncrementalEvaluator:
         from ..verify.guard import active_guard
 
         self._active_guard = active_guard
-        #: Kernel mode for the from-scratch base passes (``rebase``) and,
-        #: when the backend offers one, for the delta re-propagation: the
-        #: numpy backend runs the dirty-cone sweeps as level-synchronous
-        #: array subsets (:class:`repro.sim.npsim.PlacementDelta`) while
-        #: the interpreted heap walk stays the shadow-sampled arbiter.
-        #: Other kernels interpret the deltas — they touch only the dirty
-        #: region, and the early-stop compares against base values every
-        #: backend reproduces bit-identically.
-        self.kernel = kernel
+        #: Kernel mode for the from-scratch base passes (``rebase``) and
+        #: the delta re-propagation: the numpy backend runs the dirty-cone
+        #: sweeps as level-synchronous array subsets
+        #: (:class:`repro.sim.npsim.PlacementDelta`) while the interpreted
+        #: heap walk stays the shadow-sampled arbiter.  The interpreted
+        #: walk also serves ``kernel="interp"`` and narrow-level circuits,
+        #: which pay the engine's fixed per-level cost without amortizing
+        #: it over wide slices (see ``npsim.DELTA_MIN_MEAN_WIDTH``).
+        self.kernel = resolve_kernel(kernel)
         self.circuit = problem.circuit
         circuit = self.circuit
-        # Runtime-lazy for the same import-cycle reason as the guard.
-        from ..sim.backend import get_backend
-
-        self._np_delta = get_backend(kernel).placement_delta_engine(circuit)
+        self._np_delta: Optional[npsim.PlacementDelta] = None
+        if self.kernel == "numpy":
+            plan = npsim.get_plan(circuit)
+            if npsim.delta_profitable(plan):
+                self._np_delta = npsim.PlacementDelta(plan)
         self._topo = circuit.topological_order()
         self._level = circuit.levels()
         self._node = {name: circuit.node(name) for name in self._topo}

@@ -27,7 +27,8 @@ from ..circuit.gates import (
     side_input_sensitization_probability,
 )
 from ..circuit.netlist import Circuit
-from ..sim.backend import get_backend
+from ..sim import npsim
+from ..sim.compile import resolve_kernel
 from ..sim.faults import Fault, all_stuck_at_faults
 from .problem import (
     TestPoint,
@@ -97,9 +98,9 @@ def placement_site_state(
 
     Returns ``(stem_controls, branch_controls, stem_observed,
     branch_observed)`` — control kind per controlled site plus observed
-    site sets.  This is the calling convention of every placement
-    runner (compiled and numpy): the placement travels as data, so one
-    compiled kernel / one array plan serves every placement on the
+    site sets.  This is the calling convention of the numpy placement
+    pass (:meth:`repro.sim.npsim.CircuitPlan.placement`): the placement
+    travels as data, so one array plan serves every placement on the
     circuit.
     """
     stem_points, branch_points = split_placement(points)
@@ -199,24 +200,22 @@ def evaluate_placement(
 ) -> VirtualEvaluation:
     """Run the COP passes with the placement's semantics layered in.
 
-    ``kernel`` picks the simulation backend: ``"compiled"`` (the
-    default) runs both passes through a per-circuit compiled kernel and
-    ``"numpy"`` through the word-parallel array engine; both take the
-    placement's site state as data — one compile/plan serves every
-    placement on the circuit — and produce floats bit-identical to the
-    interpreted evaluator (``kernel="interp"``), which remains the
-    ground-truth arbiter.
+    ``kernel`` picks the simulation backend: ``"numpy"`` (the default)
+    runs both passes through the word-parallel array engine, taking the
+    placement's site state as data — one plan serves every placement on
+    the circuit — and produces floats bit-identical to the interpreted
+    evaluator (``kernel="interp"``), which remains the ground-truth
+    arbiter.
     """
     circuit = problem.circuit
     stem_points, branch_points = split_placement(points)
 
-    fn = get_backend(kernel).placement_runner(circuit)
-    if fn is not None:
+    if resolve_kernel(kernel) == "numpy":
         sctl, bctl, sobs, bobs = placement_site_state(points)
         (
             stem_pre, stem_post, branch_pre, branch_post,
             wire_obs, branch_obs, stem_post_obs,
-        ) = fn(
+        ) = npsim.get_plan(circuit).placement(
             problem.input_probability,
             sctl,
             bctl,

@@ -20,7 +20,7 @@ solver cascade) can tell principled failures apart from genuine bugs:
 * :class:`ExperimentError` — an experiment-harness level failure
   (unknown experiment id, corrupt checkpoint file);
 * :class:`DivergenceError` — a self-check caught two execution paths
-  disagreeing (compiled kernel vs interpreter, incremental vs full pass,
+  disagreeing (numpy engine vs interpreter, incremental vs full pass,
   a solver's claimed objective vs independent re-evaluation); carries
   the path of the replayable repro bundle written for the mismatch.
 
@@ -233,7 +233,7 @@ class DivergenceError(ReproError, RuntimeError):
     Raised by the self-checking layer (:mod:`repro.verify`) when a
     sampled shadow re-execution or a solver certification finds a
     mismatch — the silent-corruption failure mode every fast path
-    (compiled kernels, incremental evaluation, parallel fan-out, the DP)
+    (the numpy engine, incremental evaluation, parallel fan-out, the DP)
     is guarded against.
 
     Attributes

@@ -359,10 +359,8 @@ class FabricSupervisor:
                 "job": job.describe(),
                 "store": str(self.store.root),
                 "entry": str(self.store.entry_path(job.job_id)),
-            },
-            sources={
-                "expected": "re-executed in supervisor",
-                "actual": "result-store entry",
+                "expected_from": "re-executed in supervisor",
+                "actual_from": "result-store entry",
             },
             message=(
                 "stored result differs from bit-exact re-execution "

@@ -9,8 +9,8 @@ at every loop boundary, and — at most once per interval — it emits one
 * peak RSS from :func:`resource.getrusage` (``rss_peak_kb``; on Linux
   ``ru_maxrss`` is kilobytes — macOS reports bytes, recorded verbatim);
 * a snapshot of the recorder's counters (``counters``);
-* the kernel-cache hit rate (``kernel_cache_hit_rate``: hits over
-  hits + compiles, ``None`` before any kernel activity);
+* the kernel-cache hit rate (``kernel_cache_hit_rate``: numpy plan
+  cache hits over hits + plan builds, ``None`` before any plan activity);
 * whatever loop-progress fields the caller passes to ``beat()``.
 
 When no recorder is installed ``beat()`` is one clock read and a
@@ -87,11 +87,9 @@ class Heartbeat:
             self._last = now
             return False
         counters = recorder.metrics.snapshot().get("counters", {})
-        hits = counters.get("kernel.cache_hits", 0.0)
-        compiles = counters.get("kernel.compiles", 0.0)
-        hit_rate = (
-            hits / (hits + compiles) if (hits + compiles) > 0 else None
-        )
+        hits = counters.get("npsim.plan_cache_hits", 0.0)
+        builds = counters.get("npsim.plans", 0.0)
+        hit_rate = hits / (hits + builds) if (hits + builds) > 0 else None
         event(
             "heartbeat",
             loop=self.name,

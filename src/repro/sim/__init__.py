@@ -5,13 +5,6 @@ packed into single arbitrary-precision integers (:mod:`repro.sim.bitops`),
 so a full stimulus set is simulated in one pass over the levelized netlist.
 """
 
-from .backend import (
-    CompiledBackend,
-    InterpBackend,
-    NumpyBackend,
-    SimulationBackend,
-    get_backend,
-)
 from .bitops import (
     bit_get,
     bit_set,
@@ -31,12 +24,8 @@ from .bitops import (
 from .compile import (
     DEFAULT_KERNEL,
     KERNEL_MODES,
-    CompiledCircuit,
     clear_registry,
-    get_compiled,
-    invalidate,
     resolve_kernel,
-    seed_registry,
 )
 from .fault_sim import FaultSimResult, FaultSimulator, fault_coverage
 from .faults import (
@@ -66,17 +55,8 @@ from .patterns import (
 __all__ = [
     "DEFAULT_KERNEL",
     "KERNEL_MODES",
-    "CompiledCircuit",
     "resolve_kernel",
-    "get_compiled",
-    "seed_registry",
-    "invalidate",
     "clear_registry",
-    "SimulationBackend",
-    "InterpBackend",
-    "CompiledBackend",
-    "NumpyBackend",
-    "get_backend",
     "ones_mask",
     "word_count",
     "word_to_ndarray",

@@ -26,7 +26,6 @@ Two run modes:
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -38,12 +37,8 @@ from ..circuit.netlist import Circuit
 from ..errors import SimulationError
 from ..resilience import Budget
 from . import npsim
-from .bitops import (
-    ndarray_to_word,
-    ones_mask,
-    word_count,
-)
-from .compile import generate_cone_source, get_compiled, resolve_kernel
+from .bitops import ndarray_to_word, ones_mask
+from .compile import resolve_kernel
 from .faults import CollapsedFaultSet, Fault, collapse_faults
 from .logic_sim import LogicSimulator
 
@@ -63,73 +58,34 @@ class BatchPolicy:
     The fault-parallel batched pass re-evaluates the *whole circuit* per
     fault machine, trading inflated per-fault work for ufunc dispatch
     amortized across the whole batch.  This policy gathers the knobs
-    that decide the trade; :data:`DEFAULT_BATCH_POLICY` (built by
-    :meth:`from_env`) honours ``REPRO_NP_BATCH_*`` environment
-    variables, and tests pin explicit instances instead of
-    monkeypatching module constants.
+    that decide the trade; tests and the fuzzer pin explicit instances
+    instead of monkeypatching module constants.  Wide pattern budgets
+    need no cap: :func:`~repro.sim.npsim.propagate_batch` tiles the
+    pattern axis under its memory budget, so wide-pattern runs keep the
+    chunk capacity of narrow ones.
 
     Attributes
     ----------
     min_faults:
         Below this many faults the sweep's fixed dispatch cost (one
-        grouped full-circuit pass) is not worth amortizing
-        (``REPRO_NP_BATCH_MIN_FAULTS``).
+        grouped full-circuit pass) is not worth amortizing.
     min_capacity:
         Minimum fault machines per memory-budget chunk for the batch to
         pay: narrower chunks degenerate toward one full-circuit pass
-        per fault (``REPRO_NP_BATCH_MIN_CAPACITY``).
-    max_words:
-        Widest pattern width (in 64-bit words) the batch accepts, or
-        ``None`` for no cap — the default, since
-        :func:`~repro.sim.npsim.propagate_batch` tiles the pattern axis
-        under its memory budget, so wide-pattern runs keep the chunk
-        capacity of narrow ones (``REPRO_NP_BATCH_MAX_WORDS``; the
-        string ``none`` / ``0`` / empty also means uncapped).
+        per fault.
     chunk_bytes:
         Memory budget per batched chunk, forwarded to
         :func:`~repro.sim.npsim.propagate_batch` and
-        :func:`~repro.sim.npsim.batch_capacity`
-        (``REPRO_NP_BATCH_CHUNK_BYTES``).
+        :func:`~repro.sim.npsim.batch_capacity`.
     """
 
     min_faults: int = 16
     min_capacity: int = 16
-    max_words: Optional[int] = None
     chunk_bytes: int = npsim.BATCH_CHUNK_BYTES
 
-    @classmethod
-    def from_env(cls) -> "BatchPolicy":
-        """A policy with any ``REPRO_NP_BATCH_*`` overrides applied."""
 
-        def _int(name: str, default: int) -> int:
-            raw = os.environ.get(name)
-            try:
-                return int(raw) if raw else default
-            except ValueError:
-                return default
-
-        raw_words = os.environ.get("REPRO_NP_BATCH_MAX_WORDS", "")
-        max_words: Optional[int] = None
-        if raw_words and raw_words.lower() != "none":
-            try:
-                parsed = int(raw_words)
-                max_words = parsed if parsed > 0 else None
-            except ValueError:
-                max_words = None
-        return cls(
-            min_faults=_int("REPRO_NP_BATCH_MIN_FAULTS", cls.min_faults),
-            min_capacity=_int(
-                "REPRO_NP_BATCH_MIN_CAPACITY", cls.min_capacity
-            ),
-            max_words=max_words,
-            chunk_bytes=_int(
-                "REPRO_NP_BATCH_CHUNK_BYTES", npsim.BATCH_CHUNK_BYTES
-            ),
-        )
-
-
-#: Process-wide default policy (environment overrides applied at import).
-DEFAULT_BATCH_POLICY = BatchPolicy.from_env()
+#: Process-wide default policy.
+DEFAULT_BATCH_POLICY = BatchPolicy()
 
 
 @dataclass
@@ -241,7 +197,7 @@ class FaultSimulator:
     re-evaluates only its fanout cone.
 
     ``guard`` (or an ambient :class:`repro.verify.GuardedSession`)
-    shadow-re-executes a sampled fraction of compiled cone-kernel results
+    shadow-re-executes a sampled fraction of numpy propagation results
     through the interpreted event-driven walk and raises
     :class:`~repro.errors.DivergenceError` on any mismatch.
     """
@@ -266,9 +222,6 @@ class FaultSimulator:
         self._active_guard = active_guard
         self._revision = circuit.revision
         self._logic = LogicSimulator(circuit, kernel=self.kernel)
-        self._compiled = (
-            get_compiled(circuit) if self.kernel == "compiled" else None
-        )
         self._np_plan = (
             npsim.get_plan(circuit) if self.kernel == "numpy" else None
         )
@@ -276,10 +229,6 @@ class FaultSimulator:
         # good-values mapping seen (parallel workers and dropping blocks
         # reuse one mapping across thousands of faults).
         self._np_state_cache: Optional[Tuple[object, int, object]] = None
-        # start node -> (kernel fn, gate evals per invocation), one cache
-        # per cone-kernel variant.
-        self._cone_fns: Dict[str, Tuple[object, int]] = {}
-        self._cone_diff_fns: Dict[str, Tuple[object, int]] = {}
         self._level = circuit.levels()
         self._out_set = set(circuit.outputs)
         # Flat per-node lookups for the propagation hot loop (the Circuit
@@ -294,10 +243,10 @@ class FaultSimulator:
             self._fanout_counts[name] = circuit.fanout_count(name)
         self._masks: Dict[int, int] = {}
         # Every node's levelized fanout-cone order, built together in one
-        # reverse-topological pass on first use (interp kernel); compiled
-        # simulators cache the few they need site by site instead.
+        # reverse-topological pass on first use: both kernels walk a cone
+        # per collapsed fault — nearly every site — so the one-pass
+        # all-nodes build amortizes.
         self._cone_orders: Optional[Dict[str, List[str]]] = None
-        self._single_cone_cache: Dict[str, List[str]] = {}
         #: Faulty-machine gate evaluations performed over this
         #: simulator's lifetime (each one is word-parallel over the
         #: pattern budget) — the unit of fault-sim throughput.
@@ -306,36 +255,9 @@ class FaultSimulator:
     # ------------------------------------------------------------------
     def _cone_order(self, start: str) -> List[str]:
         """Gates in the fanout cone of ``start``, levelized (incl. start)."""
-        if self._cone_orders is not None:
-            return self._cone_orders[start]
-        if self.kernel != "compiled":
-            # Interpreted and numpy runs walk a cone per collapsed fault —
-            # nearly every site — so the one-pass all-nodes build
-            # amortizes.
+        if self._cone_orders is None:
             self._cone_orders = self._build_cone_orders()
-            return self._cone_orders[start]
-        # Compiled-kernel simulators touch cone orders rarely (guard
-        # shadow checks, registry misses): a per-site DFS is microseconds
-        # while the all-nodes pass costs more than the whole warm run.
-        order = self._single_cone_cache.get(start)
-        if order is None:
-            order = self._build_single_cone_order(start)
-            self._single_cone_cache[start] = order
-        return order
-
-    def _build_single_cone_order(self, start: str) -> List[str]:
-        """One node's levelized fanout-cone order, without the full pass."""
-        level = self._level
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for sink, _pin in self.circuit.fanouts(node):
-                if sink not in seen:
-                    seen.add(sink)
-                    stack.append(sink)
-        seen.discard(start)
-        return [start] + sorted(seen, key=lambda n: (level[n], n))
+        return self._cone_orders[start]
 
     def _build_cone_orders(self) -> Dict[str, List[str]]:
         """All cone orders at once, in a single reverse-topological pass.
@@ -368,28 +290,6 @@ class FaultSimulator:
                         last = member
             orders[name] = order
         return orders
-
-    def _cone_fn(self, start: str, variant: str) -> Tuple[object, int]:
-        """Compiled cone kernel (and its gate-eval cost) for ``start``."""
-        cache = self._cone_fns if variant == "detect" else self._cone_diff_fns
-        entry = cache.get(start)
-        if entry is None:
-            compiled = self._compiled
-            key = ("cone:" if variant == "detect" else "coneD:") + start
-
-            def generate() -> str:
-                source, n_gates = generate_cone_source(
-                    self.circuit, start, self._cone_order(start), variant
-                )
-                compiled.cone_meta[key] = n_gates
-                return source
-
-            fn = compiled.function(key, generate)
-            n_gates = compiled.cone_meta.get(key)
-            if n_gates is None:  # seeded source without meta
-                n_gates = len(self._cone_order(start)) - 1
-            entry = cache[start] = (fn, n_gates)
-        return entry
 
     def simulate_fault_responses(
         self,
@@ -463,34 +363,6 @@ class FaultSimulator:
             self.gate_evals += 1
             if injected == good_values[start]:
                 return 0
-
-        # Compiled path: straight-line evaluation of the whole cone.  A
-        # gate the event-driven walk would skip computes its good value
-        # and contributes a zero diff, so the detection words (and the
-        # per-output diffs) are identical by construction.
-        if self._compiled is not None:
-            guard = self._active_guard(self._guard)
-            if output_diffs is None:
-                fn, n_gates = self._cone_fn(start, "detect")
-                self.gate_evals += n_gates
-                detect = fn(good_values, injected, mask)
-                if guard is not None and guard.should_check():
-                    self._shadow_check(
-                        guard, fault, start, injected, good_values,
-                        n_patterns, mask, detect, None,
-                    )
-                return detect
-            fn, n_gates = self._cone_fn(start, "diffs")
-            self.gate_evals += n_gates
-            detect, diffs = fn(good_values, injected, mask)
-            for po, diff in diffs:
-                output_diffs[po] = diff
-            if guard is not None and guard.should_check():
-                self._shadow_check(
-                    guard, fault, start, injected, good_values,
-                    n_patterns, mask, detect, dict(output_diffs),
-                )
-            return detect
 
         return self._interp_propagate(
             start, injected, good_values, mask, output_diffs
@@ -579,11 +451,6 @@ class FaultSimulator:
         policy = self.batch_policy
         if self._np_plan is None or n_faults < policy.min_faults:
             return False
-        if (
-            policy.max_words is not None
-            and word_count(n_patterns) > policy.max_words
-        ):
-            return False
         return (
             npsim.batch_capacity(
                 self._np_plan, n_patterns, chunk_bytes=policy.chunk_bytes
@@ -650,7 +517,7 @@ class FaultSimulator:
         mask: int,
         output_diffs: Optional[Dict[str, int]],
     ) -> int:
-        """Interpreted event-driven cone walk (the compiled path's arbiter)."""
+        """Interpreted event-driven cone walk (the numpy path's arbiter)."""
         out_set = self._out_set
         faulty: Dict[str, int] = {}
         detect = 0
@@ -713,7 +580,7 @@ class FaultSimulator:
         detect: int,
         diffs_actual: Optional[Dict[str, int]],
     ) -> None:
-        """Re-run one compiled cone result through the interpreted walk.
+        """Re-run one numpy cone result through the interpreted walk.
 
         The arbiter's gate evaluations are rolled back from ``gate_evals``
         so throughput counters keep measuring real (fast-path) work.
@@ -742,12 +609,6 @@ class FaultSimulator:
             return
         from ..verify.bundle import fault_to_payload
 
-        key = ("cone:" if variant == "detect" else "coneD:") + start
-        sources = {}
-        if self._compiled is not None:
-            source = self._compiled.sources.get(key)
-            if source is not None:
-                sources[key] = source
         guard.checks += 1
         guard.diverge(
             "fault_sim.cone",
@@ -762,7 +623,6 @@ class FaultSimulator:
                 "start": start,
                 "kernel": self.kernel,
             },
-            sources=sources,
             message=(
                 f"{self.kernel} cone propagation for {start!r} disagrees "
                 f"with the interpreted walk on fault {fault}"

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from ..circuit.gates import evaluate_gate
 from ..circuit.netlist import Circuit
 from ..errors import SimulationError
-from .backend import get_backend
+from . import npsim
 from .bitops import ones_mask
 from .compile import resolve_kernel
 
@@ -34,11 +34,10 @@ class LogicSimulator:
     :class:`~repro.errors.SimulationError` instead of returning stale
     values.
 
-    ``kernel`` picks the simulation backend for force-free runs (see
-    :mod:`repro.sim.backend`): ``"compiled"`` (the default) uses the
-    per-circuit compiled kernel, ``"numpy"`` the word-parallel array
-    engine, and ``"interp"`` the interpreted gate walk, which remains the
-    ground-truth arbiter.  Forced-value runs always interpret.
+    ``kernel`` picks the simulation backend for force-free runs:
+    ``"numpy"`` (the default) uses the word-parallel array engine of
+    :mod:`repro.sim.npsim`, ``"interp"`` the interpreted gate walk, which
+    remains the ground-truth arbiter.  Forced-value runs always interpret.
     """
 
     def __init__(self, circuit: Circuit, kernel: Optional[str] = None) -> None:
@@ -50,9 +49,7 @@ class LogicSimulator:
             name for name in circuit.topological_order() if circuit.node(name).is_gate
         ]
         self._inputs = circuit.inputs
-        self._backend = get_backend(self.kernel)
-        self._runner = None
-        self._have_runner = False
+        self._plan: Optional[npsim.CircuitPlan] = None
 
     def _check_revision(self) -> None:
         if self.circuit.revision != self._revision:
@@ -74,7 +71,7 @@ class LogicSimulator:
 
         The result maps node name → packed word.  The numpy backend
         returns a :class:`~repro.sim.npsim.PackedState` — a mapping that
-        compares equal to the plain dict of the other backends while
+        compares equal to the plain dict of the interpreted walk while
         keeping the packed arrays available to the fault simulator.
 
         Parameters
@@ -92,12 +89,10 @@ class LogicSimulator:
             sees the forced word (fanout-branch faults).
         """
         self._check_revision()
-        if not node_forces and not connection_forces:
-            if not self._have_runner:
-                self._runner = self._backend.logic_runner(self.circuit)
-                self._have_runner = True
-            if self._runner is not None:
-                return self._runner(stimulus, n_patterns)
+        if not node_forces and not connection_forces and self.kernel == "numpy":
+            if self._plan is None:
+                self._plan = npsim.get_plan(self.circuit)
+            return self._plan.run_state(stimulus, n_patterns)
         mask = ones_mask(n_patterns)
         values: Dict[str, int] = {}
         node_forces = node_forces or {}

@@ -1,30 +1,30 @@
 """Word-parallel numpy simulation engine (the ``numpy`` backend).
 
 The interpreted simulator packs all patterns of one signal into a Python
-bignum; the compiled kernels remove the per-gate dispatch but still run
-bignum arithmetic, whose limbs are 30-bit CPython digits.  This module
-packs each signal into a little-endian ``(n_words,)`` ``uint64`` ndarray
-instead (see :func:`repro.sim.bitops.word_to_ndarray` for the layout) and
-evaluates each *group* of same-shaped gates as a handful of vectorized
-ufunc calls — 64-bit limbs, SIMD inner loops, no per-gate allocation.
+bignum, whose limbs are 30-bit CPython digits, and dispatches on the gate
+type at every visited gate.  This module packs each signal into a
+little-endian ``(n_words,)`` ``uint64`` ndarray instead (see
+:func:`repro.sim.bitops.word_to_ndarray` for the layout) and evaluates
+each *group* of same-shaped gates as a handful of vectorized ufunc calls
+— 64-bit limbs, SIMD inner loops, no per-gate allocation.
 
-Plans, not codegen
-------------------
-Where :mod:`repro.sim.compile` generates Python source per circuit, this
-backend builds a :class:`CircuitPlan`: index arrays that group the gates
-of each logic level by ``(gate_type, fan-in arity)`` so one group becomes
-one gather / fold / scatter sequence.  Node rows are assigned group-major,
-so every group's outputs are a contiguous slice of the value matrix.
-Plans live in a process-wide LRU registry keyed by
-:meth:`~repro.circuit.netlist.Circuit.structural_hash`, exactly like the
-compiled-kernel registry, and are cheap enough to rebuild in parallel
-workers (no pickled payload needed).
+Plans
+-----
+For each circuit the backend builds a :class:`CircuitPlan`: index arrays
+that group the gates of each logic level by ``(gate_type, fan-in arity)``
+so one group becomes one gather / fold / scatter sequence.  Node rows are
+assigned group-major, so every group's outputs are a contiguous slice of
+the value matrix.  Plans live in a process-wide LRU registry keyed by
+:meth:`~repro.circuit.netlist.Circuit.structural_hash` (a netlist rewrite
+can never be served stale index arrays), and are cheap enough to rebuild
+in parallel workers (no pickled payload needed).
 
 Four passes share the plan:
 
 * **logic** — fault-free simulation of all gates (uint64 bitwise folds);
 * **cone** — per-fault-site straight-line propagation over the existing
-  cone orders (:class:`ConePlan`, mirroring the compiled cone kernels);
+  cone orders (:class:`ConePlan`), plus the fault-parallel batched sweep
+  (:func:`propagate_batch`);
 * **cop forward / backward** — the COP probability passes as float64
   array sweeps, including the ``stem_combine`` escape folds;
 * **placement** — the placement-aware forward+backward pass of
@@ -33,13 +33,22 @@ Four passes share the plan:
 
 Bit-identity
 ------------
-Every float fold replays the interpreter's operation order exactly (same
-rules as the compiled emitters — see the emitter comments in
-:mod:`repro.sim.compile`); the uint64 folds are masked identically to
-:func:`repro.circuit.gates.evaluate_gate`.  numpy's float64 ufuncs apply
-IEEE-754 arithmetic per element, so elementwise op-order equality implies
-bit-identical results, and the property/fuzz suites pin this backend to
-the interpreted ground truth the same way they pin the compiled kernels.
+The uint64 folds keep every row invariantly masked (every primary input
+and every folded gate yields a value within the pattern mask), so
+AND/OR/XOR need no re-masking and an inversion is one xor with the mask
+— exactly the integers :func:`repro.circuit.gates.evaluate_gate`
+produces.
+
+The float folds mirror :func:`~repro.circuit.gates.output_probability`,
+:func:`~repro.circuit.gates.side_input_sensitization_probability` and the
+COP stem combine *operation for operation, in the same order*.  The only
+algebraic simplifications are dropping a leading ``1.0 *`` factor
+(IEEE-exact for every float) and the first XOR fold from ``0.0`` (exact up
+to the sign of zero, which compares equal and cannot change any
+downstream magnitude).  numpy's float64 ufuncs apply IEEE-754 arithmetic
+per element, so elementwise op-order equality implies bit-identical
+results, and the property/fuzz suites pin this backend to the
+interpreted ground truth.
 """
 
 from __future__ import annotations
@@ -198,8 +207,8 @@ def _eval_word_rows(gate_type, rows, out, mask) -> None:
 # Probability group evaluation (float64)
 # ---------------------------------------------------------------------------
 # Fold orders replay output_probability exactly; the only simplification
-# is dropping the leading ``1.0 *`` / first-XOR-from-``0.0`` identities,
-# the same IEEE-exact rule the compiled emitters use.
+# is dropping the leading ``1.0 *`` / first-XOR-from-``0.0`` identities
+# (IEEE-exact — see the module docstring).
 
 
 def _eval_prob_group(gate_type, arity, cols, out) -> None:
@@ -388,10 +397,9 @@ class PackedState(Mapping):
 class ConePlan:
     """Straight-line propagation schedule for one fault site's cone.
 
-    Mirrors the compiled cone kernels: every cone gate is evaluated (a
-    gate the event-driven walk would skip recomputes its good value and
-    contributes a zero diff), so detection words and per-output diffs are
-    identical by construction.
+    Every cone gate is evaluated (a gate the interpreted event-driven walk
+    would skip recomputes its good value and contributes a zero diff), so
+    detection words and per-output diffs are identical by construction.
     """
 
     __slots__ = ("start", "n_local", "n_gates", "ops", "po_terms")
@@ -456,8 +464,11 @@ def propagate_cone(
 
 #: Memory budget (bytes) for one batched value cube; chunks are sized so a
 #: chunk's ``n_rows × B × tile_words`` uint64 matrix — plus its staging
-#: rows, see :func:`batch_staging_rows` — stays inside it.
-BATCH_CHUNK_BYTES = 32 << 20
+#: rows, see :func:`batch_staging_rows` — stays inside it.  Larger budgets
+#: buy little throughput: past a few MiB each ufunc call already spans
+#: enough fault machines, while the cube's pages count fully toward the
+#: process's peak RSS.
+BATCH_CHUNK_BYTES = 6 << 20
 
 #: Fewest fault machines a chunk should hold before the word axis tiles:
 #: when the full pattern width would squeeze the chunk below this many
@@ -576,6 +587,10 @@ def propagate_batch(
     :func:`batch_capacity`) and sites are processed in ascending row
     order: every row below a chunk's first site is provably fault-free,
     so it is block-copied from the good matrix instead of re-evaluated.
+    One cube buffer and one staging buffer are allocated per call, sized
+    for the first (widest) chunk at the full tile width; every chunk and
+    tile runs on a contiguous prefix view of them, so no two cubes are
+    ever resident at once.
 
     Returns ``(detect, gate_evals)`` — a ``(len(sites), n_words)`` uint64
     detection matrix in input order (row ``i`` packs, per pattern,
@@ -617,6 +632,9 @@ def propagate_batch(
         chunk_bytes // (8 * (n_rows + batch_staging_rows(plan)) * tile_words),
     )
     gate_evals = 0
+    widest = min(capacity, n_sites)
+    cube_buf = np.empty(n_rows * widest * tile_words, dtype=np.uint64)
+    staged_buf = np.empty(n_po * widest * tile_words, dtype=np.uint64)
     for c0 in range(0, n_sites, capacity):
         chunk = order[c0 : c0 + capacity]
         B = len(chunk)
@@ -641,11 +659,10 @@ def propagate_batch(
         )
         bounds_lo = np.searchsorted(site_rows, group_lo, side="left")
         bounds_hi = np.searchsorted(site_rows, group_hi, side="left")
-        staged = np.empty((n_po, B, tile_words), dtype=np.uint64)
         for w0 in range(0, n_words, tile_words):
             w1 = min(w0 + tile_words, n_words)
             tw = w1 - w0
-            flat = np.empty((n_rows, B * tw), dtype=np.uint64)
+            flat = cube_buf[: n_rows * B * tw].reshape(n_rows, B * tw)
             cube = flat.reshape(n_rows, B, tw)
             cube[:copy_to] = V[:copy_to, None, w0:w1]
             forced = forced_full[:, w0:w1]
@@ -676,9 +693,7 @@ def propagate_batch(
             # Diff faulty outputs against the good matrix in place on one
             # staged copy (charged in batch_staging_rows), then OR-reduce
             # into this tile's word slice of the detection matrix.
-            st = staged if tw == tile_words else np.empty(
-                (n_po, B, tw), dtype=np.uint64
-            )
+            st = staged_buf[: n_po * B * tw].reshape(n_po, B, tw)
             if po_contiguous:
                 np.bitwise_xor(
                     cube[po_lo : po_lo + n_po],
@@ -1042,8 +1057,7 @@ class CircuitPlan:
     def cop_forward(self, pget) -> Dict[str, float]:
         """Forward COP pass; matches ``signal_probabilities`` exactly.
 
-        ``pget`` is ``input_probabilities.get`` (the compiled kernels use
-        the same calling convention).
+        ``pget`` is ``input_probabilities.get``.
         """
         P = np.empty(self.n_rows, dtype=np.float64)
         for i, name in enumerate(self.inputs):
@@ -1114,11 +1128,16 @@ class CircuitPlan:
     # Placement-aware pass (evaluate_placement)
     # ------------------------------------------------------------------
     def placement(self, pin_get, sctl, bctl, sobs, bobs, cpt, cof):
-        """Forward+backward placement pass; compiled-kernel contract.
+        """Forward+backward placement pass of ``evaluate_placement``.
 
-        Returns the seven dicts of a
-        :class:`~repro.core.virtual.VirtualEvaluation`.  Control and
-        observation sites are data: array sweeps cover the uncontrolled
+        ``pin_get`` is ``problem.input_probability``, ``sctl``/``bctl``
+        map stem site / branch key → control-point type, ``sobs``/``bobs``
+        are the observed site sets, and ``cpt``/``cof`` are
+        ``control_probability_transform`` /
+        ``control_observability_factor``.  Returns the seven dicts of a
+        :class:`~repro.core.virtual.VirtualEvaluation` in the
+        interpreter's insertion orders.  Control and observation sites
+        are data: array sweeps cover the uncontrolled
         common case and the few controlled/observed sites are patched as
         scalars between level sweeps, preserving the interpreter's exact
         float sequences.
@@ -1610,7 +1629,7 @@ class PlacementDelta:
 
 
 # ---------------------------------------------------------------------------
-# Plan registry (mirrors the compiled-kernel registry)
+# Plan registry
 # ---------------------------------------------------------------------------
 
 _PLANS: "OrderedDict[str, CircuitPlan]" = OrderedDict()

@@ -52,7 +52,6 @@ from .. import obs
 from ..errors import BudgetExceededError, SimulationError
 from ..resilience import Budget
 from . import npsim
-from .backend import get_backend
 from .compile import resolve_kernel
 from .fault_sim import FaultSimResult, FaultSimulator
 from .faults import Fault
@@ -80,21 +79,15 @@ def _init_worker(
     good_values: Optional[Mapping[str, int]],
     good_blocks: Optional[List[Tuple[int, Mapping[str, int]]]],
     kernel: str = "interp",
-    kernel_sources: Optional[Dict[str, str]] = None,
-    kernel_cone_meta: Optional[Dict[str, int]] = None,
     run_id: Optional[str] = None,
     good_matrix=None,
     good_block_matrices: Optional[List[Tuple[int, object]]] = None,
 ) -> None:
     """Prime one worker process with the shared simulation state.
 
-    ``kernel_sources`` carries the parent's already-generated kernel
-    *source strings* (compiled code objects don't pickle); the worker
-    seeds its registry with them and re-``exec``s each kernel lazily on
-    first use, so chunk work never re-derives codegen the parent already
-    paid for.  ``run_id`` is the parent recorder's run identifier — it
-    rides back in every chunk's telemetry so worker-side activity can be
-    attributed to the parent trace.
+    ``run_id`` is the parent recorder's run identifier — it rides back in
+    every chunk's telemetry so worker-side activity can be attributed to
+    the parent trace.
 
     ``good_matrix`` / ``good_block_matrices`` are the numpy kernel's
     cube-shard priming: the parent's packed good matrix (its
@@ -109,10 +102,11 @@ def _init_worker(
     # The parent's recorder (file handles, span stacks) must not be
     # inherited into forked workers — concurrent writes would interleave.
     obs.set_recorder(None)
-    # Backend-specific priming: the compiled backend seeds its registry
-    # from the shipped sources, the numpy backend rebuilds its plan
-    # locally, interp needs nothing.
-    get_backend(kernel).prime_worker(circuit, kernel_sources, kernel_cone_meta)
+    # numpy plans are cheap index arrays: each worker rebuilds its own
+    # (they hold locks and don't pickle) instead of receiving the
+    # parent's; interp needs nothing.
+    if kernel == "numpy":
+        npsim.get_plan(circuit)
     if good_matrix is not None:
         plan = npsim.get_plan(circuit)
         good_values = npsim.PackedState(plan, good_matrix, n_patterns)
@@ -353,12 +347,10 @@ def run_parallel(
         :class:`BudgetExceededError` in the parent (first chunk in fault
         order wins, for determinism).
     kernel:
-        ``"compiled"``, ``"numpy"`` or ``"interp"``; forwarded to every
-        worker's simulator.  Compiled workers receive the parent's
-        generated kernel sources and rebuild the code objects on first
-        use; numpy workers receive the parent's packed good matrices
-        (cube-shard priming — each fault chunk is a B-axis shard of the
-        batched fault cube over the shared arrays).
+        ``"numpy"`` or ``"interp"``; forwarded to every worker's
+        simulator.  numpy workers receive the parent's packed good
+        matrices (cube-shard priming — each fault chunk is a B-axis shard
+        of the batched fault cube over the shared arrays).
 
     Failure handling never changes the result, only the wall clock: if
     the pool cannot start, a worker dies or raises, or a chunk payload
@@ -409,9 +401,6 @@ def run_parallel(
             ]
         else:
             good_blocks = [(blk_n, dict(gv)) for blk_n, gv in blocks]
-    kernel_sources, kernel_cone_meta = get_backend(kernel).worker_payload(
-        circuit
-    )
     parent_recorder = obs.get_recorder()
     run_id = parent_recorder.run_id if parent_recorder is not None else None
     with obs.span(
@@ -451,8 +440,6 @@ def run_parallel(
                     good_values,
                     good_blocks,
                     kernel,
-                    kernel_sources,
-                    kernel_cone_meta,
                     run_id,
                     good_matrix,
                     good_block_matrices,

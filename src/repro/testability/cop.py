@@ -24,8 +24,8 @@ from ..circuit.gates import (
     side_input_sensitization_probability,
 )
 from ..circuit.netlist import Circuit
-from ..sim.backend import get_backend
-from ..sim.compile import get_compiled, resolve_kernel
+from ..sim import npsim
+from ..sim.compile import resolve_kernel
 
 __all__ = ["COPResult", "signal_probabilities", "observabilities", "cop_measures"]
 
@@ -80,17 +80,15 @@ def signal_probabilities(
         a scan-driven CP forces 0.5, an AND-type CP in test mode forces 0).
         Overrides win over computed values and are propagated downstream.
     kernel:
-        Simulation backend for the override-free pass — ``"compiled"``
-        (default) or ``"numpy"``; ``"interp"`` forces the interpreted
-        walk.  Runs with ``overrides`` always interpret.  All backends
-        produce bit-identical floats.
+        Simulation backend for the override-free pass — ``"numpy"``
+        (default) or ``"interp"``, which forces the interpreted walk.
+        Runs with ``overrides`` always interpret.  Both backends produce
+        bit-identical floats.
     """
     input_probabilities = input_probabilities or {}
     overrides = overrides or {}
-    if not overrides:
-        runner = get_backend(kernel).cop_forward_runner(circuit)
-        if runner is not None:
-            return runner(input_probabilities.get)
+    if not overrides and resolve_kernel(kernel) == "numpy":
+        return npsim.get_plan(circuit).cop_forward(input_probabilities.get)
     probs: Dict[str, float] = {}
     for name in circuit.topological_order():
         if name in overrides:
@@ -135,17 +133,15 @@ def observabilities(
         the observability of the branch from driver ``d`` into pin ``p`` of
         sink ``s``.
 
-    ``kernel`` selects the simulation backend for the backward pass
-    (compiled kernel or numpy sweep) or the interpreted walk; runs with
-    ``observed`` injections always interpret.
+    ``kernel`` selects the numpy sweep (default) or the interpreted walk
+    for the backward pass; runs with ``observed`` injections always
+    interpret.
     """
     if stem_combine not in _STEM_COMBINE_MODES:
         raise ValueError(f"stem_combine must be one of {_STEM_COMBINE_MODES}")
     observed = observed or {}
-    if not observed:
-        runner = get_backend(kernel).cop_backward_runner(circuit, stem_combine)
-        if runner is not None:
-            return runner(probability)
+    if not observed and resolve_kernel(kernel) == "numpy":
+        return npsim.get_plan(circuit).cop_backward(probability, stem_combine)
     out_set = set(circuit.outputs)
     node_obs: Dict[str, float] = {}
     branch_obs: Dict[Tuple[str, str, int], float] = {}
@@ -192,7 +188,7 @@ def cop_measures(
     """Run both COP passes and return a :class:`COPResult`.
 
     ``guard`` (or an ambient :class:`repro.verify.GuardedSession`)
-    shadow-re-runs a sampled fraction of compiled-kernel results through
+    shadow-re-runs a sampled fraction of numpy-backend results through
     the interpreted passes and raises
     :class:`~repro.errors.DivergenceError` on mismatch.
     """
@@ -210,9 +206,9 @@ def cop_measures(
         branch_observability=branch_obs,
     )
     # Overrides / pre-observed maps force the interpreted passes anyway;
-    # only shadow-check when at least one pass actually ran a fast
-    # backend (compiled kernel or numpy sweep).  Falsiness, not None:
-    # an *empty* override map still takes the fast path.
+    # only shadow-check when at least one pass actually ran the numpy
+    # sweep.  Falsiness, not None: an *empty* override map still takes
+    # the fast path.
     if resolve_kernel(kernel) != "interp" and (
         not probability_overrides or not observed
     ):
@@ -231,7 +227,7 @@ def _shadow_check_cop(
     stem_combine: str,
     result: COPResult,
     guard,
-    kernel: str = "compiled",
+    kernel: str = "numpy",
 ) -> None:
     """Sampled shadow re-run of a fast-backend COP result via the interpreter."""
     # Runtime-lazy: repro.verify imports this module's package siblings.
@@ -256,14 +252,6 @@ def _shadow_check_cop(
             "branch_observability": res.branch_observability,
         }
 
-    sources = {}
-    if kernel == "compiled":
-        entry = get_compiled(circuit)
-        sources = {
-            key: src
-            for key, src in entry.sources.items()
-            if key == "cop_fwd" or key.startswith("cop_bwd:")
-        }
     g.confirm(
         "cop.measures",
         expected=payload(arbiter),
@@ -278,6 +266,5 @@ def _shadow_check_cop(
             "has_observed": observed is not None,
             "kernel": kernel,
         },
-        sources=sources,
         message=f"{kernel} COP passes disagree with the interpreted passes",
     )

@@ -1,8 +1,8 @@
 """Self-checking execution: shadow verification and result certification.
 
 The paper's claims are only as good as the numbers backing them, and
-this library runs most of those numbers through *fast paths* — compiled
-kernels, incremental evaluation, parallel fan-out — that each have a
+this library runs most of those numbers through *fast paths* — the numpy
+engine, incremental evaluation, parallel fan-out — that each have a
 slower, simpler arbiter.  This package closes the loop at run time:
 
 * :class:`Guard` / :class:`GuardedSession` — shadow-re-execute a seeded,
@@ -13,9 +13,7 @@ slower, simpler arbiter.  This package closes the loop at run time:
 * :mod:`repro.verify.bundle` — on mismatch, an atomic, content-addressed
   repro bundle with everything needed to replay the divergence;
 * :func:`replay_bundle` — deterministic re-execution of a bundle
-  (``repro-tpi replay``);
-* :mod:`repro.verify.plant` — controlled bug injection proving the layer
-  actually catches what it claims to catch.
+  (``repro-tpi replay``).
 """
 
 from .bundle import (
@@ -32,7 +30,6 @@ from .guard import (
     GuardedSession,
     active_guard,
 )
-from .plant import plant_kernel_bug, plant_logic_bug
 from .replay import ReplayResult, replay_bundle
 
 __all__ = [
@@ -47,8 +44,6 @@ __all__ = [
     "jsonable",
     "load_bundle",
     "maybe_certify",
-    "plant_kernel_bug",
-    "plant_logic_bug",
     "replay_bundle",
     "write_bundle",
 ]

@@ -1,8 +1,8 @@
 """Replayable repro bundles for divergence failures.
 
 A bundle is a self-contained directory — circuit ``.bench``, manifest
-with every replay input (seeds, pattern configs, kernel sources, both
-results) — written **atomically** so a crash mid-divergence never leaves
+with every replay input (seeds, pattern configs, the fast backend's
+name, both results) — written **atomically** so a crash mid-divergence never leaves
 a torn artifact.  ``repro-tpi replay <bundle>`` re-executes the recorded
 comparison deterministically (see :mod:`repro.verify.replay`).
 
@@ -18,7 +18,6 @@ Manifest schema (``repro-bundle/1``)::
       "message": one-line human summary,
       "circuit": "circuit.bench"    (file in the bundle directory),
       "context": replay inputs (kind-specific; JSON-safe),
-      "sources": {kernel key: generated source}  (optional),
       "expected": arbiter result   (JSON-safe encoding),
       "actual":   fast-path result (JSON-safe encoding)
     }
@@ -35,7 +34,7 @@ import hashlib
 import json
 import shutil
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Union
 
 from ..circuit.bench_io import parse_bench, write_bench
 from ..circuit.netlist import Circuit
@@ -205,7 +204,6 @@ def write_bundle(
     expected,
     actual,
     message: str = "",
-    sources: Optional[Dict[str, str]] = None,
     bundle_dir: Union[str, Path] = "repro_bundles",
 ) -> Path:
     """Write a content-addressed repro bundle; returns its directory.
@@ -221,7 +219,6 @@ def write_bundle(
         "message": message,
         "circuit": CIRCUIT_NAME,
         "context": jsonable(context),
-        "sources": dict(sources or {}),
         "expected": jsonable(expected),
         "actual": jsonable(actual),
     }

@@ -20,7 +20,7 @@ scratch, trusting nothing the solver computed:
   margin / context the solve used when available), every other method
   under the continuous COP model via the *interpreted*
   :func:`~repro.core.virtual.evaluate_placement` — the certification
-  deliberately avoids the compiled kernels it might itself be guarding.
+  deliberately avoids the numpy engine it might itself be guarding.
 
 On any mismatch a repro bundle (circuit, problem, claimed solution,
 re-derived verdicts) is written and :class:`DivergenceError` raised.

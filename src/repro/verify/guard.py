@@ -1,7 +1,7 @@
 """Sampled shadow verification: the ``GuardedSession`` / ``guard=`` mode.
 
 Every fast path in this library is a *fast path with a slower arbiter*:
-compiled kernels vs the interpreted gate walk, the incremental COP
+the numpy engine vs the interpreted gate walk, the incremental COP
 evaluator vs a full :func:`~repro.core.virtual.evaluate_placement` pass,
 solver claims vs independent re-evaluation.  A :class:`Guard`
 re-executes a configurable, seeded fraction of fast-path results against
@@ -20,16 +20,15 @@ Two ways to turn it on:
 
 Sampling is seeded and deterministic: the same workload under the same
 guard checks the same results.  ``fraction=1.0`` checks everything (the
-property-test setting); the default 1% keeps guard-mode overhead on the
-fault-sim bench well under the 10% budget (measured by
-``benchmarks/perf/run_perf.py`` and recorded in BENCH_PERF.json).
+property-test setting); the default 1% re-runs roughly one fast-path
+result in a hundred through its arbiter.
 """
 
 from __future__ import annotations
 
 import random
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from .. import obs
 from ..errors import DivergenceError
@@ -107,7 +106,6 @@ class Guard:
         actual,
         circuit,
         context: Optional[dict] = None,
-        sources: Optional[Dict[str, str]] = None,
         message: str = "",
     ) -> None:
         """Record one shadow check; raise on mismatch.
@@ -126,7 +124,6 @@ class Guard:
             actual=actual,
             circuit=circuit,
             context=context,
-            sources=sources,
             message=message or "fast path disagrees with arbiter",
         )
 
@@ -138,7 +135,6 @@ class Guard:
         actual,
         circuit,
         context: Optional[dict] = None,
-        sources: Optional[Dict[str, str]] = None,
         message: str = "",
     ) -> None:
         """Write the repro bundle and raise :class:`DivergenceError`."""
@@ -154,7 +150,6 @@ class Guard:
                     expected=expected,
                     actual=actual,
                     message=message,
-                    sources=sources,
                     bundle_dir=self.bundle_dir,
                 )
             )

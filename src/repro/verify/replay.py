@@ -1,16 +1,17 @@
 """Deterministic re-execution of repro bundles (``repro-tpi replay``).
 
 Every divergence bundle carries its complete replay inputs — the circuit
-``.bench``, the exact kernel *sources* that produced the fast-path
-result (a miscompiled kernel replays as miscompiled, even though a fresh
-process would regenerate correct code), seeds, pattern configs, and both
+``.bench``, the fast backend's name, seeds, pattern configs, and both
 recorded results.  :func:`replay_bundle` re-runs the recorded comparison
-from those inputs and reports whether the divergence reproduces.
+from those inputs on the current engine and reports whether the
+divergence reproduces.
 
 Exit-code contract of the CLI command: ``0`` when the divergence
 reproduces (the bundle is a confirmed, actionable failure), ``1`` when
 it does not (stale bundle / environment-dependent flake), ``2`` for an
-unreadable or unsupported bundle.
+unreadable or unsupported bundle — including every bundle of the removed
+``compiled`` backend, whose recorded kernel sources no longer have an
+engine to run on.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Union
 
 from ..core.incremental import IncrementalEvaluator
 from ..core.virtual import evaluate_placement
-from ..sim.compile import clear_registry, seed_registry
+from ..sim.compile import DEFAULT_KERNEL
 from ..sim.fault_sim import FaultSimulator
 from ..sim.logic_sim import LogicSimulator
 from ..testability.cop import cop_measures
@@ -52,18 +53,6 @@ class ReplayResult:
         return f"{self.kind}: {verdict} — {self.detail} ({self.bundle})"
 
 
-def _seed_sources(circuit, manifest) -> None:
-    """Install the bundle's recorded kernel sources for this circuit.
-
-    The registry is cleared first so a previously-compiled (correct)
-    kernel for the same structure cannot shadow the recorded one.
-    """
-    clear_registry()
-    sources = manifest.get("sources") or {}
-    if sources:
-        seed_registry(circuit, dict(sources))
-
-
 def _words(context, key) -> dict:
     return {name: int(word) for name, word in context[key].items()}
 
@@ -71,22 +60,41 @@ def _words(context, key) -> dict:
 def _fast_kernel(context) -> str:
     """Backend the fast path ran on when the bundle was written.
 
-    Compiled divergences replay against the recorded kernel *sources*;
-    numpy divergences have no per-circuit sources, so they replay on the
-    current array engine — only engine bugs (not transient state) will
-    reproduce there.
+    Divergences replay on the current engine of that backend, so only
+    engine bugs (not transient state) reproduce.
     """
-    return context.get("kernel") or "compiled"
+    return context.get("kernel") or DEFAULT_KERNEL
+
+
+def _refuse_removed_backend(manifest) -> None:
+    """Reject bundles of the removed ``compiled`` backend.
+
+    Such a bundle recorded a generated kernel's source; replaying it on
+    another backend would print a misleading "not reproduced".
+    """
+    context = manifest.get("context") or {}
+    if manifest.get("sources") or context.get("kernel") == "compiled":
+        raise ValueError(
+            "bundle was written by the compiled backend, which was "
+            "removed; its divergence cannot be replayed (rerun the "
+            "producing workload on the numpy backend instead)"
+        )
 
 
 def _replay_fault_sim(manifest, circuit) -> tuple:
     context = manifest["context"]
     fault = fault_from_payload(context["fault"])
     n_patterns = int(context["n_patterns"])
-    good_values = _words(context, "good_values")
     variant = context.get("variant", "detect")
-    _seed_sources(circuit, manifest)
     kernel = _fast_kernel(context)
+    # Re-derive the good machine from the recorded input words on the fast
+    # backend, as the recorded run did: a good-machine engine bug then
+    # reproduces while present and goes stale once fixed, instead of
+    # replaying its corrupt words forever.
+    recorded = _words(context, "good_values")
+    good_values = LogicSimulator(circuit, kernel=kernel).run(
+        {pi: recorded[pi] for pi in circuit.inputs}, n_patterns
+    )
     fast_sim = FaultSimulator(circuit, kernel=kernel)
     arbiter_sim = FaultSimulator(circuit, kernel="interp")
     if variant == "diffs":
@@ -113,7 +121,6 @@ def _replay_logic_sim(manifest, circuit) -> tuple:
     context = manifest["context"]
     stimulus = _words(context, "stimulus")
     n_patterns = int(context["n_patterns"])
-    _seed_sources(circuit, manifest)
     fast = LogicSimulator(circuit, kernel=_fast_kernel(context)).run(
         stimulus, n_patterns
     )
@@ -126,7 +133,6 @@ def _replay_coverage(manifest, circuit) -> tuple:
     stimulus = _words(context, "stimulus")
     n_patterns = int(context["n_patterns"])
     block = int(context.get("block", 64))
-    _seed_sources(circuit, manifest)
     sim = FaultSimulator(circuit, kernel=_fast_kernel(context))
     exact = sim.run(stimulus, n_patterns)
     dropped = sim.run_coverage(stimulus, n_patterns, block=block)
@@ -148,7 +154,6 @@ def _replay_cop(manifest, circuit) -> tuple:
     context = manifest["context"]
     input_probabilities = context.get("input_probabilities") or None
     stem_combine = context.get("stem_combine", "or")
-    _seed_sources(circuit, manifest)
 
     def result_payload(res):
         return {
@@ -188,7 +193,6 @@ def _replay_placement(manifest, circuit) -> tuple:
     context = manifest["context"]
     problem = problem_from_payload(circuit, context["problem"])
     points = [point_from_payload(p) for p in context["points"]]
-    _seed_sources(circuit, manifest)
     fast = _evaluation_payload(
         evaluate_placement(problem, points, kernel=_fast_kernel(context))
     )
@@ -203,9 +207,9 @@ def _replay_incremental(manifest, circuit) -> tuple:
     problem = problem_from_payload(circuit, context["problem"])
     base_points = [point_from_payload(p) for p in context["base_points"]]
     points = [point_from_payload(p) for p in context["points"]]
-    kernel = context.get("kernel") or "interp"
-    _seed_sources(circuit, manifest)
-    inc = IncrementalEvaluator(problem, base_points, kernel=kernel)
+    inc = IncrementalEvaluator(
+        problem, base_points, kernel=_fast_kernel(context)
+    )
     fast = _evaluation_payload(inc.evaluate(points))
     slow = _evaluation_payload(
         evaluate_placement(problem, points, kernel="interp")
@@ -294,7 +298,6 @@ def _replay_parallel(manifest, circuit) -> tuple:
     jobs = int(context.get("jobs", 2))
     mode = context.get("mode", "exact")
     kernel = _fast_kernel(context)
-    _seed_sources(circuit, manifest)
     parallel = run_parallel(
         circuit, stimulus, n_patterns, jobs=jobs, mode=mode, kernel=kernel
     )
@@ -327,23 +330,18 @@ def replay_bundle(path: Union[str, Path]) -> ReplayResult:
     """Re-run the comparison recorded in the bundle at ``path``."""
     manifest, circuit = load_bundle(path)
     kind = manifest["kind"]
-    try:
-        if kind.startswith("solver."):
-            result = _replay_solver(manifest, circuit)
-            result.bundle = str(path)
-            return result
-        replayer = _REPLAYERS.get(kind)
-        if replayer is None:
-            raise ValueError(f"no replayer for bundle kind {kind!r}")
-        fast, slow, detail = replayer(manifest, circuit)
-        reproduced = jsonable(fast) != jsonable(slow)
-        return ReplayResult(
-            kind=kind,
-            reproduced=reproduced,
-            detail=detail,
-            bundle=str(path),
-        )
-    finally:
-        # The bundle's (possibly corrupt) kernel sources were seeded into
-        # the process-wide registry; never leak them past the replay.
-        clear_registry()
+    replayer = _REPLAYERS.get(kind)
+    if replayer is None and not kind.startswith("solver."):
+        raise ValueError(f"no replayer for bundle kind {kind!r}")
+    _refuse_removed_backend(manifest)
+    if replayer is None:
+        result = _replay_solver(manifest, circuit)
+        result.bundle = str(path)
+        return result
+    fast, slow, detail = replayer(manifest, circuit)
+    return ReplayResult(
+        kind=kind,
+        reproduced=jsonable(fast) != jsonable(slow),
+        detail=detail,
+        bundle=str(path),
+    )

@@ -174,3 +174,33 @@ class TestUtility:
         c.mark_output("g3")
         assert c.depth() == 3
         assert ("g3", 0) in c.fanouts("g2")
+
+
+class TestStructuralIdentity:
+    """Revision counter and structural hash: what simulator caches key on."""
+
+    def test_circuit_revision_bumps_on_every_mutation(self):
+        circuit = Circuit("rev")
+        r0 = circuit.revision
+        circuit.add_input("a")
+        circuit.add_input("b")
+        assert circuit.revision > r0
+        r1 = circuit.revision
+        circuit.add_gate("g", GateType.AND, ["a", "b"])
+        assert circuit.revision > r1
+        r2 = circuit.revision
+        circuit.mark_output("g")
+        assert circuit.revision > r2
+
+    def test_structural_hash_is_structure_keyed(self):
+        from repro.circuit.generators import random_dag
+
+        a = random_dag(6, 20, seed=21)
+        b = random_dag(6, 20, seed=21)
+        c = random_dag(6, 20, seed=22)
+        assert a.structural_hash() == b.structural_hash()
+        assert a.structural_hash() != c.structural_hash()
+        before = a.structural_hash()
+        out = a.outputs[0]
+        a.unmark_output(out)
+        assert a.structural_hash() != before

@@ -1,4 +1,5 @@
-"""Shared fixtures: small reference circuits and TPI problem factories.
+"""Shared fixtures: small reference circuits, TPI problem factories, and
+a planted numpy-engine bug for the self-checking tests.
 
 Also installs a per-test wall-clock timeout (SIGALRM based, no external
 plugin needed): a hung solver loop fails its own test instead of wedging
@@ -99,3 +100,37 @@ def wand8():
 @pytest.fixture
 def small_tree():
     return generators.random_tree(10, seed=42)
+
+
+@pytest.fixture
+def engine_bug(monkeypatch):
+    """Plant a numpy-engine bug for the self-checking tests.
+
+    ``engine_bug(victim, as_)`` makes every ``victim`` gate fold as
+    ``as_`` on both uint64 word paths — the grouped sweeps and the
+    single-row folds — the way a wrong-operator bug in the engine would.
+    The interpreted arbiter is untouched.  Returns a callable that lifts
+    the bug again; test teardown lifts it regardless.
+    """
+    from repro.sim import npsim
+
+    real_group = npsim._eval_word_group
+    real_rows = npsim._eval_word_rows
+
+    def plant(victim: GateType, as_: GateType):
+        def group(gate_type, *args):
+            real_group(as_ if gate_type is victim else gate_type, *args)
+
+        def rows(gate_type, *args):
+            real_rows(as_ if gate_type is victim else gate_type, *args)
+
+        monkeypatch.setattr(npsim, "_eval_word_group", group)
+        monkeypatch.setattr(npsim, "_eval_word_rows", rows)
+
+        def lift() -> None:
+            monkeypatch.setattr(npsim, "_eval_word_group", real_group)
+            monkeypatch.setattr(npsim, "_eval_word_rows", real_rows)
+
+        return lift
+
+    return plant

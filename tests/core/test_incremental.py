@@ -252,16 +252,13 @@ class TestNumpyDeltaEquivalence:
                 _assert_identical(inc_np.base, ref)
 
     def test_narrow_plans_decline_the_engine_by_default(self):
-        from repro.sim.backend import get_backend
-
         # A deep chain has mean level width ~1 — far below the cutoff.
         circuit = generators.random_tree(40, seed=1)
-        assert get_backend("numpy").placement_delta_engine(circuit) is None
+        problem = TPIProblem.from_test_length(circuit, n_patterns=64)
+        assert IncrementalEvaluator(problem, kernel="numpy")._np_delta is None
         with _forced_numpy_delta():
-            assert (
-                get_backend("numpy").placement_delta_engine(circuit)
-                is not None
-            )
+            inc = IncrementalEvaluator(problem, kernel="numpy")
+            assert inc._np_delta is not None
 
 
 class TestSolverEquivalence:
@@ -279,10 +276,10 @@ class TestSolverEquivalence:
     def test_greedy_identical_across_kernels(self):
         # Wide levels put the numpy solve on the vectorized delta engine
         # (no env override) — the chosen points must not move.
-        from repro.sim.backend import get_backend
+        from repro.sim import npsim
 
         circuit = generators.random_dag(32, 1000, seed=5, fanin_span=250)
-        assert get_backend("numpy").placement_delta_engine(circuit) is not None
+        assert npsim.delta_profitable(npsim.get_plan(circuit))
         problem = TPIProblem.from_test_length(
             circuit, n_patterns=1024, escape_budget=0.01
         )

@@ -71,8 +71,8 @@ class TestPayload:
         path = tmp_path / "run.jsonl"
         with obs.recording(RunRecorder(path)):
             obs.count("fault_sim.gate_evals", 42)
-            obs.count("kernel.cache_hits", 3)
-            obs.count("kernel.compiles", 1)
+            obs.count("npsim.plan_cache_hits", 3)
+            obs.count("npsim.plans", 1)
             hb = Heartbeat("fault_sim.run", interval_s=0.0001)
             time.sleep(0.001)
             assert hb.beat(faults_done=7, faults_total=9)

@@ -1,24 +1,24 @@
-"""Compiled kernels: bit-identity to the interpreter, caching, pickling.
+"""Kernel selection: the default kernel is bit-identical to the interpreter.
 
-The compiled paths (``kernel="compiled"``) must be indistinguishable from
-the interpreted ground truth (``kernel="interp"``) — exact word equality
-for simulation, exact float equality for the COP passes, identical dict
-insertion orders throughout.  These property tests pin that on random
-circuits, random stimuli, and random placements, and additionally cover
-the cache machinery: structural-hash keying, revision-mismatch errors,
-registry invalidation, and the source-only pickle round-trip the parallel
-workers rely on.
+:mod:`repro.sim.compile` names the kernel modes and the process-wide
+default.  Whatever ``kernel=None`` resolves to must be indistinguishable
+from the interpreted ground truth (``kernel="interp"``) at every
+simulation entry point — exact word equality for simulation, exact float
+equality for the COP passes, and identical insertion orders for every
+node-keyed dict (branch-keyed dicts are compared by value: the numpy
+passes emit their edges in driver order, the interpreter's backward pass
+in reverse).  These property tests pin that on random circuits, random
+stimuli, and random placements, and additionally cover the per-structure
+plan cache the default kernel keeps: structural-hash keying,
+revision-mismatch errors, eviction, and its obs counters.
 """
 
-import pickle
 import random
 
 import pytest
 
 from repro import obs
 from repro.circuit.generators import random_dag, random_tree, rpr_mixed
-from repro.circuit.gates import GateType
-from repro.circuit.netlist import Circuit
 from repro.core import TPIProblem
 from repro.core.incremental import IncrementalEvaluator
 from repro.core.problem import TestPoint, TestPointType
@@ -27,17 +27,13 @@ from repro.errors import SimulationError
 from repro.obs.recorder import RunRecorder
 from repro.sim import FaultSimulator, LogicSimulator, run_parallel
 from repro.sim.compile import (
-    CompiledCircuit,
+    DEFAULT_KERNEL,
+    KERNEL_MODES,
     clear_registry,
-    generate_cone_source,
-    generate_logic_source,
-    get_compiled,
-    invalidate,
-    registry_size,
     resolve_kernel,
-    seed_registry,
 )
 from repro.sim.faults import all_stuck_at_faults
+from repro.sim.npsim import get_plan, plan_registry_size
 from repro.sim.patterns import UniformRandomSource
 from repro.testability.cop import cop_measures
 
@@ -64,11 +60,9 @@ def test_logic_sim_matches_interp_exactly():
     for circuit in _circuits():
         stim = _stimulus(circuit)
         interp = LogicSimulator(circuit, kernel="interp").run(stim, N_PATTERNS)
-        compiled = LogicSimulator(circuit, kernel="compiled").run(
-            stim, N_PATTERNS
-        )
-        assert compiled == interp
-        assert list(compiled) == list(interp)  # same insertion order
+        default = LogicSimulator(circuit).run(stim, N_PATTERNS)
+        assert default == interp
+        assert list(default) == list(interp)  # same insertion order
 
 
 def test_logic_sim_sparse_stimulus_defaults_missing_inputs_to_zero():
@@ -76,10 +70,8 @@ def test_logic_sim_sparse_stimulus_defaults_missing_inputs_to_zero():
     stim = _stimulus(circuit, seed=2)
     sparse = {pi: w for pi, w in list(stim.items())[::2]}
     interp = LogicSimulator(circuit, kernel="interp").run(sparse, N_PATTERNS)
-    compiled = LogicSimulator(circuit, kernel="compiled").run(
-        sparse, N_PATTERNS
-    )
-    assert compiled == interp
+    default = LogicSimulator(circuit).run(sparse, N_PATTERNS)
+    assert default == interp
 
 
 def test_forced_runs_fall_back_to_interp_and_stay_correct():
@@ -89,7 +81,7 @@ def test_forced_runs_fall_back_to_interp_and_stay_correct():
         n for n in circuit.topological_order() if circuit.node(n).is_gate
     )
     for sim in (
-        LogicSimulator(circuit, kernel="compiled"),
+        LogicSimulator(circuit),
         LogicSimulator(circuit, kernel="interp"),
     ):
         forced = sim.run(stim, N_PATTERNS, node_forces={gate: 0})
@@ -105,30 +97,30 @@ def test_fault_sim_matches_interp_exactly():
     for circuit in _circuits():
         stim = _stimulus(circuit, seed=1)
         interp = FaultSimulator(circuit, kernel="interp")
-        compiled = FaultSimulator(circuit, kernel="compiled")
+        default = FaultSimulator(circuit)
         faults = all_stuck_at_faults(circuit)
         good = LogicSimulator(circuit, kernel="interp").run(stim, N_PATTERNS)
         for fault in faults:
-            assert compiled.simulate_fault(
+            assert default.simulate_fault(
                 fault, good, N_PATTERNS
             ) == interp.simulate_fault(fault, good, N_PATTERNS)
         ri = interp.run(stim, N_PATTERNS, faults=faults)
-        rc = compiled.run(stim, N_PATTERNS, faults=faults)
-        assert rc.detection_word == ri.detection_word
-        assert rc.first_detect == ri.first_detect
+        rd = default.run(stim, N_PATTERNS, faults=faults)
+        assert rd.detection_word == ri.detection_word
+        assert rd.first_detect == ri.first_detect
 
 
 def test_fault_responses_match_interp_exactly():
     circuit = random_dag(8, 45, seed=6)
     stim = _stimulus(circuit, seed=3)
     interp = FaultSimulator(circuit, kernel="interp")
-    compiled = FaultSimulator(circuit, kernel="compiled")
+    default = FaultSimulator(circuit)
     good = LogicSimulator(circuit, kernel="interp").run(stim, N_PATTERNS)
     for fault in all_stuck_at_faults(circuit):
         di = interp.simulate_fault_responses(fault, good, N_PATTERNS)
-        dc = compiled.simulate_fault_responses(fault, good, N_PATTERNS)
-        assert dc == di
-        assert list(dc) == list(di)
+        dd = default.simulate_fault_responses(fault, good, N_PATTERNS)
+        assert dd == di
+        assert list(dd) == list(di)
 
 
 def test_run_coverage_matches_interp_exactly():
@@ -137,12 +129,10 @@ def test_run_coverage_matches_interp_exactly():
         ri = FaultSimulator(circuit, kernel="interp").run_coverage(
             stim, N_PATTERNS, block=16
         )
-        rc = FaultSimulator(circuit, kernel="compiled").run_coverage(
-            stim, N_PATTERNS, block=16
-        )
-        assert rc.detection_word == ri.detection_word
-        assert rc.first_detect == ri.first_detect
-        assert rc.coverage() == ri.coverage()
+        rd = FaultSimulator(circuit).run_coverage(stim, N_PATTERNS, block=16)
+        assert rd.detection_word == ri.detection_word
+        assert rd.first_detect == ri.first_detect
+        assert rd.coverage() == ri.coverage()
 
 
 def test_run_parallel_kernel_equivalence():
@@ -154,13 +144,7 @@ def test_run_parallel_kernel_equivalence():
     )
     for mode in ("exact", "coverage"):
         par = run_parallel(
-            circuit,
-            stim,
-            N_PATTERNS,
-            faults=faults,
-            jobs=2,
-            mode=mode,
-            kernel="compiled",
+            circuit, stim, N_PATTERNS, faults=faults, jobs=2, mode=mode
         )
         assert par.first_detect == serial.first_detect
         assert par.coverage() == serial.coverage()
@@ -179,17 +163,12 @@ def test_cop_measures_match_interp_exactly():
             ri = cop_measures(
                 circuit, probs, stem_combine=stem_combine, kernel="interp"
             )
-            rc = cop_measures(
-                circuit, probs, stem_combine=stem_combine, kernel="compiled"
-            )
-            assert rc.probability == ri.probability
-            assert rc.observability == ri.observability
-            assert rc.branch_observability == ri.branch_observability
-            assert list(rc.probability) == list(ri.probability)
-            assert list(rc.observability) == list(ri.observability)
-            assert list(rc.branch_observability) == list(
-                ri.branch_observability
-            )
+            rd = cop_measures(circuit, probs, stem_combine=stem_combine)
+            assert rd.probability == ri.probability
+            assert rd.observability == ri.observability
+            assert rd.branch_observability == ri.branch_observability
+            assert list(rd.probability) == list(ri.probability)
+            assert list(rd.observability) == list(ri.observability)
 
 
 def _random_placement(circuit, rng):
@@ -225,7 +204,7 @@ def test_evaluate_placement_matches_interp_exactly():
                 interp = evaluate_placement(problem, points, kernel="interp")
             except ValueError:
                 continue  # doubly-controlled wire: rejected by both paths
-            compiled = evaluate_placement(problem, points, kernel="compiled")
+            default = evaluate_placement(problem, points)
             for attr in (
                 "stem_pre",
                 "stem_post",
@@ -236,19 +215,21 @@ def test_evaluate_placement_matches_interp_exactly():
                 "stem_post_obs",
             ):
                 a = getattr(interp, attr)
-                b = getattr(compiled, attr)
+                b = getattr(default, attr)
                 assert b == a, attr
-                assert list(b) == list(a), attr
-            assert compiled.points == interp.points
+                if not attr.startswith("branch_"):
+                    assert list(b) == list(a), attr
+            assert default.points == interp.points
 
 
-def test_incremental_evaluator_on_compiled_base_stays_bit_identical():
+def test_incremental_evaluator_on_default_base_stays_bit_identical():
     circuit = random_dag(8, 40, seed=13)
     problem = TPIProblem.from_test_length(
         circuit, n_patterns=4096, escape_budget=0.001
     )
     rng = random.Random(5)
-    inc = IncrementalEvaluator(problem, kernel="compiled")
+    inc = IncrementalEvaluator(problem)
+    assert inc.kernel == DEFAULT_KERNEL  # recorded resolved, for bundles
     for _ in range(6):
         points = _random_placement(circuit, rng)
         try:
@@ -262,44 +243,20 @@ def test_incremental_evaluator_on_compiled_base_stays_bit_identical():
 
 
 # ---------------------------------------------------------------------------
-# Kernel selection and the circuit revision counter
+# Kernel selection
 # ---------------------------------------------------------------------------
 
 
 def test_resolve_kernel_rejects_unknown_modes():
-    assert resolve_kernel(None) in ("compiled", "interp")
+    assert KERNEL_MODES == ("interp", "numpy")
+    assert resolve_kernel(None) == DEFAULT_KERNEL == "numpy"
     assert resolve_kernel("interp") == "interp"
-    with pytest.raises(SimulationError):
-        resolve_kernel("jit")
+    for removed in ("jit", "compiled"):
+        with pytest.raises(SimulationError):
+            resolve_kernel(removed)
 
 
-def test_circuit_revision_bumps_on_every_mutation():
-    circuit = Circuit("rev")
-    r0 = circuit.revision
-    circuit.add_input("a")
-    circuit.add_input("b")
-    assert circuit.revision > r0
-    r1 = circuit.revision
-    circuit.add_gate("g", GateType.AND, ["a", "b"])
-    assert circuit.revision > r1
-    r2 = circuit.revision
-    circuit.mark_output("g")
-    assert circuit.revision > r2
-
-
-def test_structural_hash_is_structure_keyed():
-    a = random_dag(6, 20, seed=21)
-    b = random_dag(6, 20, seed=21)
-    c = random_dag(6, 20, seed=22)
-    assert a.structural_hash() == b.structural_hash()
-    assert a.structural_hash() != c.structural_hash()
-    before = a.structural_hash()
-    out = a.outputs[0]
-    a.unmark_output(out)
-    assert a.structural_hash() != before
-
-
-@pytest.mark.parametrize("kernel", ["compiled", "interp"])
+@pytest.mark.parametrize("kernel", ["interp", "numpy"])
 def test_simulators_raise_on_mutated_circuit(kernel):
     circuit = random_tree(15, seed=8)
     stim = _stimulus(circuit)
@@ -315,33 +272,31 @@ def test_simulators_raise_on_mutated_circuit(kernel):
         fsim.simulate_fault(fault, good, N_PATTERNS)
 
 
+# ---------------------------------------------------------------------------
+# The per-structure plan cache
+# ---------------------------------------------------------------------------
+
+
 def test_mutated_circuit_gets_fresh_registry_entry():
     clear_registry()
     circuit = random_tree(12, seed=2)
     stim = _stimulus(circuit)
-    LogicSimulator(circuit, kernel="compiled").run(stim, N_PATTERNS)
-    first = get_compiled(circuit)
+    LogicSimulator(circuit).run(stim, N_PATTERNS)
+    first = get_plan(circuit)
     circuit.add_input("extra")
-    second = get_compiled(circuit)
+    second = get_plan(circuit)
     assert second is not first
-    assert second.structural_hash != first.structural_hash
+    assert plan_registry_size() == 2
 
 
-def test_invalidate_and_clear_registry():
+def test_clear_registry_evicts_every_plan():
     clear_registry()
-    circuit = random_tree(10, seed=1)
-    LogicSimulator(circuit, kernel="compiled").run(
-        _stimulus(circuit), N_PATTERNS
-    )
-    assert registry_size() == 1
-    assert invalidate(circuit)
-    assert not invalidate(circuit)
-    LogicSimulator(circuit, kernel="compiled").run(
-        _stimulus(circuit), N_PATTERNS
-    )
-    assert registry_size() == 1
+    for seed in (1, 2):
+        circuit = random_tree(10, seed=seed)
+        LogicSimulator(circuit).run(_stimulus(circuit), N_PATTERNS)
+    assert plan_registry_size() == 2
     clear_registry()
-    assert registry_size() == 0
+    assert plan_registry_size() == 0
 
 
 def test_structurally_identical_circuits_share_kernels():
@@ -349,97 +304,24 @@ def test_structurally_identical_circuits_share_kernels():
     a = random_dag(5, 15, seed=30)
     b = random_dag(5, 15, seed=30)
     stim = _stimulus(a)
-    LogicSimulator(a, kernel="compiled").run(stim, N_PATTERNS)
-    LogicSimulator(b, kernel="compiled").run(stim, N_PATTERNS)
-    assert registry_size() == 1
+    LogicSimulator(a).run(stim, N_PATTERNS)
+    LogicSimulator(b).run(stim, N_PATTERNS)
+    assert plan_registry_size() == 1
 
 
-# ---------------------------------------------------------------------------
-# Pickle / worker-rebuild strategy
-# ---------------------------------------------------------------------------
-
-
-def test_compiled_circuit_pickles_sources_not_code():
-    clear_registry()
-    circuit = random_dag(6, 25, seed=15)
-    sim = FaultSimulator(circuit, kernel="compiled")
-    stim = _stimulus(circuit)
-    sim.run(stim, N_PATTERNS)  # populates logic + cone kernels
-    entry = get_compiled(circuit)
-    assert entry.compiled_keys()  # callables materialized here
-    clone = pickle.loads(pickle.dumps(entry))
-    assert isinstance(clone, CompiledCircuit)
-    assert clone.sources == entry.sources
-    assert clone.cone_meta == entry.cone_meta
-    assert clone.compiled_keys() == []  # code objects did not travel
-
-
-def test_seed_registry_rebuilds_from_sources_without_regenerating():
-    clear_registry()
-    circuit = random_dag(6, 25, seed=16)
-    sim = FaultSimulator(circuit, kernel="compiled")
-    stim = _stimulus(circuit)
-    reference = sim.run(stim, N_PATTERNS)
-    entry = get_compiled(circuit)
-    sources = dict(entry.sources)
-    cone_meta = dict(entry.cone_meta)
-
-    clear_registry()  # simulate a fresh worker process
-    recorder = RunRecorder(None)
-    previous = obs.set_recorder(recorder)
-    try:
-        seeded = seed_registry(circuit, sources, cone_meta)
-        assert seeded.sources == sources
-        assert seeded.compiled_keys() == []  # lazy until first use
-        rebuilt = FaultSimulator(circuit, kernel="compiled").run(
-            stim, N_PATTERNS
-        )
-        counters = recorder.metrics.snapshot()["counters"]
-    finally:
-        obs.set_recorder(previous)
-        recorder.close()
-    assert rebuilt.detection_word == reference.detection_word
-    assert rebuilt.first_detect == reference.first_detect
-    # Kernels were re-exec'd from the shipped sources, never re-generated.
-    assert counters.get("kernel.compiles", 0) > 0
-    assert "kernel.source_gens" not in counters
-
-
-def test_kernel_obs_counters_record_compiles_and_cache_hits():
+def test_plan_obs_counters_record_builds_and_cache_hits():
     clear_registry()
     circuit = random_tree(10, seed=19)
     stim = _stimulus(circuit)
     recorder = RunRecorder(None)
     previous = obs.set_recorder(recorder)
     try:
-        sim = LogicSimulator(circuit, kernel="compiled")
-        sim.run(stim, N_PATTERNS)
-        # Second simulator on the same structure: registry hit, no compile.
-        LogicSimulator(circuit, kernel="compiled").run(stim, N_PATTERNS)
+        LogicSimulator(circuit).run(stim, N_PATTERNS)
+        # Second simulator on the same structure: registry hit, no build.
+        LogicSimulator(circuit).run(stim, N_PATTERNS)
         counters = recorder.metrics.snapshot()["counters"]
     finally:
         obs.set_recorder(previous)
         recorder.close()
-    assert counters["kernel.compiles"] == 1
-    assert counters["kernel.source_gens"] == 1
-    assert counters["kernel.cache_hits"] >= 1
-
-
-# ---------------------------------------------------------------------------
-# Generated-source sanity
-# ---------------------------------------------------------------------------
-
-
-def test_generated_sources_are_straight_line_python():
-    circuit = random_dag(5, 20, seed=25)
-    logic_src = generate_logic_source(circuit)
-    assert logic_src.startswith("def kernel(")
-    compile(logic_src, "<test>", "exec")  # syntactically valid
-    assert "evaluate_gate" not in logic_src  # no interpreted dispatch
-    start = circuit.outputs[0]
-    sim = FaultSimulator(circuit, kernel="interp")
-    cone_src, n_gates = generate_cone_source(
-        circuit, start, sim._cone_order(start), "detect"
-    )
-    compile(cone_src, "<test>", "exec")
-    assert n_gates == len(sim._cone_order(start)) - 1
+    assert counters["npsim.plans"] == 1
+    assert counters["npsim.plan_cache_hits"] >= 1

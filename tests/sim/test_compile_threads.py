@@ -1,10 +1,9 @@
-"""Thread safety of the compiled-kernel registry.
+"""Thread safety of the numpy plan registry.
 
 The registry is process-global; concurrent simulators (thread-pooled
 incremental evaluators, guard shadow checks racing production runs) hit
-``get_compiled`` / ``function`` / ``clear_registry`` simultaneously.
-The contract: no exceptions, one shared entry per structure, kernels
-compiled exactly once per process, results identical to serial.
+``get_plan`` / ``clear_registry`` simultaneously.  The contract: no
+exceptions, one shared plan per structure, results identical to serial.
 """
 
 from __future__ import annotations
@@ -13,12 +12,8 @@ import threading
 
 from repro.circuit import generators
 from repro.sim import FaultSimulator, LogicSimulator, UniformRandomSource
-from repro.sim.compile import (
-    clear_registry,
-    get_compiled,
-    registry_size,
-    seed_registry,
-)
+from repro.sim.compile import clear_registry
+from repro.sim.npsim import get_plan, plan_registry_size
 
 
 def _run_threads(n, fn):
@@ -47,13 +42,13 @@ def _run_threads(n, fn):
 
 
 class TestRegistryConcurrency:
-    def test_concurrent_get_compiled_shares_one_entry(self):
+    def test_concurrent_get_plan_shares_one_entry(self):
         clear_registry()
         circuit = generators.c17()
-        entries = [None] * 16
-        _run_threads(16, lambda i: entries.__setitem__(i, get_compiled(circuit)))
-        assert all(e is entries[0] for e in entries)
-        assert registry_size() == 1
+        plans = [None] * 16
+        _run_threads(16, lambda i: plans.__setitem__(i, get_plan(circuit)))
+        assert all(p is plans[0] for p in plans)
+        assert plan_registry_size() == 1
         clear_registry()
 
     def test_concurrent_logic_sim_identical_results(self):
@@ -65,14 +60,13 @@ class TestRegistryConcurrency:
         results = [None] * 12
 
         def work(i):
-            sim = LogicSimulator(circuit, kernel="compiled")
+            sim = LogicSimulator(circuit, kernel="numpy")
             results[i] = sim.run(stimulus, n)
 
         _run_threads(12, work)
         assert all(r == reference for r in results)
-        # The logic kernel was generated once, not once per thread.
-        entry = get_compiled(circuit)
-        assert list(entry.sources).count("logic") == 1
+        # Racing builders may each plan, but one plan is kept and shared.
+        assert plan_registry_size() == 1
         clear_registry()
 
     def test_concurrent_fault_sim_over_distinct_circuits(self):
@@ -89,28 +83,28 @@ class TestRegistryConcurrency:
         results = [None] * 8
 
         def work(i):
-            sim = FaultSimulator(circuits[i], kernel="compiled")
+            sim = FaultSimulator(circuits[i], kernel="numpy")
             results[i] = sim.run(stimuli[i], 64).detection_word
 
         _run_threads(8, work)
         assert results == expected
         clear_registry()
 
-    def test_concurrent_seed_and_clear_never_crashes(self):
+    def test_concurrent_plan_and_clear_never_crashes(self):
         clear_registry()
         circuit = generators.c17()
-        sources = dict(
-            get_compiled(circuit).sources
-        ) or {"logic": "def kernel(stim, mask):\n    return {}\n"}
+        stimulus = UniformRandomSource(seed=2).generate(circuit.inputs, 64)
+        reference = LogicSimulator(circuit, kernel="interp").run(stimulus, 64)
 
         def work(i):
             for _ in range(50):
                 if i % 3 == 0:
                     clear_registry()
                 elif i % 3 == 1:
-                    seed_registry(circuit, sources)
+                    get_plan(circuit)
                 else:
-                    get_compiled(circuit)
+                    got = LogicSimulator(circuit).run(stimulus, 64)
+                    assert got == reference
 
         _run_threads(9, work)
         clear_registry()

@@ -6,7 +6,7 @@ dropping), both COP sweeps, and virtual placement evaluation.  These
 tests hold it to that promise with exact ``==`` comparisons (no float
 tolerance anywhere), exercise the packed-state Mapping semantics and the
 plan registry, and verify the Guard shadow machinery catches a planted
-numpy divergence the same way it catches a miscompiled kernel.
+numpy divergence.
 """
 
 import random
@@ -35,7 +35,7 @@ from repro.sim.npsim import (
 from repro.testability.cop import cop_measures
 from repro.verify.guard import Guard
 
-BACKENDS = ("interp", "compiled", "numpy")
+BACKENDS = ("interp", "numpy")
 
 PLACEABLE = (
     TestPointType.OBSERVATION,
@@ -134,11 +134,8 @@ class TestLogicEquality:
             ref = LogicSimulator(circuit, kernel="interp").run(
                 stim, n_patterns
             )
-            for kernel in ("compiled", "numpy"):
-                got = LogicSimulator(circuit, kernel=kernel).run(
-                    stim, n_patterns
-                )
-                assert dict(got) == dict(ref), (circuit.name, kernel)
+            got = LogicSimulator(circuit, kernel="numpy").run(stim, n_patterns)
+            assert dict(got) == dict(ref), circuit.name
 
     def test_forces_fall_back_to_interp(self):
         # Node forces take the interpreted path regardless of backend;
@@ -165,12 +162,11 @@ class TestFaultSimEquality:
             ref = FaultSimulator(circuit, kernel="interp").run(
                 stim, n_patterns, faults=faults
             )
-            for kernel in ("compiled", "numpy"):
-                got = FaultSimulator(circuit, kernel=kernel).run(
-                    stim, n_patterns, faults=faults
-                )
-                assert got.detection_word == ref.detection_word, kernel
-                assert got.first_detect == ref.first_detect, kernel
+            got = FaultSimulator(circuit, kernel="numpy").run(
+                stim, n_patterns, faults=faults
+            )
+            assert got.detection_word == ref.detection_word
+            assert got.first_detect == ref.first_detect
 
     @pytest.mark.parametrize("block", [32, 64, 128])
     def test_coverage_mode_with_fault_dropping(self, block):
@@ -181,11 +177,10 @@ class TestFaultSimEquality:
             ref = FaultSimulator(circuit, kernel="interp").run_coverage(
                 stim, n_patterns, faults=faults, block=block
             )
-            for kernel in ("compiled", "numpy"):
-                got = FaultSimulator(circuit, kernel=kernel).run_coverage(
-                    stim, n_patterns, faults=faults, block=block
-                )
-                assert got.first_detect == ref.first_detect, kernel
+            got = FaultSimulator(circuit, kernel="numpy").run_coverage(
+                stim, n_patterns, faults=faults, block=block
+            )
+            assert got.first_detect == ref.first_detect
 
     def test_per_output_responses(self):
         circuit = generators.random_dag(5, 40, seed=11)
@@ -202,40 +197,49 @@ class TestFaultSimEquality:
             ref = sims["interp"].simulate_fault_responses(
                 fault, goods["interp"], n_patterns
             )
-            for kernel in ("compiled", "numpy"):
-                got = sims[kernel].simulate_fault_responses(
-                    fault, goods[kernel], n_patterns
-                )
-                assert got == ref, (fault, kernel)
+            got = sims["numpy"].simulate_fault_responses(
+                fault, goods["numpy"], n_patterns
+            )
+            assert got == ref, fault
 
-    def test_cone_gate_evals_match_compiled(self):
-        # Per-fault propagation evaluates whole cones like the compiled
-        # kernels (the interpreter's event-driven walk legitimately
-        # skips dead gates, so its count differs).
+    def test_cone_gate_evals_count_whole_cones(self):
+        # Per-fault propagation evaluates every gate of an excited
+        # fault's cone (the interpreter's event-driven walk legitimately
+        # skips dead gates, so its count is only a lower bound).
         circuit = generators.random_dag(5, 40, seed=11)
         stim = _stim(circuit, 128, seed=7)
-        faults = all_stuck_at_faults(circuit)
-        comp = FaultSimulator(circuit, kernel="compiled")
+        good = dict(LogicSimulator(circuit, kernel="interp").run(stim, 128))
         nump = FaultSimulator(circuit, kernel="numpy")
-        good_c = LogicSimulator(circuit, kernel="compiled").run(stim, 128)
-        good_n = LogicSimulator(circuit, kernel="numpy").run(stim, 128)
-        for fault in faults:
-            comp.simulate_fault(fault, good_c, 128)
-            nump.simulate_fault(fault, good_n, 128)
-        assert nump.gate_evals == comp.gate_evals
+        interp = FaultSimulator(circuit, kernel="interp")
+        for fault in all_stuck_at_faults(circuit):
+            start = fault.node if fault.branch is None else fault.branch[0]
+            branch_evals = 0 if fault.branch is None else 1
+            n0, i0 = nump.gate_evals, interp.gate_evals
+            nump.simulate_fault(fault, good, 128)
+            interp.simulate_fault(fault, good, 128)
+            n_evals = nump.gate_evals - n0
+            i_evals = interp.gate_evals - i0
+            cone = len(interp._cone_order(start)) - 1
+            # An unexcited fault stops at injection on both paths; an
+            # excited one makes the interpreter evaluate at least one sink.
+            excited = i_evals > branch_evals
+            assert n_evals == branch_evals + (cone if excited else 0), fault
+            assert i_evals <= n_evals, fault
 
     def test_batched_run_counts_full_sweep_evals(self):
         # run() on a wide fault list takes the batched full-circuit pass,
         # whose honest work metric is gate rows × fault machines — at
-        # least the summed cone sizes the compiled kernels would walk.
+        # least the summed cone sizes the per-cone walks would evaluate.
         circuit = generators.random_dag(5, 40, seed=11)
         stim = _stim(circuit, 128, seed=7)
         faults = all_stuck_at_faults(circuit)
-        comp = FaultSimulator(circuit, kernel="compiled")
-        nump = FaultSimulator(circuit, kernel="numpy")
-        comp.run(stim, 128, faults=faults)
-        nump.run(stim, 128, faults=faults)
-        assert nump.gate_evals >= comp.gate_evals
+        good = LogicSimulator(circuit, kernel="numpy").run(stim, 128)
+        walks = FaultSimulator(circuit, kernel="numpy")
+        for fault in faults:
+            walks.simulate_fault(fault, good, 128)
+        batched = FaultSimulator(circuit, kernel="numpy")
+        batched.run(stim, 128, faults=faults)
+        assert batched.gate_evals >= walks.gate_evals
 
     def test_accepts_plain_dict_good_values(self):
         # Parallel workers ship plain dicts, not PackedState; the numpy
@@ -410,35 +414,14 @@ class TestBatchedFaultSim:
     def test_batch_policy_pins_the_decision(self):
         from repro.sim.fault_sim import BatchPolicy
 
-        circuit = generators.c17()
-        # The old fixed-width regime: cap the batch at 16 words and wide
-        # pattern runs fall back to per-cone walks again.
-        capped = FaultSimulator(
-            circuit, kernel="numpy", batch_policy=BatchPolicy(max_words=16)
-        )
-        assert capped._np_batch_ok(1000, 1024)
-        assert not capped._np_batch_ok(1000, 65536)
         # A higher fault floor declines lists the default accepts.
         picky = FaultSimulator(
-            circuit, kernel="numpy", batch_policy=BatchPolicy(min_faults=64)
+            generators.c17(),
+            kernel="numpy",
+            batch_policy=BatchPolicy(min_faults=64),
         )
         assert not picky._np_batch_ok(32, 64)
         assert picky._np_batch_ok(64, 64)
-
-    def test_batch_policy_from_env(self, monkeypatch):
-        from repro.sim.fault_sim import BatchPolicy
-
-        monkeypatch.setenv("REPRO_NP_BATCH_MIN_FAULTS", "5")
-        monkeypatch.setenv("REPRO_NP_BATCH_MAX_WORDS", "8")
-        monkeypatch.setenv("REPRO_NP_BATCH_CHUNK_BYTES", str(1 << 20))
-        policy = BatchPolicy.from_env()
-        assert policy.min_faults == 5
-        assert policy.max_words == 8
-        assert policy.chunk_bytes == 1 << 20
-        monkeypatch.setenv("REPRO_NP_BATCH_MAX_WORDS", "none")
-        assert BatchPolicy.from_env().max_words is None
-        monkeypatch.setenv("REPRO_NP_BATCH_MAX_WORDS", "0")
-        assert BatchPolicy.from_env().max_words is None
 
 
 class TestCopEquality:
@@ -448,15 +431,12 @@ class TestCopEquality:
             ref = cop_measures(
                 circuit, kernel="interp", stem_combine=stem_combine
             )
-            for kernel in ("compiled", "numpy"):
-                got = cop_measures(
-                    circuit, kernel=kernel, stem_combine=stem_combine
-                )
-                assert got.probability == ref.probability, kernel
-                assert got.observability == ref.observability, kernel
-                assert got.branch_observability == (
-                    ref.branch_observability
-                ), kernel
+            got = cop_measures(
+                circuit, kernel="numpy", stem_combine=stem_combine
+            )
+            assert got.probability == ref.probability
+            assert got.observability == ref.observability
+            assert got.branch_observability == ref.branch_observability
 
     def test_overrides_fall_back_to_interp(self):
         circuit = generators.c17()
@@ -511,9 +491,8 @@ class TestPlacementEquality:
         problem = TPIProblem.from_test_length(circuit, n_patterns=64)
         points = _random_points(circuit, seed * 31 + 7)
         ref = evaluate_placement(problem, points, kernel="interp")
-        for kernel in ("compiled", "numpy"):
-            got = evaluate_placement(problem, points, kernel=kernel)
-            assert _placement_payload(got) == _placement_payload(ref), kernel
+        got = evaluate_placement(problem, points, kernel="numpy")
+        assert _placement_payload(got) == _placement_payload(ref)
 
     def test_empty_placement(self):
         circuit = generators.c17()
@@ -592,7 +571,7 @@ class TestGuardOnNumpy:
 
 
 class TestBackendProperties:
-    """Hypothesis sweep: every backend agrees on every measure."""
+    """Hypothesis sweep: numpy agrees with the interpreter on every measure."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -606,12 +585,11 @@ class TestBackendProperties:
         ref = FaultSimulator(circuit, kernel="interp").run_coverage(
             stim, n_patterns, faults=faults, block=64
         )
-        for kernel in ("compiled", "numpy"):
-            got = FaultSimulator(circuit, kernel=kernel).run_coverage(
-                stim, n_patterns, faults=faults, block=64
-            )
-            assert got.first_detect == ref.first_detect, kernel
-            assert got.n_detected() == ref.n_detected(), kernel
+        got = FaultSimulator(circuit, kernel="numpy").run_coverage(
+            stim, n_patterns, faults=faults, block=64
+        )
+        assert got.first_detect == ref.first_detect
+        assert got.n_detected() == ref.n_detected()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 5000))
@@ -621,14 +599,11 @@ class TestBackendProperties:
         problem = TPIProblem.from_test_length(circuit, n_patterns=64)
         points = _random_points(circuit, seed ^ 0xBEEF)
         ref_ev = evaluate_placement(problem, points, kernel="interp")
-        for kernel in ("compiled", "numpy"):
-            got_cop = cop_measures(circuit, kernel=kernel)
-            assert got_cop.probability == ref_cop.probability, kernel
-            assert got_cop.observability == ref_cop.observability, kernel
-            got_ev = evaluate_placement(problem, points, kernel=kernel)
-            assert _placement_payload(got_ev) == (
-                _placement_payload(ref_ev)
-            ), kernel
+        got_cop = cop_measures(circuit, kernel="numpy")
+        assert got_cop.probability == ref_cop.probability
+        assert got_cop.observability == ref_cop.observability
+        got_ev = evaluate_placement(problem, points, kernel="numpy")
+        assert _placement_payload(got_ev) == _placement_payload(ref_ev)
 
 
 class TestParallelNumpy:

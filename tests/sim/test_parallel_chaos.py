@@ -76,7 +76,7 @@ def _assert_single_fallback(counters, events):
     assert "parallel.chunks_merged" not in counters
 
 
-@pytest.mark.parametrize("kernel", ["compiled", "numpy"])
+@pytest.mark.parametrize("kernel", ["interp", "numpy"])
 @pytest.mark.parametrize("mode", ["exact", "coverage"])
 class TestSingleFallback:
     def test_dead_worker_falls_back_bit_identical(
@@ -140,9 +140,9 @@ class TestDegradation:
     ):
         """A worker raising on its chunk: the whole call runs serially."""
         circuit, stimulus, n = _workload(seed=5)
-        chunk_failure("raise", circuit, "compiled", JOBS)
+        chunk_failure("raise", circuit, "numpy", JOBS)
         result, counters, events = _traced(
-            tmp_path, circuit, stimulus, n, kernel="compiled"
+            tmp_path, circuit, stimulus, n, kernel="numpy"
         )
         _assert_identical(result, _serial(circuit, stimulus, n))
         _assert_single_fallback(counters, events)

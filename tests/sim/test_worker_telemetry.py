@@ -138,9 +138,9 @@ class TestChaosPaths:
         # telemetry records — the fallback must discard every one, or
         # the serial recomputation's faults would double-count.
         circuit, _stimulus, _n = _workload()
-        chunk_failure("malformed", circuit, "compiled", JOBS)
+        chunk_failure("malformed", circuit, "numpy", JOBS)
         _result, counters, events, _rid = _traced_run(
-            tmp_path, kernel="compiled"
+            tmp_path, kernel="numpy"
         )
         assert not _chunk_events(events)
         assert not [n for n in counters if n.startswith("worker.")]
@@ -153,9 +153,9 @@ class TestChaosPaths:
         # A dead worker: the serial recomputation runs in the parent and
         # reports straight into the parent registry, exactly once.
         circuit, _stimulus, _n = _workload()
-        chunk_failure("die", circuit, "compiled", JOBS)
+        chunk_failure("die", circuit, "numpy", JOBS)
         result, counters, events, _rid = _traced_run(
-            tmp_path, kernel="compiled"
+            tmp_path, kernel="numpy"
         )
         fallbacks = [
             e for e in events if e["name"] == "fault_sim.parallel_fallback"

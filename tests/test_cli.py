@@ -330,3 +330,61 @@ class TestBenchCompare:
         with pytest.raises(SystemExit) as exc:
             main(["bench-compare", str(bad)])
         assert exc.value.code == 2
+
+
+class TestRemovedCompiledKernel:
+    """The ``compiled`` backend is gone: its flags and bundles are refused."""
+
+    def test_compiled_kernel_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["coverage", "c17", "--kernel", "compiled"])
+        assert exc.value.code == 2
+
+    def test_fuzz_kernel_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--kernel", "numpy", "--budget-ms", "1"])
+        assert exc.value.code == 2
+
+    def _bundle(self, tmp_path, context, **extra):
+        """A hand-written ``fuzz.logic_sim`` bundle on a 1-gate circuit."""
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        (bundle / "circuit.bench").write_text(
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n"
+        )
+        manifest = {
+            "schema": "repro-bundle/1",
+            "kind": "fuzz.logic_sim",
+            "message": "compiled logic backend disagrees with interpreter",
+            "circuit": "circuit.bench",
+            "context": {"stimulus": {"a": 5, "b": 3}, "n_patterns": 4,
+                        **context},
+            "expected": {"a": 5, "b": 3, "y": 1},
+            "actual": {"a": 5, "b": 3, "y": 7},
+            **extra,
+        }
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        return bundle
+
+    @pytest.mark.parametrize(
+        "context, extra",
+        [
+            ({"kernel": "compiled"}, {}),
+            ({}, {"sources": {"logic": "def kernel(stim, mask):\n"}}),
+        ],
+        ids=["compiled-kernel", "kernel-sources"],
+    )
+    def test_replay_refuses_compiled_bundles(
+        self, tmp_path, capsys, context, extra
+    ):
+        # Replaying on numpy would print a misleading "not reproduced"
+        # (exit 1); the bundle is unsupported instead (exit 2).
+        bundle = self._bundle(tmp_path, context, **extra)
+        assert main(["replay", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert "compiled backend" in err and "removed" in err
+
+    def test_replay_still_runs_numpy_bundles(self, tmp_path, capsys):
+        bundle = self._bundle(tmp_path, {"kernel": "numpy"})
+        assert main(["replay", str(bundle)]) == 1  # healthy engine
+        assert "not reproduced" in capsys.readouterr().out

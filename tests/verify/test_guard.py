@@ -1,4 +1,4 @@
-"""Shadow verification: planted kernel bugs must be caught and bundled."""
+"""Shadow verification: planted engine bugs must be caught and bundled."""
 
 from __future__ import annotations
 
@@ -6,10 +6,11 @@ import json
 
 import pytest
 
+from repro.circuit import GateType
 from repro.circuit.generators import c17, random_dag
 from repro.errors import DivergenceError
-from repro.sim.compile import clear_registry
 from repro.sim.fault_sim import FaultSimulator
+from repro.sim.faults import all_stuck_at_faults
 from repro.sim.logic_sim import LogicSimulator
 from repro.sim.patterns import UniformRandomSource
 from repro.testability.cop import cop_measures
@@ -17,17 +18,8 @@ from repro.verify import (
     Guard,
     GuardedSession,
     load_bundle,
-    plant_kernel_bug,
     replay_bundle,
 )
-from repro.verify.plant import corrupt_source
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    clear_registry()
-    yield
-    clear_registry()
 
 
 def _stim(circuit, n=64, seed=3):
@@ -58,63 +50,50 @@ class TestFaultSimGuard:
         circuit = c17()
         stim = _stim(circuit)
         guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
-        sim = FaultSimulator(circuit, kernel="compiled", guard=guard)
+        sim = FaultSimulator(circuit, kernel="numpy", guard=guard)
         result = sim.run(stim, 64)
         assert guard.checks > 0
         assert guard.divergences == 0
         arbiter = FaultSimulator(circuit, kernel="interp").run(stim, 64)
         assert result.detection_word == arbiter.detection_word
 
-    def test_planted_cone_bug_raises_with_bundle(self, tmp_path):
-        circuit = c17()
+    def test_planted_cone_bug_raises_with_bundle(self, tmp_path, engine_bug):
+        circuit = c17()  # all-NAND: a NAND fold bug hits every cone
         stim = _stim(circuit)
-        # Compile the real kernels once, then corrupt one cone kernel the
-        # way a miscompile would: the source in the registry changes, the
-        # cached callable is dropped, the next run executes the bad code.
-        sim = FaultSimulator(circuit, kernel="compiled")
-        sim.run(stim, 64)
-        from repro.sim.compile import get_compiled
-
-        key = next(
-            k for k in get_compiled(circuit).sources if k.startswith("cone:")
-        )
-        plant_kernel_bug(circuit, key)
-
+        engine_bug(GateType.NAND, GateType.AND)
         guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
-        bad_sim = FaultSimulator(circuit, kernel="compiled", guard=guard)
+        bad_sim = FaultSimulator(circuit, kernel="numpy", guard=guard)
+        # A short fault list keeps run() on the per-cone strategy.
         with pytest.raises(DivergenceError) as info:
-            bad_sim.run(stim, 64)
+            bad_sim.run(stim, 64, faults=all_stuck_at_faults(circuit)[:4])
         exc = info.value
         assert exc.kind == "fault_sim.cone"
         assert exc.bundle_path is not None
         manifest, bundled_circuit = load_bundle(exc.bundle_path)
         assert manifest["kind"] == "fault_sim.cone"
-        assert key in manifest["sources"]
+        assert manifest["context"]["kernel"] == "numpy"
+        assert "sources" not in manifest
         assert sorted(bundled_circuit.inputs) == sorted(circuit.inputs)
 
-    def test_bundle_replays_deterministically(self, tmp_path):
+    def test_bundle_replays_deterministically(self, tmp_path, engine_bug):
         circuit = c17()
         stim = _stim(circuit)
-        FaultSimulator(circuit, kernel="compiled").run(stim, 64)
-        from repro.sim.compile import get_compiled
-
-        key = next(
-            k for k in get_compiled(circuit).sources if k.startswith("cone:")
-        )
-        plant_kernel_bug(circuit, key)
+        lift = engine_bug(GateType.NAND, GateType.AND)
         guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
         with pytest.raises(DivergenceError) as info:
-            FaultSimulator(circuit, kernel="compiled", guard=guard).run(
+            FaultSimulator(circuit, kernel="numpy", guard=guard).run(
                 stim, 64
             )
         for _ in range(2):  # deterministic: replays identically twice
             result = replay_bundle(info.value.bundle_path)
             assert result.reproduced
+        lift()  # a healthy engine no longer reproduces the divergence
+        assert not replay_bundle(info.value.bundle_path).reproduced
 
     def test_unguarded_run_is_unaffected(self):
         circuit = c17()
         stim = _stim(circuit)
-        result = FaultSimulator(circuit, kernel="compiled").run(stim, 64)
+        result = FaultSimulator(circuit, kernel="numpy").run(stim, 64)
         arbiter = FaultSimulator(circuit, kernel="interp").run(stim, 64)
         assert result.detection_word == arbiter.detection_word
 
@@ -123,7 +102,7 @@ class TestCopAndIncrementalGuards:
     def test_cop_clean_under_full_shadowing(self, tmp_path):
         circuit = random_dag(n_inputs=4, n_gates=12, seed=5)
         guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
-        cop_measures(circuit, kernel="compiled", guard=guard)
+        cop_measures(circuit, kernel="numpy", guard=guard)
         assert guard.checks >= 1
         assert guard.divergences == 0
 
@@ -136,7 +115,7 @@ class TestCopAndIncrementalGuards:
             circuit,
             probability_overrides={},
             observed={},
-            kernel="compiled",
+            kernel="numpy",
             guard=guard,
         )
         assert guard.checks >= 1
@@ -156,19 +135,13 @@ class TestCopAndIncrementalGuards:
 
 
 class TestGuardedSession:
-    def test_ambient_guard_catches_planted_bug(self, tmp_path):
+    def test_ambient_guard_catches_planted_bug(self, tmp_path, engine_bug):
         circuit = c17()
         stim = _stim(circuit)
-        FaultSimulator(circuit, kernel="compiled").run(stim, 64)
-        from repro.sim.compile import get_compiled
-
-        key = next(
-            k for k in get_compiled(circuit).sources if k.startswith("cone:")
-        )
-        plant_kernel_bug(circuit, key)
+        engine_bug(GateType.NAND, GateType.AND)
         with pytest.raises(DivergenceError):
             with GuardedSession(fraction=1.0, seed=0, bundle_dir=tmp_path):
-                FaultSimulator(circuit, kernel="compiled").run(stim, 64)
+                FaultSimulator(circuit, kernel="numpy").run(stim, 64)
 
     def test_session_restores_previous_guard(self, tmp_path):
         from repro.verify import active_guard
@@ -182,26 +155,15 @@ class TestGuardedSession:
 
 
 class TestPlanting:
-    def test_corrupt_source_changes_body_not_signature(self):
-        source = "def kernel(gv, fstart, mask):\n    a = b & c\n    return a\n"
-        corrupted, description = corrupt_source(source)
-        assert corrupted != source
-        assert "&" in description
-        assert corrupted.splitlines()[0] == source.splitlines()[0]
-
-    def test_corrupt_source_requires_an_operator(self):
-        with pytest.raises(ValueError):
-            corrupt_source("def kernel():\n    return 0\n")
-
-    def test_planted_logic_bug_changes_simulation(self):
-        from repro.verify import plant_logic_bug
-
+    def test_planted_logic_bug_changes_simulation(self, engine_bug):
         circuit = c17()
         stim = _stim(circuit)
         reference = LogicSimulator(circuit, kernel="interp").run(stim, 64)
-        plant_logic_bug(circuit)
-        corrupted = LogicSimulator(circuit, kernel="compiled").run(stim, 64)
+        lift = engine_bug(GateType.NAND, GateType.AND)
+        corrupted = LogicSimulator(circuit, kernel="numpy").run(stim, 64)
         assert corrupted != reference
+        lift()
+        assert LogicSimulator(circuit, kernel="numpy").run(stim, 64) == reference
 
 
 class TestBundleFormat:
