@@ -19,8 +19,10 @@ Three families, mirroring the performance layer:
   backend at its production sampling fraction.  Two solver-loop
   companions gate the batch where the solver actually spends time: a
   wide-budget dropping coverage run (the word-tiled batch against the
-  interpreter) and a greedy solve driven by the vectorized incremental
-  delta engine against the interpreted dirty-cone walk.
+  interpreter) and a greedy solve driven by the batched candidate
+  scorer against the interpreted dirty-cone walk, plus ungated greedy
+  solves on two deep AND/OR chains, one on each side of the scorer's
+  dispatch rule, where numpy loses.
 
 Every bench records the kernel it ran under its ``kernel`` key, which
 keys its history entries.
@@ -64,6 +66,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 from repro import obs  # noqa: E402
 from repro.obs import history as perf_history  # noqa: E402
 from repro.circuit.generators import (  # noqa: E402
+    and_or_chain,
     gray_to_binary,
     random_dag,
     random_tree,
@@ -83,6 +86,7 @@ from repro.sim import (  # noqa: E402
     run_parallel,
     testable_stuck_at_faults,
 )
+from repro.sim import npsim  # noqa: E402
 from repro.sim.patterns import UniformRandomSource  # noqa: E402
 from repro.verify import GuardedSession  # noqa: E402
 
@@ -389,13 +393,13 @@ def bench_numpy_wide_coverage(repeats: int, quick: bool) -> Dict[str, object]:
 
 
 def _numpy_incremental_workload(quick: bool):
-    """A wide-level DAG where the vectorized delta engine is live.
+    """A wide-level DAG where the vectorized candidate scorer is live.
 
     ``random_dag`` at this fan-in span levelizes to ~150 rows per level —
     far past :data:`repro.sim.npsim.DELTA_MIN_MEAN_WIDTH` — so the numpy
-    solve runs :class:`~repro.sim.npsim.PlacementDelta` with no override.
-    The fault stride keeps the greedy candidate loop (the measured
-    region) dominant over the one-off problem setup.
+    solve scores every round on :class:`~repro.sim.npsim.PlacementBatch`
+    with no override.  The fault stride keeps the greedy candidate loop
+    (the measured region) dominant over the one-off problem setup.
     """
     circuit = random_dag(128, 4000, seed=7, fanin_span=400)
     problem = TPIProblem.from_test_length(
@@ -408,13 +412,15 @@ def _numpy_incremental_workload(quick: bool):
 
 
 def bench_numpy_incremental(repeats: int, quick: bool) -> Dict[str, object]:
-    """Greedy solve, numpy incremental deltas vs interp incremental.
+    """Greedy solve, numpy incremental scoring vs interp incremental.
 
     Both sides run the same :class:`IncrementalEvaluator` bookkeeping;
-    the measured gap is purely the delta re-propagation engine — the
-    level-granular vectorized recompute against the interpreted
-    dirty-cone walk — so this gates tentpole piece (2) end to end on the
-    solver loop it was built for.  Solutions must match exactly.
+    the measured gap is the candidate scoring engine — each round's
+    candidates scored together in column-batched level sweeps
+    (:meth:`~repro.core.incremental.IncrementalEvaluator.candidate_gains`
+    on :class:`~repro.sim.npsim.PlacementBatch`) against the interpreted
+    dirty-cone walk, one candidate at a time — end to end on the solver
+    loop it was built for.  Solutions must match exactly.
     """
     _circuit, problem, faults, max_iterations = _numpy_incremental_workload(
         quick
@@ -449,6 +455,59 @@ def bench_numpy_incremental(repeats: int, quick: bool) -> Dict[str, object]:
         "points_placed": len(got_n.points),
         "identical_solutions": True,
     }
+
+
+#: Deep-chain greedy cases: (gates, iterations quick, iterations full).
+#: The 300-gate chain sits just past the batched scorer's break-even
+#: (about 2 rows per level times 18 columns per chunk); the 1500-gate
+#: chain fits only 3 columns per chunk, so it stays on the walk.
+DEEP_CHAINS = ((300, 40, 200), (1500, 10, 40))
+
+
+def bench_greedy_deep_chain(repeats: int, quick: bool) -> Dict[str, object]:
+    """Greedy on deep AND/OR chains, numpy vs interp, one per side of the
+    batched scorer's dispatch rule.
+
+    One gate per level puts both chains at the narrow end of
+    :func:`~repro.sim.npsim.batch_profitable`: the 300-gate chain is
+    scored in batches, the 1500-gate chain on the interpreted walk
+    (``batched_chain<gates>`` records the decision).  Every round's
+    full placement pass pays numpy's per-level dispatch, so numpy greedy
+    loses to interp on both.  Recorded, not gated.
+    """
+    del repeats
+    out: Dict[str, object] = {
+        "workload": "",
+        "kernel": "numpy",
+        "identical_solutions": True,
+    }
+    workloads = []
+    for gates, quick_iterations, full_iterations in DEEP_CHAINS:
+        circuit = and_or_chain(gates)
+        problem = TPIProblem.from_test_length(circuit, n_patterns=4096)
+        max_iterations = quick_iterations if quick else full_iterations
+
+        def run(kernel: str):
+            return solve_greedy(
+                problem, kernel=kernel, max_iterations=max_iterations
+            )
+
+        t_interp, got_i = _best_of(1, lambda: run("interp"))
+        t_numpy, got_n = _best_of(1, lambda: run("numpy"))
+        assert _solution_key(got_n) == _solution_key(got_i), (
+            f"numpy greedy diverged from interp on {circuit.name}"
+        )
+        plan = npsim.get_plan(circuit)
+        tag = f"chain{gates}"
+        workloads.append(f"{tag}, {max_iterations} iterations")
+        out[f"batched_{tag}"] = npsim.batch_profitable(
+            plan, npsim.gain_batch_columns(plan)
+        )
+        out[f"seconds_interp_{tag}"] = round(t_interp, 4)
+        out[f"seconds_numpy_{tag}"] = round(t_numpy, 4)
+        out[f"speedup_{tag}"] = round(t_interp / t_numpy, 2)
+    out["workload"] = "greedy, 4096 patterns: " + "; ".join(workloads)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +659,7 @@ def run_all(
             "numpy_fault_sim": bench_numpy_fault_sim(repeats, quick),
             "numpy_wide_coverage": bench_numpy_wide_coverage(repeats, quick),
             "numpy_incremental": bench_numpy_incremental(repeats, quick),
+            "greedy_deep_chain": bench_greedy_deep_chain(repeats, quick),
             "numpy_guard_overhead": bench_numpy_guard_overhead(
                 repeats, quick
             ),

@@ -12,7 +12,8 @@ its arbiter —
 * numpy fault simulation vs the interpreter, fault by fault;
 * fault dropping (:meth:`run_coverage`) vs the exact run it must match;
 * numpy COP and placement passes vs the interpreted passes;
-* :class:`IncrementalEvaluator` deltas vs a from-scratch full pass;
+* :class:`IncrementalEvaluator` deltas vs a from-scratch full pass, and
+  its batched candidate gains vs the interpreted walk;
 * the batched fault sweep forced across word-tile and chunk seams;
 * the DP's claimed optimum vs exhaustive search under the quantized
   objective, on small fanout-free instances (the paper's exactness
@@ -29,7 +30,6 @@ failing fuzz run replays exactly.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -40,11 +40,12 @@ from ..circuit.generators import random_dag, random_tree
 from ..circuit.netlist import Circuit
 from ..core.dp import quantized_tree_check, solve_tree
 from ..core.exhaustive import solve_exhaustive
-from ..core.incremental import IncrementalEvaluator
+from ..core.incremental import GAINS_DIVERGENCE, IncrementalEvaluator
 from ..core.problem import TestPoint, TPIProblem
 from ..core.virtual import evaluate_placement
 from ..errors import BudgetExceededError, SolverError
 from ..resilience import Budget
+from ..sim import npsim
 from ..sim.fault_sim import FaultSimulator
 from ..sim.logic_sim import LogicSimulator
 from ..sim.patterns import UniformRandomSource
@@ -313,36 +314,58 @@ def _check_incremental(circuit: Circuit, seed: int) -> Optional[_Divergence]:
     problem = TPIProblem.from_test_length(circuit, n_patterns=64)
     points = _random_points(problem, rng, rng.randint(1, 3))
     base = points[: rng.randint(0, len(points))]
-    # Fuzz-sized circuits are narrower than the vectorized delta engine's
-    # adaptive cutoff; force it on so the lane actually attacks
-    # PlacementDelta rather than the interpreted walk.
-    prior = os.environ.get("REPRO_NP_DELTA_MIN_WIDTH")
-    os.environ["REPRO_NP_DELTA_MIN_WIDTH"] = "0"
-    try:
+    # Fuzz-sized circuits are narrower than the vectorized engines'
+    # adaptive cutoffs; force them on so the lane actually attacks
+    # PlacementDelta and PlacementBatch rather than the interpreted walk.
+    with npsim.forced_delta():
         inc = IncrementalEvaluator(problem, base, kernel="numpy")
         fast = _evaluation_payload(inc.evaluate(points))
-    finally:
-        if prior is None:
-            del os.environ["REPRO_NP_DELTA_MIN_WIDTH"]
-        else:
-            os.environ["REPRO_NP_DELTA_MIN_WIDTH"] = prior
     slow = _evaluation_payload(
         evaluate_placement(problem, points, kernel="interp")
     )
-    if fast == slow:
-        return None
-    return _Divergence(
-        kind="fuzz.incremental",
-        context={
-            "problem": problem_to_payload(problem),
-            "base_points": [point_to_payload(p) for p in base],
-            "points": [point_to_payload(p) for p in points],
-            "kernel": inc.kernel,
-        },
-        expected=slow,
-        actual=fast,
-        message="incremental delta disagrees with from-scratch full pass",
-    )
+    if fast != slow:
+        return _Divergence(
+            kind="fuzz.incremental",
+            context={
+                "problem": problem_to_payload(problem),
+                "base_points": [point_to_payload(p) for p in base],
+                "points": [point_to_payload(p) for p in points],
+                "kernel": inc.kernel,
+            },
+            expected=slow,
+            actual=fast,
+            message="incremental delta disagrees with from-scratch full pass",
+        )
+    return _check_candidate_gains(inc, rng)
+
+
+def _check_candidate_gains(
+    inc: IncrementalEvaluator, rng: random.Random
+) -> Optional[_Divergence]:
+    """Batched candidate gains vs the interpreted walk, candidate by candidate."""
+    circuit = inc.circuit
+    controlled = {(p.node, p.branch) for p in inc.base_points if p.kind.is_control}
+    kinds = list(inc.problem.allowed_types)
+    candidates = []
+    for name in rng.sample(list(circuit.node_names), min(8, len(circuit.node_names))):
+        sinks = circuit.fanouts(name)
+        branch = rng.choice(sinks) if sinks and rng.random() < 0.5 else None
+        kind = rng.choice(kinds)
+        if not (kind.is_control and (name, branch) in controlled):
+            candidates.append(TestPoint(name, kind, branch=branch))
+    with npsim.forced_delta():
+        batched = inc.candidate_gains(candidates)
+    for index, (cand, gain) in enumerate(zip(candidates, batched)):
+        walked = inc._walk_gain(cand)
+        if walked != gain:
+            return _Divergence(
+                kind="incremental.gains",
+                context=inc.gains_bundle_context(candidates, index),
+                expected=walked,
+                actual=gain,
+                message=GAINS_DIVERGENCE,
+            )
+    return None
 
 
 def _check_dp_vs_exhaustive(

@@ -37,6 +37,7 @@ __all__ = [
     "wide_and_cone",
     "wide_or_cone",
     "rpr_corridor",
+    "and_or_chain",
     "rpr_mixed",
     "barrel_shifter",
     "priority_encoder",
@@ -402,6 +403,23 @@ def rpr_corridor(length: int, name: Optional[str] = None) -> Circuit:
         side = b.input(f"g{i}")
         cur = b.and_(cur, side, name=f"c{i}")
     b.output(cur)
+    return b.build()
+
+
+def and_or_chain(gates: int, name: Optional[str] = None) -> Circuit:
+    """Alternating AND/OR chain: each gate takes the chain and a fresh input.
+
+    One gate per level, ``gates`` levels deep — the deep, narrow extreme
+    of circuit shape (deeper than Python's recursion limit at 1500 gates).
+    """
+    if gates < 1:
+        raise ValueError("chain length must be positive")
+    b = CircuitBuilder(name or f"chain{gates}")
+    acc = b.input("x0")
+    for i in range(gates):
+        kind = GateType.AND if i % 2 == 0 else GateType.OR
+        acc = b.gate(kind, [acc, b.input(f"x{i + 1}")], name=f"g{i}")
+    b.output(acc)
     return b.build()
 
 

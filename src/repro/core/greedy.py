@@ -9,7 +9,8 @@ measurably suboptimal on trees where the DP is exact (experiment T3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import functools
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..resilience import Budget
@@ -127,9 +128,10 @@ def solve_greedy(
         Evaluation kernel for the COP passes (``"numpy"`` or
         ``"interp"``); default is the process-wide
         :data:`~repro.sim.compile.DEFAULT_KERNEL`.  With ``"numpy"``
-        the incremental candidate scoring also runs its dirty-cone
-        deltas on the array engine
-        (:class:`~repro.sim.npsim.PlacementDelta`).
+        the incremental evaluator scores each round's candidates in
+        column-batched level sweeps
+        (:class:`~repro.sim.npsim.PlacementBatch`) where its dispatch
+        rule expects them to beat the interpreted walk.
     """
     if faults is None:
         faults = testable_stuck_at_faults(problem.circuit)
@@ -143,6 +145,11 @@ def solve_greedy(
         else None
     )
 
+    tick = (
+        None
+        if budget is None
+        else functools.partial(budget.tick, "greedy.candidate")
+    )
     heartbeat = obs.Heartbeat("greedy.solve")
     for _ in range(max_iterations):
         iterations += 1
@@ -167,10 +174,22 @@ def solve_greedy(
         candidates = _candidate_points(
             problem, evaluation, failing, points, candidate_limit
         )
+        if inc is not None:
+            gains: Iterable[int] = inc.candidate_gains(candidates, tick=tick)
+        else:
+            gains = (
+                len(failing)
+                - len(
+                    evaluate_placement(
+                        problem, points + [cand], kernel=kernel
+                    ).failing_faults(faults)
+                )
+                for cand in candidates
+            )
         best: Optional[TestPoint] = None
         best_score = 0.0
         best_key: Tuple = ()
-        for cand in candidates:
+        for cand, fixed in zip(candidates, gains):
             evaluations += 1
             if budget is not None:
                 budget.tick("greedy.candidate")
@@ -179,11 +198,6 @@ def solve_greedy(
                 points=len(points),
                 evaluations=evaluations,
             )
-            if inc is not None:
-                fixed = inc.candidate_gain(cand)
-            else:
-                after = evaluate_placement(problem, points + [cand], kernel=kernel)
-                fixed = len(failing) - len(after.failing_faults(faults))
             if fixed <= 0:
                 continue
             score = fixed / problem.costs.of(cand.kind)

@@ -23,7 +23,7 @@ the property tests assert exact equality, so the from-scratch evaluator
 remains the single ground-truth arbiter while the solvers run on this
 fast path.
 
-The :meth:`IncrementalEvaluator.candidate_gain` entry point additionally
+The :meth:`IncrementalEvaluator.candidate_gains` entry point additionally
 avoids materializing a :class:`VirtualEvaluation` at all: only faults on
 wires whose excitation or observability changed can change feasibility
 status, so scoring a candidate is O(dirty region + affected faults)
@@ -33,7 +33,9 @@ instead of O(|C| + |F|).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .. import obs
 from ..circuit.gates import (
@@ -52,7 +54,19 @@ from .problem import (
 )
 from .virtual import VirtualEvaluation, evaluate_placement, split_placement
 
-__all__ = ["IncrementalEvaluator"]
+__all__ = ["GAINS_DIVERGENCE", "IncrementalEvaluator", "PATCH_FIELDS"]
+
+#: Message of ``incremental.gains`` divergences (guard and fuzzer).
+GAINS_DIVERGENCE = (
+    "batched candidate gain disagrees with the interpreted dirty-cone walk"
+)
+
+#: Names of the seven patch dicts a delta returns, in order (the
+#: :class:`~repro.core.virtual.VirtualEvaluation` fields they patch).
+PATCH_FIELDS = (
+    "stem_pre", "stem_post", "branch_pre", "branch_post",
+    "wire_obs", "branch_obs", "stem_post_obs",
+)
 
 _BranchKey = Tuple[str, str, int]
 #: Per-site point summary: (control kind or None, observed?).
@@ -106,7 +120,7 @@ class IncrementalEvaluator:
     faults:
         Fault list used by the failing-fault bookkeeping (default: the
         circuit's full stuck-at list).  Only relevant for
-        :meth:`failing_faults` / :meth:`candidate_gain`.
+        :meth:`failing_faults` / :meth:`candidate_gains`.
     """
 
     def __init__(
@@ -136,11 +150,15 @@ class IncrementalEvaluator:
         self.kernel = resolve_kernel(kernel)
         self.circuit = problem.circuit
         circuit = self.circuit
+        self._plan: Optional[npsim.CircuitPlan] = None
         self._np_delta: Optional[npsim.PlacementDelta] = None
+        #: Column-batched candidate scorer, built by the first
+        #: :meth:`candidate_gains` call the dispatch rule sends to it.
+        self._batch: Optional[npsim.PlacementBatch] = None
         if self.kernel == "numpy":
-            plan = npsim.get_plan(circuit)
-            if npsim.delta_profitable(plan):
-                self._np_delta = npsim.PlacementDelta(plan)
+            self._plan = npsim.get_plan(circuit)
+            if npsim.delta_profitable(self._plan):
+                self._np_delta = npsim.PlacementDelta(self._plan)
         self._topo = circuit.topological_order()
         self._level = circuit.levels()
         self._node = {name: circuit.node(name) for name in self._topo}
@@ -178,20 +196,52 @@ class IncrementalEvaluator:
         self.base_points = list(points)
         self.base = evaluate_placement(self.problem, points, kernel=self.kernel)
         self._base_stems, self._base_branches = _site_states(points)
+        self._array_base: Optional[npsim.PlacementBase] = None
         if self._np_delta is not None:
-            self._np_delta.rebase(
-                self.base,
-                self._base_stems,
-                self._base_branches,
-                control_observability_factor,
-            )
+            self._np_delta.rebase(self._placement_base())
         theta = self.problem.threshold - 1e-12
         self._failing: Set[Fault] = {
             f
             for f in self._faults
             if self.base.fault_detection(f) < theta
         }
+        if self._batch is not None:
+            self._rebase_batch()
         return self.base
+
+    def _placement_base(self) -> npsim.PlacementBase:
+        """The base placement in array form (built once per rebase)."""
+        if self._array_base is None:
+            self._array_base = npsim.PlacementBase(
+                self._plan,
+                self.base,
+                self._base_stems,
+                self._base_branches,
+                control_observability_factor,
+            )
+        return self._array_base
+
+    def _wire_counts(self, faults):
+        """Fault counts per wire: ``(2, n_rows)`` stems and ``(2, n_edges)``
+        branches, row 0 stuck-at-0 and row 1 stuck-at-1."""
+        plan = self._plan
+        stems = np.zeros((2, plan.n_rows), dtype=np.float64)
+        branches = np.zeros((2, plan.n_edges), dtype=np.float64)
+        for f in faults:
+            if f.branch is None:
+                stems[f.value, plan.row[f.node]] += 1
+            else:
+                branches[f.value, plan.edge_id[(f.node, *f.branch)]] += 1
+        return stems, branches
+
+    def _rebase_batch(self) -> None:
+        """Hand the current base and its failing faults to the batch."""
+        stems, branches = self._wire_counts(
+            f for f in self._faults if f in self._failing
+        )
+        self._batch.rebase(
+            self._placement_base(), stems.sum(axis=0), branches.sum(axis=0)
+        )
 
     def failing_faults(self) -> List[Fault]:
         """Failing faults of the base placement (cached, base fault list)."""
@@ -269,14 +319,10 @@ class IncrementalEvaluator:
         finally:
             self.stats.clear()
             self.stats.update(saved)
-        names = (
-            "stem_pre", "stem_post", "branch_pre", "branch_post",
-            "wire_obs", "branch_obs", "stem_post_obs",
-        )
         guard.confirm(
             "incremental.delta",
-            expected=dict(zip(names, expected)),
-            actual=dict(zip(names, patches)),
+            expected=dict(zip(PATCH_FIELDS, expected)),
+            actual=dict(zip(PATCH_FIELDS, patches)),
             circuit=self.circuit,
             context={
                 "problem": problem_to_payload(self.problem),
@@ -567,21 +613,21 @@ class IncrementalEvaluator:
             ),
         )
 
-    def candidate_gain(self, candidate: TestPoint) -> int:
-        """Net failing-fault reduction of adding ``candidate`` to the base.
+    def _candidate_diff(
+        self, candidate: TestPoint
+    ) -> Optional[Tuple[object, _SiteState]]:
+        """The one site ``candidate`` changes and its new state.
 
-        Equals ``len(failing(base)) - len(failing(base + [candidate]))``
-        over this evaluator's fault list, computed by re-checking only the
-        faults that live on wires whose excitation or observability
-        actually changed.
+        ``None`` when adding the candidate changes nothing (an
+        observation point on an already-observed wire); ``ValueError``
+        for a second control point on one wire.
         """
-        stem_diff: Dict[str, _SiteState] = {}
-        branch_diff: Dict[_BranchKey, _SiteState] = {}
         if candidate.branch is None:
-            old = self._base_stems.get(candidate.node, _NO_POINT)
+            site = candidate.node
+            old = self._base_stems.get(site, _NO_POINT)
         else:
-            key = (candidate.node, candidate.branch[0], candidate.branch[1])
-            old = self._base_branches.get(key, _NO_POINT)
+            site = (candidate.node, candidate.branch[0], candidate.branch[1])
+            old = self._base_branches.get(site, _NO_POINT)
         if candidate.kind.is_control:
             if old[0] is not None:
                 raise ValueError(
@@ -591,11 +637,15 @@ class IncrementalEvaluator:
         else:
             new = (old[0], True)
         if new == old:
-            return 0
-        if candidate.branch is None:
-            stem_diff[candidate.node] = new
+            return None
+        return site, new
+
+    def _site_gain(self, site, new: _SiteState) -> int:
+        """Gain of one changed site, re-propagated by the interpreted walk."""
+        if isinstance(site, tuple):
+            patches = self._delta_interp({}, {site: new})
         else:
-            branch_diff[key] = new
+            patches = self._delta_interp({site: new}, {})
         (
             stem_pre,
             _stem_post,
@@ -604,17 +654,17 @@ class IncrementalEvaluator:
             wire_obs,
             branch_obs,
             _stem_post_obs,
-        ) = self._delta(stem_diff, branch_diff)
+        ) = patches
         theta = self.problem.threshold - 1e-12
         base = self.base
         gain = 0
         touched_stems = stem_pre.keys() | wire_obs.keys()
-        for site in touched_stems:
-            faults = self._stem_faults.get(site)
+        for name in touched_stems:
+            faults = self._stem_faults.get(name)
             if not faults:
                 continue
-            p = stem_pre.get(site, base.stem_pre[site])
-            o = wire_obs.get(site, base.wire_obs[site])
+            p = stem_pre.get(name, base.stem_pre[name])
+            o = wire_obs.get(name, base.wire_obs[name])
             for f in faults:
                 excitation = p if f.value == 0 else (1.0 - p)
                 fails_now = excitation * o < theta
@@ -639,6 +689,136 @@ class IncrementalEvaluator:
                 elif not failed_before and fails_now:
                     gain -= 1
         return gain
+
+    def candidate_gain(self, candidate: TestPoint) -> int:
+        """Net failing-fault reduction of adding ``candidate`` to the base.
+
+        Equals ``len(failing(base)) - len(failing(base + [candidate]))``
+        over this evaluator's fault list, computed by re-checking only the
+        faults that live on wires whose excitation or observability
+        actually changed: :meth:`candidate_gains` of one candidate.
+        """
+        return self.candidate_gains([candidate])[0]
+
+    def _walk_gain(self, candidate: TestPoint) -> int:
+        """:meth:`candidate_gain` on the interpreted walk, stats untouched."""
+        saved = dict(self.stats)
+        try:
+            diff = self._candidate_diff(candidate)
+            if diff is None:
+                return 0
+            return self._site_gain(*diff)
+        finally:
+            self.stats.clear()
+            self.stats.update(saved)
+
+    def candidate_gains(
+        self,
+        candidates: Sequence[TestPoint],
+        tick: Optional[Callable[[], None]] = None,
+    ) -> List[int]:
+        """:meth:`candidate_gain` of each candidate, against the same base.
+
+        On the numpy kernel, when :func:`~repro.sim.npsim.batch_profitable`
+        expects level sweeps over a chunk of candidate columns to beat
+        walking them one at a time, the scores come from
+        :class:`~repro.sim.npsim.PlacementBatch`; otherwise (and always
+        on ``kernel="interp"``) each candidate is scored by the
+        interpreted dirty-cone walk.  Every candidate is validated before
+        any is scored.  ``tick`` (a budget check) runs before each walked
+        candidate and before each batch chunk.  Under a guard, each
+        batched candidate flips one sampling coin, and a sampled one is
+        re-scored on the interpreted walk.
+        """
+        diffs = [self._candidate_diff(c) for c in candidates]
+        live = [i for i, diff in enumerate(diffs) if diff is not None]
+        gains = [0] * len(candidates)
+        batch = self._gain_batch(len(live))
+        if batch is None:
+            for i in live:
+                if tick is not None:
+                    tick()
+                gains[i] = self._site_gain(*diffs[i])
+            return gains
+        plan = self._plan
+        sites = []
+        for i in live:
+            site, (ctrl, observed) = diffs[i]
+            kind = candidates[i].kind
+            branch = isinstance(site, tuple)
+            sites.append((
+                branch,
+                plan.edge_id[site] if branch else plan.row[site],
+                kind if kind.is_control else None,
+                control_observability_factor(ctrl) if ctrl is not None else 1.0,
+                0.0 if observed else 1.0,
+            ))
+        scored, recomputed = batch.gains(
+            sites,
+            control_probability_transform,
+            self.problem.threshold - 1e-12,
+            tick,
+        )
+        self.stats["deltas"] += len(live)
+        self.stats["nodes_recomputed"] += recomputed
+        guard = self._active_guard(self._guard)
+        for i, gain in zip(live, scored):
+            gains[i] = gain
+            if guard is not None and guard.should_check():
+                self._shadow_gain_check(guard, candidates, i, gain)
+        return gains
+
+    def _gain_batch(self, n_live: int) -> Optional[npsim.PlacementBatch]:
+        """The batch scorer when it should score ``n_live`` candidates."""
+        if self._plan is None or not n_live:
+            return None
+        columns = npsim.gain_batch_columns(self._plan)
+        if not npsim.batch_profitable(self._plan, min(columns, n_live)):
+            return None
+        if self._batch is None:
+            self._batch = npsim.PlacementBatch(
+                self._plan, columns, *self._wire_counts(self._faults)
+            )
+            self._rebase_batch()
+        return self._batch
+
+    def gains_bundle_context(
+        self, candidates: Sequence[TestPoint], index: int
+    ) -> dict:
+        """Replay inputs of an ``incremental.gains`` divergence bundle."""
+        from ..verify.bundle import (
+            fault_to_payload,
+            point_to_payload,
+            problem_to_payload,
+        )
+
+        return {
+            "problem": problem_to_payload(self.problem),
+            "base_points": [point_to_payload(p) for p in self.base_points],
+            "faults": [fault_to_payload(f) for f in self._faults],
+            "candidates": [point_to_payload(c) for c in candidates],
+            "index": index,
+            "kernel": self.kernel,
+        }
+
+    def _shadow_gain_check(
+        self, guard, candidates: Sequence[TestPoint], index: int, gain: int
+    ) -> None:
+        """Compare one batched gain against the interpreted walk."""
+        expected = self._walk_gain(candidates[index])
+        guard.confirm(
+            "incremental.gains",
+            expected=expected,
+            actual=gain,
+            circuit=self.circuit,
+            # only a divergence needs the (large) fault-list payload
+            context=(
+                None
+                if expected == gain
+                else self.gains_bundle_context(candidates, index)
+            ),
+            message=GAINS_DIVERGENCE,
+        )
 
     def commit(self, candidate: TestPoint) -> VirtualEvaluation:
         """Append ``candidate`` to the base placement and rebase."""

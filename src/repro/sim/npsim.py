@@ -56,6 +56,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,14 +71,20 @@ __all__ = [
     "BATCH_CHUNK_BYTES",
     "BATCH_TILE_MIN_SITES",
     "DELTA_MIN_MEAN_WIDTH",
+    "GAIN_BATCH_BYTES",
     "CircuitPlan",
     "ConePlan",
     "PackedState",
+    "PlacementBase",
+    "PlacementBatch",
     "PlacementDelta",
     "batch_capacity",
+    "batch_profitable",
     "batch_staging_rows",
     "batch_tile_words",
     "delta_profitable",
+    "forced_delta",
+    "gain_batch_columns",
     "get_plan",
     "clear_plans",
     "plan_registry_size",
@@ -269,6 +276,92 @@ def _sens_fold(kind: str, side_cols) -> "np.ndarray":
     for k in range(1, side_cols.shape[1]):
         sens *= 1.0 - side_cols[:, k]
     return sens
+
+
+# ---------------------------------------------------------------------------
+# Placement level sweeps (shared by the full pass, deltas and the batch)
+# ---------------------------------------------------------------------------
+# The arrays are ``(n,)`` for one placement or ``(n, C)`` for a column
+# batch of C placements; every formula is elementwise, so a column holds
+# exactly the floats a one-placement sweep would.  Control sites are
+# ``(position, index, kind)`` fixes: ``position`` is the row or edge id,
+# ``index`` what to write (the same id for a site every column shares, a
+# ``(row, column)`` pair for one column's own site).
+
+
+def _forward_level(plan, entry, Q, S, T, s_fix, e_fix, cpt) -> None:
+    """Recompute one level of the placement forward pass in place.
+
+    ``Q`` / ``S`` hold node probabilities before / after stem control
+    points, ``T`` the branch-post values; ``s_fix`` / ``e_fix`` are the
+    stem / branch control fixes (those outside the level are skipped).
+    """
+    for gi in entry.fwd_groups:
+        gate_type, arity, lo, hi, _f = plan.logic_groups[gi]
+        in_edges = plan.place_in_edges[gi]
+        cols = (
+            T[in_edges]
+            if in_edges is not None
+            else np.empty((hi - lo, 0) + T.shape[1:], dtype=np.float64)
+        )
+        _eval_prob_group(gate_type, arity, cols, Q[lo:hi])
+    nlo, nhi = entry.node_lo, entry.node_hi
+    S[nlo:nhi] = Q[nlo:nhi]
+    for r, idx, ctl in s_fix:
+        if nlo <= r < nhi:
+            S[idx] = cpt(ctl, Q[idx])
+    elo, ehi = entry.edge_lo, entry.edge_hi
+    if ehi > elo:
+        T[elo:ehi] = S[plan.edge_driver_rows[elo:ehi]]
+        for e, idx, ctl in e_fix:
+            if elo <= e < ehi:
+                T[idx] = cpt(ctl, T[idx])
+
+
+def _backward_level(
+    entry, fold, T, WO, PO, OB, Fs, Zms, Fe, Zme, s_fix=(), e_fix=()
+) -> None:
+    """Recompute one level of the placement backward pass in place.
+
+    ``fold`` is the level's stem escape fold
+    (:meth:`CircuitPlan.stem_folds`).
+    ``Fs``/``Zms``/``Fe``/``Zme`` are the stem and edge control factors
+    and observation zero-multipliers (1.0 where no point sits, so the
+    sweeps stay branch-free yet reproduce the interpreter's ``f * x`` and
+    ``z * (1.0 - 1.0)``); batches pass them as ``(n, 1)`` columns.
+    ``s_fix`` / ``e_fix`` are ``(row or edge, column, factor,
+    zero_multiplier)`` overrides for one batch column's own site.
+    """
+    for grp in entry.edge_groups:
+        lo, hi = grp.lo, grp.hi
+        if grp.kind == "one":
+            x = WO[grp.sink_rows] * 1.0
+        else:
+            x = WO[grp.sink_rows] * _sens_fold(grp.kind, T[grp.side_edges])
+        z = 1.0 - Fe[lo:hi] * x
+        z *= Zme[lo:hi]
+        np.subtract(1.0, z, out=OB[lo:hi])
+        for e, k, f, zm in e_fix:
+            if lo <= e < hi:
+                OB[e, k] = 1.0 - (1.0 - f * float(x[e - lo, k])) * zm
+    # Stem escape folds, one reduceat segment per stem: each segment is
+    # multiplied left to right, the interpreter's order (its leading
+    # ``1.0 *`` is exact).  An output's escape starts at 1.0 - 1.0, and
+    # zero times finite non-negative factors is 0.0, so its observability
+    # is exactly 1.0; a stem with no branches that is no output gets 0.0.
+    edges, starts, rows, out_rows, dead_rows = fold
+    if len(rows):
+        esc = np.multiply.reduceat(1.0 - OB[edges], starts, axis=0)
+        PO[rows] = 1.0 - esc
+    PO[out_rows] = 1.0
+    PO[dead_rows] = 0.0
+    nlo, nhi = entry.node_lo, entry.node_hi
+    z2 = 1.0 - Fs[nlo:nhi] * PO[nlo:nhi]
+    z2 *= Zms[nlo:nhi]
+    np.subtract(1.0, z2, out=WO[nlo:nhi])
+    for r, k, f, zm in s_fix:
+        if nlo <= r < nhi:
+            WO[r, k] = 1.0 - (1.0 - f * float(PO[r, k])) * zm
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +850,30 @@ class _Level:
         self.fwd_groups: List[int] = []  # indexes into plan.logic_groups
 
 
+def _stem_fold(entry: _Level) -> tuple:
+    """One level's stem escape fold (see :meth:`CircuitPlan.stem_folds`)."""
+    empty = np.empty(0, dtype=np.intp)
+    folded = [g for g in entry.stem_groups if g.contribs.shape[1]]
+    sizes = np.concatenate(
+        [np.full(len(g.node_rows), g.contribs.shape[1]) for g in folded]
+        or [empty]
+    )
+
+    def rows(groups):
+        return np.concatenate([g.node_rows for g in groups] or [empty])
+
+    return (
+        np.concatenate([g.contribs.ravel() for g in folded] or [empty]),
+        (np.cumsum(sizes) - sizes).astype(np.intp),
+        rows(folded),
+        rows([g for g in entry.stem_groups if g.is_out]),
+        rows([
+            g for g in entry.stem_groups
+            if not g.is_out and not g.contribs.shape[1]
+        ]),
+    )
+
+
 class CircuitPlan:
     """All index arrays needed to simulate one circuit structure.
 
@@ -983,6 +1100,25 @@ class CircuitPlan:
     def _names_of_level(self, entry: _Level) -> List[str]:
         return self._row_names[entry.node_lo : entry.node_hi]
 
+    def stem_folds(self) -> List[tuple]:
+        """Per level entry, the stem escape fold of the placement sweeps.
+
+        ``(edges, starts, rows, out_rows, dead_rows)``: the branch edges
+        of the level's stems, stem by stem in fanout order, with one
+        ``reduceat`` segment per stem that has branches (``starts``,
+        ``rows``), then the output rows and the rows that have no
+        branches and are no output.  Derived from the stem groups on
+        first use and cached: only the placement passes read it.
+        """
+        folds = getattr(self, "_stem_folds", None)
+        if folds is None:
+            with self._lock:
+                folds = getattr(self, "_stem_folds", None)
+                if folds is None:
+                    folds = [_stem_fold(entry) for entry in self.levels]
+                    self._stem_folds = folds
+        return folds
+
     def delta_aux(self) -> "_DeltaAux":
         """The (cached) dirty-subset index structures for placement deltas."""
         aux = getattr(self, "_delta_aux", None)
@@ -1149,32 +1285,15 @@ class CircuitPlan:
         T = np.empty(self.n_edges, dtype=np.float64)
         sctl_rows = [(row[name], c) for name, c in sctl.items()]
         bctl_ids = [(edge_id[key], c) for key, c in bctl.items()]
+        s_fix = [(r, r, c) for r, c in sctl_rows]
+        e_fix = [(e, e, c) for e, c in bctl_ids]
 
         # ------------------------------------------------------ forward
         for entry in reversed(self.levels):  # ascending level
             if entry.level == 0:
                 for i, name in enumerate(self.inputs):
                     Q[i] = pin_get(name)
-            for gi in entry.fwd_groups:
-                gate_type, arity, lo, hi, _f = self.logic_groups[gi]
-                in_edges = self.place_in_edges[gi]
-                cols = (
-                    T[in_edges]
-                    if in_edges is not None
-                    else np.empty((hi - lo, 0), dtype=np.float64)
-                )
-                _eval_prob_group(gate_type, arity, cols, Q[lo:hi])
-            nlo, nhi = entry.node_lo, entry.node_hi
-            S[nlo:nhi] = Q[nlo:nhi]
-            for r, ctl in sctl_rows:
-                if nlo <= r < nhi:
-                    S[r] = cpt(ctl, float(Q[r]))
-            elo, ehi = entry.edge_lo, entry.edge_hi
-            if ehi > elo:
-                T[elo:ehi] = S[self.edge_driver_rows[elo:ehi]]
-                for e, ctl in bctl_ids:
-                    if elo <= e < ehi:
-                        T[e] = cpt(ctl, float(T[e]))
+            _forward_level(self, entry, Q, S, T, s_fix, e_fix, cpt)
 
         # ----------------------------------------------------- backward
         # Factors/zero-multipliers are precomputed full-length: an
@@ -1196,28 +1315,10 @@ class CircuitPlan:
         WO = np.empty(self.n_rows, dtype=np.float64)
         OB = np.empty(self.n_edges, dtype=np.float64)
         PO = np.empty(self.n_rows, dtype=np.float64)
-        for entry in self.levels:  # descending level
-            for grp in entry.edge_groups:
-                if grp.kind == "one":
-                    x = WO[grp.sink_rows] * 1.0
-                else:
-                    x = WO[grp.sink_rows] * _sens_fold(
-                        grp.kind, T[grp.side_edges]
-                    )
-                z = 1.0 - F_edge[grp.lo : grp.hi] * x
-                z *= Zm_edge[grp.lo : grp.hi]
-                np.subtract(1.0, z, out=OB[grp.lo : grp.hi])
-            for grp in entry.stem_groups:
-                esc = np.ones(len(grp.node_rows), dtype=np.float64)
-                if grp.is_out:
-                    esc *= 1.0 - 1.0
-                for j in range(grp.contribs.shape[1]):
-                    esc *= 1.0 - OB[grp.contribs[:, j]]
-                PO[grp.node_rows] = 1.0 - esc
-            nlo, nhi = entry.node_lo, entry.node_hi
-            z2 = 1.0 - F_stem[nlo:nhi] * PO[nlo:nhi]
-            z2 *= Zm_stem[nlo:nhi]
-            np.subtract(1.0, z2, out=WO[nlo:nhi])
+        for entry, fold in zip(self.levels, self.stem_folds()):
+            _backward_level(
+                entry, fold, T, WO, PO, OB, F_stem, Zm_stem, F_edge, Zm_edge
+            )
 
         # ------------------------------------------------------ returns
         stem_pre = {name: float(Q[row[name]]) for name in self.topo}
@@ -1258,20 +1359,72 @@ class CircuitPlan:
 #: circuits onto it).
 DELTA_MIN_MEAN_WIDTH = 32.0
 
+#: Byte budget of :class:`PlacementBatch`'s six float64 work matrices
+#: (rows or edges × candidate columns); it fixes the candidates scored
+#: per level sweep (:func:`gain_batch_columns`).  Wider chunks amortize
+#: each level's ufunc dispatch over more candidates, but their pages
+#: count fully toward peak RSS.
+GAIN_BATCH_BYTES = 512 << 10
+
+
+def _delta_min_width() -> float:
+    raw = os.environ.get("REPRO_NP_DELTA_MIN_WIDTH")
+    try:
+        return DELTA_MIN_MEAN_WIDTH if not raw else float(raw)
+    except ValueError:
+        return DELTA_MIN_MEAN_WIDTH
+
+
+def _mean_width(plan: "CircuitPlan") -> float:
+    return plan.n_rows / max(len(plan.levels), 1)
+
 
 def delta_profitable(plan: "CircuitPlan") -> bool:
     """Whether :class:`PlacementDelta` is expected to beat the
     interpreted dirty-cone walk on this plan (see
     :data:`DELTA_MIN_MEAN_WIDTH`).
     """
-    raw = os.environ.get("REPRO_NP_DELTA_MIN_WIDTH")
+    min_width = _delta_min_width()
+    return min_width <= 0 or _mean_width(plan) >= min_width
+
+
+def gain_batch_columns(plan: "CircuitPlan") -> int:
+    """Candidate columns per :class:`PlacementBatch` chunk (at least 1)."""
+    per_column = 8 * 3 * (plan.n_rows + plan.n_edges)
+    return max(1, GAIN_BATCH_BYTES // per_column)
+
+
+def batch_profitable(plan: "CircuitPlan", columns: int) -> bool:
+    """Whether scoring ``columns`` candidates per level sweep is expected
+    to beat walking them one by one.
+
+    The :data:`DELTA_MIN_MEAN_WIDTH` economics with a column axis: a
+    batched level costs about one :class:`PlacementDelta` level but
+    serves every column, so its effective width is the mean rows per
+    level times the columns.
+    """
+    min_width = _delta_min_width()
+    return min_width <= 0 or _mean_width(plan) * columns >= min_width
+
+
+@contextmanager
+def forced_delta():
+    """Pin the vectorized delta engines on regardless of plan shape.
+
+    Sets ``REPRO_NP_DELTA_MIN_WIDTH=0`` for the duration, so the
+    fuzzer, ``replay`` and the equivalence suites attack
+    :class:`PlacementDelta` and :class:`PlacementBatch` on circuits the
+    dispatch rules would hand to the interpreted walk.
+    """
+    prior = os.environ.get("REPRO_NP_DELTA_MIN_WIDTH")
+    os.environ["REPRO_NP_DELTA_MIN_WIDTH"] = "0"
     try:
-        min_width = DELTA_MIN_MEAN_WIDTH if not raw else float(raw)
-    except ValueError:
-        min_width = DELTA_MIN_MEAN_WIDTH
-    if min_width <= 0:
-        return True
-    return plan.n_rows / max(len(plan.levels), 1) >= min_width
+        yield
+    finally:
+        if prior is None:
+            del os.environ["REPRO_NP_DELTA_MIN_WIDTH"]
+        else:
+            os.environ["REPRO_NP_DELTA_MIN_WIDTH"] = prior
 
 
 #: Per-site (control-kind, observed) summary meaning "no point here".
@@ -1291,9 +1444,10 @@ class _DeltaAux:
     """Plan-level index structures for dirty-level re-propagation.
 
     Built once per plan (see :meth:`CircuitPlan.delta_aux`) and shared by
-    every :class:`PlacementDelta`: the level-entry index of every row and
-    CSR sink/fan-in adjacency in row space, which is all the delta sweeps
-    need on top of the plan's own level tables.
+    every :class:`PlacementDelta` and :class:`PlacementBatch`: the
+    level-entry index of every row and CSR sink/fan-in adjacency in row
+    space, which is all the delta sweeps need on top of the plan's own
+    level tables.
     """
 
     def __init__(self, plan: "CircuitPlan") -> None:
@@ -1320,6 +1474,75 @@ class _DeltaAux:
             for k, fi in enumerate(fins):
                 fanin_rows[base + k] = row[fi]
         self.fanin_rows = fanin_rows
+
+    def fanin_entries(self, rows):
+        """Level entries of every fan-in of ``rows``."""
+        starts = self.fanin_indptr[rows]
+        counts = self.fanin_indptr[rows + 1] - starts
+        return self.entry_of_row[_take_ranges(self.fanin_rows, starts, counts)]
+
+    def sink_fanin_entries(self, edges):
+        """Level entries of every fan-in of the sinks of ``edges``.
+
+        Repeats are harmless (callers mark a boolean per entry); no
+        ``np.unique``, whose first call imports ``numpy.ma`` (about 1 MB
+        of peak RSS).
+        """
+        return self.fanin_entries(self.edge_sink_rows[edges])
+
+
+class PlacementBase:
+    """One placement evaluation in row / edge array form: a delta base.
+
+    ``base`` carries the seven dicts of a
+    :class:`~repro.core.virtual.VirtualEvaluation`; ``base_stems`` /
+    ``base_branches`` map sites to (control-kind, observed) summaries of
+    the base placement; ``cof`` is the control observability factor
+    function.  Shared by :class:`PlacementDelta` and
+    :class:`PlacementBatch`.
+    """
+
+    def __init__(self, plan, base, base_stems, base_branches, cof) -> None:
+        n_rows, n_edges = plan.n_rows, plan.n_edges
+        row, edge_id = plan.row, plan.edge_id
+        self.Q = plan.float_rows(base.stem_pre)
+        self.S = plan.float_rows(base.stem_post)
+        self.WO = plan.float_rows(base.wire_obs)
+        self.PO = plan.float_rows(base.stem_post_obs)
+        T = np.empty(n_edges, dtype=np.float64)
+        OB = np.empty(n_edges, dtype=np.float64)
+        bpost, bobs = base.branch_post, base.branch_obs
+        for i, key in enumerate(plan.edge_keys):
+            T[i] = bpost[key]
+            OB[i] = bobs[key]
+        self.T, self.OB = T, OB
+        # factor / zero-multiplier arrays of the base placement (same
+        # IEEE-identity convention as the full placement pass)
+        Fs = np.ones(n_rows, dtype=np.float64)
+        Zms = np.ones(n_rows, dtype=np.float64)
+        Fe = np.ones(n_edges, dtype=np.float64)
+        Zme = np.ones(n_edges, dtype=np.float64)
+        sctl: Dict[int, object] = {}
+        bctl: Dict[int, object] = {}
+        for name, (ctrl, observed) in base_stems.items():
+            r = row[name]
+            if ctrl is not None:
+                Fs[r] = cof(ctrl)
+                sctl[r] = ctrl
+            if observed:
+                Zms[r] = 1.0 - 1.0
+        for key, (ctrl, observed) in base_branches.items():
+            e = edge_id[key]
+            if ctrl is not None:
+                Fe[e] = cof(ctrl)
+                bctl[e] = ctrl
+            if observed:
+                Zme[e] = 1.0 - 1.0
+        self.Fs, self.Zms, self.Fe, self.Zme = Fs, Zms, Fe, Zme
+        self.sctl = sctl
+        self.bctl = bctl
+        self.stems = dict(base_stems)
+        self.branches = dict(base_branches)
 
 
 class PlacementDelta:
@@ -1353,62 +1576,15 @@ class PlacementDelta:
         self.aux = plan.delta_aux()
 
     # ------------------------------------------------------------------
-    def rebase(self, base, base_stems, base_branches, cof) -> None:
-        """Capture one placement evaluation as the delta base.
-
-        ``base`` carries the seven dicts of a
-        :class:`~repro.core.virtual.VirtualEvaluation`; ``base_stems`` /
-        ``base_branches`` map sites to (control-kind, observed) summaries
-        of the base placement; ``cof`` is the control observability
-        factor function.
-        """
-        plan = self.plan
-        n_rows, n_edges = plan.n_rows, plan.n_edges
-        row, edge_id = plan.row, plan.edge_id
-        self.Qb = plan.float_rows(base.stem_pre)
-        self.Sb = plan.float_rows(base.stem_post)
-        self.WOb = plan.float_rows(base.wire_obs)
-        self.POb = plan.float_rows(base.stem_post_obs)
-        Tb = np.empty(n_edges, dtype=np.float64)
-        OBb = np.empty(n_edges, dtype=np.float64)
-        bpost, bobs = base.branch_post, base.branch_obs
-        for i, key in enumerate(plan.edge_keys):
-            Tb[i] = bpost[key]
-            OBb[i] = bobs[key]
-        self.Tb, self.OBb = Tb, OBb
-        # factor / zero-multiplier arrays of the base placement (same
-        # IEEE-identity convention as the full placement pass)
-        Fs = np.ones(n_rows, dtype=np.float64)
-        Zms = np.ones(n_rows, dtype=np.float64)
-        Fe = np.ones(n_edges, dtype=np.float64)
-        Zme = np.ones(n_edges, dtype=np.float64)
-        sctl: Dict[int, object] = {}
-        bctl: Dict[int, object] = {}
-        for name, (ctrl, observed) in base_stems.items():
-            r = row[name]
-            if ctrl is not None:
-                Fs[r] = cof(ctrl)
-                sctl[r] = ctrl
-            if observed:
-                Zms[r] = 1.0 - 1.0
-        for key, (ctrl, observed) in base_branches.items():
-            e = edge_id[key]
-            if ctrl is not None:
-                Fe[e] = cof(ctrl)
-                bctl[e] = ctrl
-            if observed:
-                Zme[e] = 1.0 - 1.0
-        self.Fsb, self.Zmsb, self.Feb, self.Zmeb = Fs, Zms, Fe, Zme
-        self._sctl_base = sctl
-        self._bctl_base = bctl
-        self._base_stems = dict(base_stems)
-        self._base_branches = dict(base_branches)
-        self.Qw, self.Sw = self.Qb.copy(), self.Sb.copy()
-        self.Tw = self.Tb.copy()
-        self.WOw, self.POw = self.WOb.copy(), self.POb.copy()
-        self.OBw = self.OBb.copy()
-        self.Fsw, self.Zmsw = Fs.copy(), Zms.copy()
-        self.Few, self.Zmew = Fe.copy(), Zme.copy()
+    def rebase(self, base: PlacementBase) -> None:
+        """Capture one placement evaluation as the delta base."""
+        self.base = base
+        self.Qw, self.Sw = base.Q.copy(), base.S.copy()
+        self.Tw = base.T.copy()
+        self.WOw, self.POw = base.WO.copy(), base.PO.copy()
+        self.OBw = base.OB.copy()
+        self.Fsw, self.Zmsw = base.Fs.copy(), base.Zms.copy()
+        self.Few, self.Zmew = base.Fe.copy(), base.Zme.copy()
 
     # ------------------------------------------------------------------
     def delta(self, stem_diff, branch_diff, cpt, cof):
@@ -1421,7 +1597,7 @@ class PlacementDelta:
         patch dicts the interpreted delta produces (missing key = base
         value unchanged).
         """
-        plan, aux = self.plan, self.aux
+        plan, aux, b = self.plan, self.aux, self.base
         row, edge_id = plan.row, plan.edge_id
         names = plan._row_names
         edge_keys = plan.edge_keys
@@ -1432,8 +1608,8 @@ class PlacementDelta:
         WOw, POw, OBw = self.WOw, self.POw, self.OBw
 
         # -- overlay the dirty sites onto the work factor arrays
-        sctl = dict(self._sctl_base)
-        bctl = dict(self._bctl_base)
+        sctl = dict(b.sctl)
+        bctl = dict(b.bctl)
         dirty_rows: List[int] = []
         dirty_edges: List[int] = []
         for site, (ctrl, observed) in stem_diff.items():
@@ -1454,8 +1630,8 @@ class PlacementDelta:
                 bctl[e] = ctrl
             else:
                 bctl.pop(e, None)
-        sctl_items = list(sctl.items())
-        bctl_items = list(bctl.items())
+        s_fix = [(r, r, ctl) for r, ctl in sctl.items()]
+        e_fix = [(e, e, ctl) for e, ctl in bctl.items()]
 
         # -- forward: mark the levels of control-relevant dirty sites,
         # sweep ascending, re-marking a sink's level only when some
@@ -1464,13 +1640,13 @@ class PlacementDelta:
         for site, state in stem_diff.items():
             if (
                 state[0] is not None
-                or self._base_stems.get(site, _NO_SITE)[0] is not None
+                or b.stems.get(site, _NO_SITE)[0] is not None
             ):
                 fwd_dirty[aux.entry_of_row[row[site]]] = True
         for key, state in branch_diff.items():
             if (
                 state[0] is not None
-                or self._base_branches.get(key, _NO_SITE)[0] is not None
+                or b.branches.get(key, _NO_SITE)[0] is not None
             ):
                 fwd_dirty[aux.entry_of_row[row[key[0]]]] = True
         f_touched: List[int] = []
@@ -1481,27 +1657,10 @@ class PlacementDelta:
             entry = levels[j]
             f_touched.append(j)
             # inputs (level 0) keep their base probabilities
-            for gi in entry.fwd_groups:
-                gate_type, arity, lo, hi, _f = plan.logic_groups[gi]
-                in_edges = plan.place_in_edges[gi]
-                cols = (
-                    Tw[in_edges]
-                    if in_edges is not None
-                    else np.empty((hi - lo, 0), dtype=np.float64)
-                )
-                _eval_prob_group(gate_type, arity, cols, Qw[lo:hi])
-            nlo, nhi = entry.node_lo, entry.node_hi
-            Sw[nlo:nhi] = Qw[nlo:nhi]
-            for r, ctl in sctl_items:
-                if nlo <= r < nhi:
-                    Sw[r] = cpt(ctl, float(Qw[r]))
+            _forward_level(plan, entry, Qw, Sw, Tw, s_fix, e_fix, cpt)
             elo, ehi = entry.edge_lo, entry.edge_hi
             if ehi > elo:
-                Tw[elo:ehi] = Sw[edge_driver_rows[elo:ehi]]
-                for e, ctl in bctl_items:
-                    if elo <= e < ehi:
-                        Tw[e] = cpt(ctl, float(Tw[e]))
-                moved = Tw[elo:ehi] != self.Tb[elo:ehi]
+                moved = Tw[elo:ehi] != b.T[elo:ehi]
                 if moved.any():
                     ch = np.nonzero(moved)[0] + elo
                     changed_T.append(ch)
@@ -1519,47 +1678,22 @@ class PlacementDelta:
         for key in branch_diff:
             bwd_dirty[aux.entry_of_row[row[key[0]]]] = True
         if changed_T:
-            sinks = np.unique(
-                aux.edge_sink_rows[np.concatenate(changed_T)]
-            )
-            fstarts = aux.fanin_indptr[sinks]
-            fcnt = aux.fanin_indptr[sinks + 1] - fstarts
-            fans = _take_ranges(aux.fanin_rows, fstarts, fcnt)
-            bwd_dirty[aux.entry_of_row[fans]] = True
+            bwd_dirty[aux.sink_fanin_entries(np.concatenate(changed_T))] = True
         b_touched: List[int] = []
+        folds = plan.stem_folds()
         for j in range(n_entries):  # descending level
             if not bwd_dirty[j]:
                 continue
             entry = levels[j]
             b_touched.append(j)
-            for grp in entry.edge_groups:
-                if grp.kind == "one":
-                    x = WOw[grp.sink_rows] * 1.0
-                else:
-                    x = WOw[grp.sink_rows] * _sens_fold(
-                        grp.kind, Tw[grp.side_edges]
-                    )
-                z = 1.0 - self.Few[grp.lo : grp.hi] * x
-                z *= self.Zmew[grp.lo : grp.hi]
-                np.subtract(1.0, z, out=OBw[grp.lo : grp.hi])
-            for grp in entry.stem_groups:
-                esc = np.ones(len(grp.node_rows), dtype=np.float64)
-                if grp.is_out:
-                    esc *= 1.0 - 1.0
-                for jj in range(grp.contribs.shape[1]):
-                    esc *= 1.0 - OBw[grp.contribs[:, jj]]
-                POw[grp.node_rows] = 1.0 - esc
+            _backward_level(
+                entry, folds[j], Tw, WOw, POw, OBw,
+                self.Fsw, self.Zmsw, self.Few, self.Zmew,
+            )
             nlo, nhi = entry.node_lo, entry.node_hi
-            z2 = 1.0 - self.Fsw[nlo:nhi] * POw[nlo:nhi]
-            z2 *= self.Zmsw[nlo:nhi]
-            np.subtract(1.0, z2, out=WOw[nlo:nhi])
-            moved = WOw[nlo:nhi] != self.WOb[nlo:nhi]
+            moved = WOw[nlo:nhi] != b.WO[nlo:nhi]
             if moved.any():
-                mrows = np.nonzero(moved)[0] + nlo
-                fstarts = aux.fanin_indptr[mrows]
-                fcnt = aux.fanin_indptr[mrows + 1] - fstarts
-                fans = _take_ranges(aux.fanin_rows, fstarts, fcnt)
-                bwd_dirty[aux.entry_of_row[fans]] = True
+                bwd_dirty[aux.fanin_entries(np.nonzero(moved)[0] + nlo)] = True
 
         # -- extract patches (changed-vs-base only), restore work arrays
         stem_pre: Dict[str, float] = {}
@@ -1574,58 +1708,268 @@ class PlacementDelta:
             entry = levels[j]
             nlo, nhi = entry.node_lo, entry.node_hi
             recomputed += nhi - nlo
-            for off in np.nonzero(Qw[nlo:nhi] != self.Qb[nlo:nhi])[0]:
+            for off in np.nonzero(Qw[nlo:nhi] != b.Q[nlo:nhi])[0]:
                 r = nlo + off
                 stem_pre[names[r]] = float(Qw[r])
-            for off in np.nonzero(Sw[nlo:nhi] != self.Sb[nlo:nhi])[0]:
+            for off in np.nonzero(Sw[nlo:nhi] != b.S[nlo:nhi])[0]:
                 r = nlo + off
                 stem_post[names[r]] = float(Sw[r])
             elo, ehi = entry.edge_lo, entry.edge_hi
             if ehi > elo:
                 drv = edge_driver_rows[elo:ehi]
-                for off in np.nonzero(Sw[drv] != self.Sb[drv])[0]:
+                for off in np.nonzero(Sw[drv] != b.S[drv])[0]:
                     branch_pre[edge_keys[elo + off]] = float(Sw[drv[off]])
-                for off in np.nonzero(
-                    Tw[elo:ehi] != self.Tb[elo:ehi]
-                )[0]:
+                for off in np.nonzero(Tw[elo:ehi] != b.T[elo:ehi])[0]:
                     e = elo + off
                     branch_post[edge_keys[e]] = float(Tw[e])
-            Qw[nlo:nhi] = self.Qb[nlo:nhi]
-            Sw[nlo:nhi] = self.Sb[nlo:nhi]
-            Tw[elo:ehi] = self.Tb[elo:ehi]
+            Qw[nlo:nhi] = b.Q[nlo:nhi]
+            Sw[nlo:nhi] = b.S[nlo:nhi]
+            Tw[elo:ehi] = b.T[elo:ehi]
         for j in b_touched:
             entry = levels[j]
             nlo, nhi = entry.node_lo, entry.node_hi
             recomputed += nhi - nlo
-            for off in np.nonzero(WOw[nlo:nhi] != self.WOb[nlo:nhi])[0]:
+            for off in np.nonzero(WOw[nlo:nhi] != b.WO[nlo:nhi])[0]:
                 r = nlo + off
                 wire_obs[names[r]] = float(WOw[r])
-            for off in np.nonzero(POw[nlo:nhi] != self.POb[nlo:nhi])[0]:
+            for off in np.nonzero(POw[nlo:nhi] != b.PO[nlo:nhi])[0]:
                 r = nlo + off
                 stem_post_obs[names[r]] = float(POw[r])
             elo, ehi = entry.edge_lo, entry.edge_hi
             if ehi > elo:
-                for off in np.nonzero(
-                    OBw[elo:ehi] != self.OBb[elo:ehi]
-                )[0]:
+                for off in np.nonzero(OBw[elo:ehi] != b.OB[elo:ehi])[0]:
                     e = elo + off
                     branch_obs[edge_keys[e]] = float(OBw[e])
-            WOw[nlo:nhi] = self.WOb[nlo:nhi]
-            POw[nlo:nhi] = self.POb[nlo:nhi]
-            OBw[elo:ehi] = self.OBb[elo:ehi]
+            WOw[nlo:nhi] = b.WO[nlo:nhi]
+            POw[nlo:nhi] = b.PO[nlo:nhi]
+            OBw[elo:ehi] = b.OB[elo:ehi]
         if dirty_rows:
             dr = np.asarray(dirty_rows, dtype=np.intp)
-            self.Fsw[dr] = self.Fsb[dr]
-            self.Zmsw[dr] = self.Zmsb[dr]
+            self.Fsw[dr] = b.Fs[dr]
+            self.Zmsw[dr] = b.Zms[dr]
         if dirty_edges:
             de = np.asarray(dirty_edges, dtype=np.intp)
-            self.Few[de] = self.Feb[de]
-            self.Zmew[de] = self.Zmeb[de]
+            self.Few[de] = b.Fe[de]
+            self.Zmew[de] = b.Zme[de]
         patches = (
             stem_pre, stem_post, branch_pre, branch_post,
             wire_obs, branch_obs, stem_post_obs,
         )
         return patches, recomputed
+
+
+def _fixes(shared, own, j):
+    """Level ``j``'s fixes: the base placement's plus the columns' own."""
+    a = shared.get(j)
+    c = own.get(j)
+    if c is None:
+        return a or ()
+    return a + c if a else c
+
+
+class PlacementBatch:
+    """Column-batched :class:`PlacementDelta` scoring one-site candidates.
+
+    A greedy round scores each candidate test point against the same
+    base, and each candidate adds one point.  The batch scores up to
+    ``columns`` of them per sweep: six ``(rows or edges) × columns``
+    float64 work matrices hold one candidate placement per column, and
+    PlacementDelta's level-granular sweep recomputes a level for all
+    columns when any column dirties it.  A column the level is clean for
+    recomputes its own inputs with the same formulas, so it reproduces
+    them bit for bit (see :class:`PlacementDelta`).  Each column's own
+    site is a scalar fix; the factor arrays stay the base's, shared by
+    every column.
+
+    Scoring needs no patch dicts.  A fault's status can change only on a
+    touched level, so a candidate's gain is the count of failing faults
+    on the touched levels before minus after, with the evaluator's rule
+    ``excitation * obs < θ``.  The fault stage runs in place on the work
+    matrices.  The base counts come from the evaluator's own failing set.
+    After each chunk the touched slices are restored from the base, so
+    between chunks every column holds the base again.
+    """
+
+    def __init__(self, plan, columns: int, stem_weights, edge_weights):
+        self.plan = plan
+        self.aux = plan.delta_aux()
+        self.columns = columns
+        #: ``(2, n_rows)`` / ``(2, n_edges)`` fault counts per wire: row
+        #: 0 stuck-at-0, row 1 stuck-at-1.
+        self.w_stem = stem_weights
+        self.w_edge = edge_weights
+        #: The six work matrices Q, S, T, WO, PO, OB, as wide as the
+        #: widest chunk so far (at most ``columns``).
+        self.work: Optional[Tuple["np.ndarray", ...]] = None
+
+    def rebase(self, base: PlacementBase, failing_rows, failing_edges) -> None:
+        """Capture a new base with its failing-fault counts per row and
+        per edge, and reset every work column to it."""
+        plan, entry_of_row = self.plan, self.aux.entry_of_row
+        self._base = tuple(
+            a[:, None] for a in (base.Q, base.S, base.T, base.WO, base.PO, base.OB)
+        )
+        self._factors = tuple(
+            a[:, None] for a in (base.Fs, base.Zms, base.Fe, base.Zme)
+        )
+        self._fail_rows = np.concatenate(([0.0], np.cumsum(failing_rows)))
+        self._fail_edges = np.concatenate(([0.0], np.cumsum(failing_edges)))
+        self._s_fix: Dict[int, list] = {}
+        self._e_fix: Dict[int, list] = {}
+        for r, ctl in base.sctl.items():
+            j = int(entry_of_row[r])
+            self._s_fix.setdefault(j, []).append((r, r, ctl))
+        for e, ctl in base.bctl.items():
+            j = int(entry_of_row[plan.edge_driver_rows[e]])
+            self._e_fix.setdefault(j, []).append((e, e, ctl))
+        if self.work is not None:
+            for w, a in zip(self.work, self._base):
+                w[...] = a
+
+    def gains(
+        self, sites, cpt, theta: float, tick=None
+    ) -> Tuple[List[int], int]:
+        """Failing-fault gains of one-site candidates over the base.
+
+        ``sites`` holds one ``(is_branch, index, control, factor,
+        zero_multiplier)`` per candidate: the edge or row id of its site,
+        the control kind it adds (``None`` for an observation point), and
+        the site's observability factor and zero-multiplier with the
+        candidate in place.  ``cpt`` is the control probability transform
+        and ``theta`` the detection threshold; ``tick``, when given, runs
+        before each chunk (a budget check).  Returns ``(gains,
+        recomputed)``: gains in input order, and node recomputations
+        (rows of touched levels times columns).
+        """
+        n = len(sites)
+        if not n:
+            return [], 0
+        chunks = -(-n // self.columns)
+        size = -(-n // chunks)
+        if self.work is None or self.work[0].shape[1] < size:
+            self.work = tuple(
+                np.empty((len(a), size), dtype=np.float64) for a in self._base
+            )
+            for w, a in zip(self.work, self._base):
+                w[...] = a
+        gains: List[int] = []
+        recomputed = 0
+        for start in range(0, n, size):
+            if tick is not None:
+                tick()
+            chunk_gains, nodes = self._chunk(
+                sites[start : start + size], cpt, theta
+            )
+            gains.extend(chunk_gains)
+            recomputed += nodes
+        return gains, recomputed
+
+    def _chunk(self, sites, cpt, theta: float) -> Tuple[List[int], int]:
+        plan, aux = self.plan, self.aux
+        levels = plan.levels
+        n_entries = len(levels)
+        entry_of_row = aux.entry_of_row
+        m = len(sites)
+        Qw, Sw, Tw, WOw, POw, OBw = (w[:, :m] for w in self.work)
+        Qb, Sb, Tb, WOb, POb, OBb = self._base
+        Fs, Zms, Fe, Zme = self._factors
+
+        # -- each column's own site: a backward factor override and seed,
+        # plus a forward control fix and seed when it adds a control point
+        fwd_dirty = np.zeros(n_entries, dtype=bool)
+        bwd_dirty = np.zeros(n_entries, dtype=bool)
+        s_fwd: Dict[int, list] = {}
+        e_fwd: Dict[int, list] = {}
+        s_bwd: Dict[int, list] = {}
+        e_bwd: Dict[int, list] = {}
+        for k, (is_branch, i, ctl, f, zm) in enumerate(sites):
+            j = int(entry_of_row[plan.edge_driver_rows[i] if is_branch else i])
+            bwd_dirty[j] = True
+            (e_bwd if is_branch else s_bwd).setdefault(j, []).append(
+                (i, k, f, zm)
+            )
+            if ctl is not None:
+                fwd_dirty[j] = True
+                (e_fwd if is_branch else s_fwd).setdefault(j, []).append(
+                    (i, (i, k), ctl)
+                )
+
+        # -- forward sweep, ascending; a level joins when any column moved
+        # one of its in-edges
+        nodes = 0
+        changed: List["np.ndarray"] = []
+        for j in range(n_entries - 1, -1, -1):
+            if not fwd_dirty[j]:
+                continue
+            entry = levels[j]
+            nodes += entry.node_hi - entry.node_lo
+            _forward_level(
+                plan, entry, Qw, Sw, Tw,
+                _fixes(self._s_fix, s_fwd, j), _fixes(self._e_fix, e_fwd, j),
+                cpt,
+            )
+            elo, ehi = entry.edge_lo, entry.edge_hi
+            if ehi > elo:
+                moved = (Tw[elo:ehi] != Tb[elo:ehi]).any(axis=1)
+                if moved.any():
+                    ch = np.flatnonzero(moved) + elo
+                    changed.append(ch)
+                    fwd_dirty[entry_of_row[aux.edge_sink_rows[ch]]] = True
+
+        # -- backward sweep, descending
+        if changed:
+            bwd_dirty[aux.sink_fanin_entries(np.concatenate(changed))] = True
+        folds = plan.stem_folds()
+        for j in range(n_entries):
+            if not bwd_dirty[j]:
+                continue
+            entry = levels[j]
+            nodes += entry.node_hi - entry.node_lo
+            _backward_level(
+                entry, folds[j], Tw, WOw, POw, OBw, Fs, Zms, Fe, Zme,
+                s_bwd.get(j, ()), e_bwd.get(j, ()),
+            )
+            nlo, nhi = entry.node_lo, entry.node_hi
+            moved = (WOw[nlo:nhi] != WOb[nlo:nhi]).any(axis=1)
+            if moved.any():
+                bwd_dirty[aux.fanin_entries(np.flatnonzero(moved) + nlo)] = True
+
+        # -- fault stage and restore, per run of touched levels (a run's
+        # rows and edges are contiguous); PO and T serve as scratch
+        gain = np.zeros(m, dtype=np.float64)
+        touched = np.flatnonzero(fwd_dirty | bwd_dirty)
+        for run in np.split(touched, np.flatnonzero(np.diff(touched) > 1) + 1):
+            top, bottom = levels[run[0]], levels[run[-1]]
+            rlo, rhi = bottom.node_lo, top.node_hi
+            elo, ehi = top.edge_lo, bottom.edge_hi
+            gain += (self._fail_rows[rhi] - self._fail_rows[rlo]) + (
+                self._fail_edges[ehi] - self._fail_edges[elo]
+            )
+            Q, WO, PO = Qw[rlo:rhi], WOw[rlo:rhi], POw[rlo:rhi]
+            np.multiply(Q, WO, out=PO)
+            np.less(PO, theta, out=PO)
+            gain -= self.w_stem[0, rlo:rhi] @ PO
+            np.subtract(1.0, Q, out=PO)
+            np.multiply(PO, WO, out=PO)
+            np.less(PO, theta, out=PO)
+            gain -= self.w_stem[1, rlo:rhi] @ PO
+            if ehi > elo:
+                T, OB = Tw[elo:ehi], OBw[elo:ehi]
+                drv = plan.edge_driver_rows[elo:ehi]
+                np.take(Sw, drv, axis=0, out=T)
+                np.multiply(T, OB, out=T)
+                np.less(T, theta, out=T)
+                gain -= self.w_edge[0, elo:ehi] @ T
+                np.take(Sw, drv, axis=0, out=T)
+                np.subtract(1.0, T, out=T)
+                np.multiply(T, OB, out=T)
+                np.less(T, theta, out=T)
+                gain -= self.w_edge[1, elo:ehi] @ T
+            for w, a in ((Qw, Qb), (Sw, Sb), (WOw, WOb), (POw, POb)):
+                w[rlo:rhi] = a[rlo:rhi]
+            for w, a in ((Tw, Tb), (OBw, OBb)):
+                w[elo:ehi] = a[elo:ehi]
+        return [int(g) for g in gain], nodes * m
 
 
 # ---------------------------------------------------------------------------

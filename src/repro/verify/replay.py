@@ -16,15 +16,18 @@ engine to run on.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from ..core.incremental import IncrementalEvaluator
+from ..core.incremental import PATCH_FIELDS, IncrementalEvaluator
+from ..core.problem import TestPointType
 from ..core.virtual import evaluate_placement
 from ..sim.compile import DEFAULT_KERNEL
 from ..sim.fault_sim import FaultSimulator
 from ..sim.logic_sim import LogicSimulator
+from ..sim.npsim import forced_delta
 from ..testability.cop import cop_measures
 from .bundle import (
     fault_from_payload,
@@ -221,6 +224,57 @@ def _replay_incremental(manifest, circuit) -> tuple:
     return fast, slow, detail
 
 
+def _site_state(payload) -> tuple:
+    kind, observed = payload
+    return (TestPointType[kind] if kind else None, bool(observed))
+
+
+def _replay_incremental_delta(manifest, circuit) -> tuple:
+    context = manifest["context"]
+    problem = problem_from_payload(circuit, context["problem"])
+    base_points = [point_from_payload(p) for p in context["base_points"]]
+    stem_diff = {
+        site: _site_state(state) for site, state in context["stem_diff"].items()
+    }
+    branch_diff = {
+        ast.literal_eval(key): _site_state(state)
+        for key, state in context["branch_diff"].items()
+    }
+    # The recorded delta ran on the vectorized engine, whatever the
+    # dispatch rule says about this (often minimized) circuit.
+    with forced_delta():
+        inc = IncrementalEvaluator(
+            problem, base_points, kernel=_fast_kernel(context)
+        )
+    fast = dict(zip(PATCH_FIELDS, inc._delta(stem_diff, branch_diff)))
+    slow = dict(zip(PATCH_FIELDS, inc._delta_interp(stem_diff, branch_diff)))
+    detail = (
+        f"vectorized delta of {len(stem_diff) + len(branch_diff)} site(s) "
+        f"over base of {len(base_points)} point(s)"
+    )
+    return fast, slow, detail
+
+
+def _replay_incremental_gains(manifest, circuit) -> tuple:
+    context = manifest["context"]
+    problem = problem_from_payload(circuit, context["problem"])
+    base_points = [point_from_payload(p) for p in context["base_points"]]
+    faults = [fault_from_payload(f) for f in context["faults"]]
+    candidates = [point_from_payload(p) for p in context["candidates"]]
+    index = int(context["index"])
+    with forced_delta():
+        inc = IncrementalEvaluator(
+            problem, base_points, faults=faults, kernel=_fast_kernel(context)
+        )
+        fast = inc.candidate_gains(candidates)[index]
+    slow = inc._walk_gain(candidates[index])
+    detail = (
+        f"batched gain of candidate {index} of {len(candidates)} over base "
+        f"of {len(base_points)} point(s)"
+    )
+    return fast, slow, detail
+
+
 def _replay_solver(manifest, circuit) -> ReplayResult:
     from ..errors import DivergenceError
 
@@ -321,6 +375,8 @@ _REPLAYERS = {
     "fuzz.placement": _replay_placement,
     "incremental.evaluate": _replay_incremental,
     "fuzz.incremental": _replay_incremental,
+    "incremental.delta": _replay_incremental_delta,
+    "incremental.gains": _replay_incremental_gains,
     "fuzz.dp_vs_exhaustive": _replay_dp_vs_exhaustive,
     "fuzz.parallel": _replay_parallel,
 }

@@ -163,6 +163,54 @@ class TestSaboteurSelfTest:
         assert not replay_bundle(failure.bundle).reproduced
 
 
+class TestIncrementalGainsLane:
+    """The incremental lane also pits the batched candidate scorer
+    against the interpreted walk, forced on regardless of dispatch."""
+
+    def test_clean_lane(self):
+        from repro.analysis.fuzz import _check_incremental
+
+        for seed in range(6):
+            circuit = generators.random_dag(5, 24, seed=seed)
+            assert _check_incremental(circuit, seed) is None
+
+    def test_planted_batch_bug_bundles_replayably(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.analysis.fuzz import _check_incremental
+        from repro.sim import npsim
+        from repro.verify import write_bundle
+
+        real = npsim.PlacementBatch._chunk
+
+        def off_by_one(self, sites, cpt, theta):
+            gains, nodes = real(self, sites, cpt, theta)
+            return [g + 1 for g in gains], nodes
+
+        monkeypatch.setattr(npsim.PlacementBatch, "_chunk", off_by_one)
+        circuit = generators.random_dag(5, 24, seed=2)
+        divergence = _check_incremental(circuit, 0)
+        assert divergence is not None
+        assert divergence.kind == "incremental.gains"
+        small = shrink_circuit(
+            circuit, lambda c: _check_incremental(c, 0) is not None
+        )
+        assert small.gate_count() <= circuit.gate_count()
+        final = _check_incremental(small, 0)
+        path = write_bundle(
+            final.kind,
+            circuit=small,
+            context=final.context,
+            expected=final.expected,
+            actual=final.actual,
+            message=final.message,
+            bundle_dir=tmp_path,
+        )
+        assert replay_bundle(path).reproduced
+        monkeypatch.setattr(npsim.PlacementBatch, "_chunk", real)
+        assert not replay_bundle(path).reproduced
+
+
 class TestShrinker:
     def test_shrinks_to_single_gate_when_any_gate_fails(self):
         circuit = generators.random_dag(4, 25, seed=3)

@@ -109,27 +109,52 @@ def engine_bug(monkeypatch):
     ``engine_bug(victim, as_)`` makes every ``victim`` gate fold as
     ``as_`` on both uint64 word paths — the grouped sweeps and the
     single-row folds — the way a wrong-operator bug in the engine would.
-    The interpreted arbiter is untouched.  Returns a callable that lifts
-    the bug again; test teardown lifts it regardless.
+    ``engine_bug(victim, as_, folds="floats")`` plants it in the float64
+    probability folds instead: gate probabilities
+    (``_eval_prob_group``) and the side-input sensitization products of
+    the backward passes (``_sens_fold``, whose AND / OR kinds swap when
+    victim and replacement differ in kind).  The interpreted arbiter is
+    untouched.  Returns a callable that lifts the bug again; test
+    teardown lifts it regardless.
     """
     from repro.sim import npsim
 
-    real_group = npsim._eval_word_group
-    real_rows = npsim._eval_word_rows
+    real = {
+        "words": ("_eval_word_group", "_eval_word_rows"),
+        "floats": ("_eval_prob_group", "_sens_fold"),
+    }
 
-    def plant(victim: GateType, as_: GateType):
-        def group(gate_type, *args):
-            real_group(as_ if gate_type is victim else gate_type, *args)
+    def sens_kind(gate_type: GateType) -> str:
+        if gate_type in (GateType.AND, GateType.NAND):
+            return "and"
+        if gate_type in (GateType.OR, GateType.NOR):
+            return "or"
+        return "one"
 
-        def rows(gate_type, *args):
-            real_rows(as_ if gate_type is victim else gate_type, *args)
+    def plant(victim: GateType, as_: GateType, folds: str = "words"):
+        first, second = (getattr(npsim, name) for name in real[folds])
 
-        monkeypatch.setattr(npsim, "_eval_word_group", group)
-        monkeypatch.setattr(npsim, "_eval_word_rows", rows)
+        def swap(fold):
+            def planted(gate_type, *args):
+                fold(as_ if gate_type is victim else gate_type, *args)
+
+            return planted
+
+        if folds == "words":
+            bad = (swap(first), swap(second))
+        else:
+            def sens(kind, side_cols):
+                if kind == sens_kind(victim) and sens_kind(as_) != "one":
+                    kind = sens_kind(as_)
+                return second(kind, side_cols)
+
+            bad = (swap(first), sens)
+        for name, fn in zip(real[folds], bad):
+            monkeypatch.setattr(npsim, name, fn)
 
         def lift() -> None:
-            monkeypatch.setattr(npsim, "_eval_word_group", real_group)
-            monkeypatch.setattr(npsim, "_eval_word_rows", real_rows)
+            for name, fn in zip(real[folds], (first, second)):
+                monkeypatch.setattr(npsim, name, fn)
 
         return lift
 

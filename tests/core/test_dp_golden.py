@@ -39,8 +39,6 @@ from repro.core import (
 )
 from repro.resilience import Budget
 
-from .test_dp_scale import and_or_chain
-
 GOLDEN_PATH = Path(__file__).parent / "data" / "dp_golden.json"
 
 OP = TestPointType.OBSERVATION
@@ -332,7 +330,7 @@ def golden_cases() -> Dict[str, Case]:
         )
         cases[f"hand/forest/th{theta}"] = _problem_case(_forest, threshold=theta)
         cases[f"hand/chain40/th{theta}"] = _problem_case(
-            lambda: and_or_chain(40), threshold=theta
+            lambda: generators.and_or_chain(40), threshold=theta
         )
     cases["hand/wand16"] = _problem_case(
         lambda: generators.wide_and_cone(16), threshold=0.005

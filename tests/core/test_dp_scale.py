@@ -1,9 +1,10 @@
-"""Scale limits of the tree DP: deep chains and wide balanced trees.
+"""Scale limits of the solvers: deep chains and wide balanced trees.
 
 On these inputs every solver either answers or raises an error from the
 taxonomy.  None of them may run into Python's recursion limit: the chain
 is deeper than that limit, so a solver that recursed once per tree level
-would fail on it.
+would fail on it.  Greedy and the solver cascade must also choose the
+same plan on the numpy kernel as on the interpreted arbiter.
 """
 
 import sys
@@ -11,24 +12,20 @@ import sys
 import pytest
 
 from repro.circuit import CircuitBuilder, GateType, write_bench_file
+from repro.circuit.generators import and_or_chain
 from repro.cli import main
-from repro.core import TPIProblem, quantized_tree_check, solve_tree
+from repro.core import TPIProblem, quantized_tree_check, solve_greedy, solve_tree
+from repro.core.cascade import solve_with_fallback
 from repro.core.heuristic import solve_dp_heuristic
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, ReproError
 from repro.resilience import Budget
+from repro.sim import compile as kernels
 
 CHAIN_GATES = 1500
-
-
-def and_or_chain(gates: int):
-    """Alternating AND/OR chain: each gate takes the chain and a fresh input."""
-    b = CircuitBuilder(f"chain{gates}")
-    acc = b.input("x0")
-    for i in range(gates):
-        kind = GateType.AND if i % 2 == 0 else GateType.OR
-        acc = b.gate(kind, [acc, b.input(f"x{i + 1}")], name=f"g{i}")
-    b.output(acc)
-    return b.build()
+TREE_LEAVES = 256
+#: Greedy rounds per scale case: each round scores 128 candidates, which
+#: is enough to drive both candidate-scoring paths.
+GREEDY_ROUNDS = 3
 
 
 def balanced_tree(leaves: int):
@@ -50,6 +47,23 @@ def balanced_tree(leaves: int):
 def chain_problem():
     chain = and_or_chain(CHAIN_GATES)
     return TPIProblem.from_test_length(chain, n_patterns=4096)
+
+
+@pytest.fixture(scope="module")
+def tree_problem():
+    # 64 patterns: hard enough that the DP heuristic needs its greedy
+    # mop-up, so the cascade case runs greedy on the wide tree too.
+    tree = balanced_tree(TREE_LEAVES)
+    return TPIProblem.from_test_length(tree, n_patterns=64)
+
+
+def _outcome(solve):
+    """A solver's plan, or the taxonomy error it raised."""
+    try:
+        solution = solve()
+    except ReproError as exc:
+        return type(exc).__name__
+    return solution.points, solution.cost, solution.feasible
 
 
 def test_chain_is_deeper_than_the_recursion_limit(chain_problem):
@@ -91,3 +105,33 @@ def test_cell_budget_on_deep_chain_raises_budget_error(chain_problem):
     with pytest.raises(BudgetExceededError) as err:
         solve_tree(chain_problem, budget=Budget(max_dp_cells=1000))
     assert err.value.resource == "dp_cells"
+
+
+@pytest.mark.parametrize("shape", ["chain", "tree"])
+def test_greedy_plan_matches_interp(shape, chain_problem, tree_problem):
+    problem = chain_problem if shape == "chain" else tree_problem
+    outcomes = {
+        kernel: _outcome(
+            lambda: solve_greedy(
+                problem, max_iterations=GREEDY_ROUNDS, kernel=kernel
+            )
+        )
+        for kernel in ("numpy", "interp")
+    }
+    assert outcomes["numpy"] == outcomes["interp"]
+    points, cost, _feasible = outcomes["numpy"]
+    assert len(points) == GREEDY_ROUNDS
+    assert cost == problem.costs.total(points)
+
+
+@pytest.mark.parametrize("shape", ["chain", "tree"])
+def test_cascade_plan_matches_interp(
+    shape, chain_problem, tree_problem, monkeypatch
+):
+    problem = chain_problem if shape == "chain" else tree_problem
+    outcomes = {}
+    for kernel in ("numpy", "interp"):
+        monkeypatch.setattr(kernels, "DEFAULT_KERNEL", kernel)
+        outcomes[kernel] = _outcome(lambda: solve_with_fallback(problem))
+    assert outcomes["numpy"] == outcomes["interp"]
+    assert not isinstance(outcomes["numpy"], str), outcomes["numpy"]

@@ -8,14 +8,14 @@ reformulation of the COP recurrences that changes results in the last ulp
 fails here.
 """
 
-import os
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import generators
+from repro.circuit import GateType, generators
+from repro.circuit.generators import random_dag, rpr_mixed
 from repro.circuit.library import benchmark
 from repro.core import (
     IncrementalEvaluator,
@@ -26,7 +26,9 @@ from repro.core import (
     prepare_for_tpi,
     solve_greedy,
 )
-from repro.sim import all_stuck_at_faults
+from repro.errors import DivergenceError
+from repro.sim import all_stuck_at_faults, npsim
+from repro.verify import Guard
 
 OP = TestPointType.OBSERVATION
 CONTROLS = [
@@ -155,23 +157,22 @@ class TestCandidateGain:
         _assert_identical(inc.base, evaluate_placement(problem, [point]))
 
 
-@contextmanager
-def _forced_numpy_delta():
-    """Pin the vectorized delta engine on regardless of circuit shape.
+#: Pin the vectorized delta engines on regardless of circuit shape.  The
+#: adaptive dispatch declines tiny/narrow circuits for performance;
+#: equivalence must hold on them regardless.
+_forced_numpy_delta = npsim.forced_delta
 
-    The adaptive dispatch declines tiny/narrow circuits for performance;
-    equivalence must hold on them regardless, so these tests force the
-    engine via its environment override.
-    """
-    prior = os.environ.get("REPRO_NP_DELTA_MIN_WIDTH")
-    os.environ["REPRO_NP_DELTA_MIN_WIDTH"] = "0"
+
+@contextmanager
+def _gain_batch_bytes(budget):
+    """Temporarily resize the batch scorer's chunk budget (None: keep)."""
+    prior = npsim.GAIN_BATCH_BYTES
+    if budget is not None:
+        npsim.GAIN_BATCH_BYTES = budget
     try:
         yield
     finally:
-        if prior is None:
-            del os.environ["REPRO_NP_DELTA_MIN_WIDTH"]
-        else:
-            os.environ["REPRO_NP_DELTA_MIN_WIDTH"] = prior
+        npsim.GAIN_BATCH_BYTES = prior
 
 
 def _random_branch_placement(circuit, rng_draw, max_points=4):
@@ -261,6 +262,171 @@ class TestNumpyDeltaEquivalence:
             assert inc._np_delta is not None
 
 
+def _gain_candidates(circuit, rng_draw, base):
+    """Candidates of every flavour against ``base``.
+
+    Stem and branch observation and control points at random sites, a
+    control point on each of two primary inputs, and an observation point
+    on every wire the base already observes (gain 0).  Second control
+    points on a wire are left out (they raise).
+    """
+    names = list(circuit.node_names)
+    controlled = {(p.node, p.branch) for p in base if p.kind.is_control}
+    candidates = [
+        TestPoint(p.node, OP, branch=p.branch) for p in base if p.kind is OP
+    ]
+    for name in circuit.inputs[:2]:
+        if (name, None) not in controlled:
+            candidates.append(
+                TestPoint(name, rng_draw(st.sampled_from(CONTROLS)))
+            )
+    for _ in range(rng_draw(st.integers(1, 14))):
+        node = rng_draw(st.sampled_from(names))
+        fanouts = circuit.fanouts(node)
+        branch = None
+        if fanouts and rng_draw(st.booleans()):
+            branch = rng_draw(st.sampled_from(fanouts))
+        kind = rng_draw(st.sampled_from([OP] + CONTROLS))
+        if kind.is_control and (node, branch) in controlled:
+            continue
+        candidates.append(TestPoint(node, kind, branch=branch))
+    return candidates
+
+
+class TestCandidateGains:
+    """One batched call per greedy round equals per-candidate scoring."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 500),
+        # 1 byte: one column per chunk; 4 KiB: two or three columns;
+        # None: the default budget (every candidate in one chunk)
+        budget=st.sampled_from([1, 4096, None]),
+    )
+    def test_batched_gains_equal_candidate_gain(self, data, seed, budget):
+        circuit = generators.random_dag(4, 24, seed=seed)
+        problem = TPIProblem(circuit=circuit, threshold=0.05)
+        faults = all_stuck_at_faults(circuit)
+        base = _random_branch_placement(circuit, data.draw, max_points=3)
+        candidates = _gain_candidates(circuit, data.draw, base)
+        arbiter = IncrementalEvaluator(
+            problem, base_points=base, faults=faults, kernel="interp"
+        )
+        expected = [arbiter.candidate_gain(c) for c in candidates]
+        assert arbiter.candidate_gains(candidates) == expected
+        with _forced_numpy_delta(), _gain_batch_bytes(budget):
+            inc = IncrementalEvaluator(
+                problem, base_points=base, faults=faults, kernel="numpy"
+            )
+            assert inc.candidate_gains(candidates) == expected
+            if any(inc._candidate_diff(c) for c in candidates):
+                assert inc._batch is not None  # the batch scored them
+            assert [inc.candidate_gain(c) for c in candidates] == expected
+        for cand, gain in zip(candidates, expected):
+            if cand.kind is OP and cand in base:
+                assert gain == 0
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 200))
+    def test_batch_tracks_rebases(self, data, seed):
+        circuit = generators.random_dag(4, 20, seed=seed)
+        problem = TPIProblem(circuit=circuit, threshold=0.05)
+        candidates = _gain_candidates(circuit, data.draw, [])
+        with _forced_numpy_delta(), _gain_batch_bytes(4096):
+            inc = IncrementalEvaluator(problem, kernel="numpy")
+            arbiter = IncrementalEvaluator(problem, kernel="interp")
+            for _ in range(3):
+                controlled = {
+                    (p.node, p.branch)
+                    for p in inc.base_points
+                    if p.kind.is_control
+                }
+                candidates = [
+                    c for c in candidates
+                    if not (c.kind.is_control and (c.node, c.branch) in controlled)
+                ]
+                if not candidates:
+                    break
+                gains = inc.candidate_gains(candidates)
+                assert gains == arbiter.candidate_gains(candidates)
+                best = candidates[gains.index(max(gains))]
+                inc.commit(best)
+                arbiter.commit(best)
+
+    @pytest.mark.parametrize("kernel", ["numpy", "interp"])
+    @pytest.mark.parametrize("branch", [False, True])
+    def test_second_control_point_on_a_wire_raises(self, kernel, branch):
+        circuit = generators.random_dag(4, 20, seed=7)
+        problem = TPIProblem(circuit=circuit, threshold=0.05)
+        node = next(n for n in circuit.node_names if len(circuit.fanouts(n)) > 1)
+        site = circuit.fanouts(node)[0] if branch else None
+        base = [TestPoint(node, TestPointType.CONTROL_AND, branch=site)]
+        valid = TestPoint(circuit.outputs[0], OP)
+        second = TestPoint(node, TestPointType.CONTROL_OR, branch=site)
+        with _forced_numpy_delta():
+            inc = IncrementalEvaluator(problem, base_points=base, kernel=kernel)
+            with pytest.raises(ValueError, match="multiple control points"):
+                inc.candidate_gain(second)
+            with pytest.raises(ValueError, match="multiple control points"):
+                inc.candidate_gains([valid, second])
+        assert inc.stats["deltas"] == 0  # validated before any scoring
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_tick_runs_per_walked_candidate_and_per_chunk(self, batched):
+        circuit = generators.random_dag(4, 24, seed=11)
+        problem = TPIProblem(circuit=circuit, threshold=0.05)
+        candidates = [TestPoint(n, OP) for n in circuit.node_names]
+        ticks = []
+        with _forced_numpy_delta(), _gain_batch_bytes(4096):
+            inc = IncrementalEvaluator(
+                problem, kernel="numpy" if batched else "interp"
+            )
+            inc.candidate_gains(candidates, tick=lambda: ticks.append(1))
+            if batched:
+                columns = inc._batch.columns
+                assert len(ticks) == -(-len(candidates) // columns) > 1
+            else:
+                assert len(ticks) == len(candidates)
+
+    def test_guard_flips_one_coin_per_batched_candidate(self, tmp_path):
+        circuit = generators.random_dag(4, 24, seed=11)
+        problem = TPIProblem(circuit=circuit, threshold=0.05)
+        base = [TestPoint(circuit.outputs[0], OP)]
+        candidates = [TestPoint(n, OP) for n in circuit.node_names]
+        live = [c for c in candidates if c not in base]
+        guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
+        with _forced_numpy_delta():
+            inc = IncrementalEvaluator(
+                problem, base_points=base, kernel="numpy", guard=guard
+            )
+            gains = inc.candidate_gains(candidates)
+        assert guard.checks == len(live)
+        assert guard.divergences == 0
+        assert gains == [inc._walk_gain(c) for c in candidates]
+
+    def test_planted_float_bug_bundles_a_replayable_divergence(
+        self, tmp_path, engine_bug
+    ):
+        from repro.cli import main
+
+        circuit = generators.random_dag(8, 40, seed=3)
+        problem = TPIProblem.from_test_length(circuit, n_patterns=64)
+        candidates = [TestPoint(n, OP) for n in circuit.node_names]
+        lift = engine_bug(GateType.AND, GateType.OR, folds="floats")
+        guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
+        with _forced_numpy_delta():
+            inc = IncrementalEvaluator(problem, kernel="numpy", guard=guard)
+            with pytest.raises(DivergenceError) as info:
+                inc.candidate_gains(candidates)
+        assert info.value.kind == "incremental.gains"
+        bundle = info.value.bundle_path
+        assert bundle is not None
+        assert main(["replay", bundle]) == 0  # reproduces while planted
+        lift()
+        assert main(["replay", bundle]) == 1  # a healthy engine agrees
+
+
 class TestSolverEquivalence:
     def test_greedy_identical_with_and_without_incremental(self):
         circuit = prepare_for_tpi(benchmark("rprmix"))
@@ -301,3 +467,29 @@ class TestSolverEquivalence:
         assert fast.points == slow.points
         assert fast.cost == slow.cost
         assert fast.feasible == slow.feasible
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_dag(15, 150, seed=3),
+            lambda: random_dag(25, 250, seed=4),
+            lambda: rpr_mixed(12, 8, 3, seed=5, name="rprmix12"),
+        ],
+        ids=["rdag150", "rdag250", "rprmix12"],
+    )
+    def test_greedy_numpy_matches_interp_on_pipeline_shapes(self, make):
+        # The dag_greedy pipeline population: planned at 2^16 patterns,
+        # where the numpy solve scores every round on the batch.
+        circuit = prepare_for_tpi(make())
+        problem = TPIProblem.from_test_length(
+            circuit, n_patterns=1 << 16, escape_budget=0.001
+        )
+        plan = npsim.get_plan(circuit)
+        assert npsim.batch_profitable(plan, npsim.gain_batch_columns(plan))
+        vec = solve_greedy(problem, kernel="numpy")
+        interp = solve_greedy(problem, kernel="interp")
+        assert vec.points == interp.points
+        assert vec.cost == interp.cost
+        assert vec.feasible == interp.feasible
+        assert vec.stats["evaluations"] == interp.stats["evaluations"]
+        assert vec.stats["incremental_deltas"] == interp.stats["incremental_deltas"]

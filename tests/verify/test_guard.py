@@ -134,6 +134,58 @@ class TestCopAndIncrementalGuards:
         assert guard.divergences == 0
 
 
+class TestIncrementalDeltaReplay:
+    """``incremental.delta`` bundles (the vectorized placement delta
+    behind ``evaluate``) must replay: reproduced while the engine bug is
+    planted, stale once it is lifted."""
+
+    def test_planted_sens_fold_bug_replays(self, tmp_path, engine_bug):
+        from repro.cli import main
+        from repro.core.incremental import IncrementalEvaluator
+        from repro.core.problem import TestPoint, TestPointType, TPIProblem
+        from repro.sim import npsim
+
+        circuit = random_dag(8, 40, seed=3)
+        problem = TPIProblem.from_test_length(circuit, n_patterns=64)
+        lift = engine_bug(GateType.AND, GateType.OR, folds="floats")
+        with npsim.forced_delta(), GuardedSession(
+            fraction=1.0, seed=0, bundle_dir=tmp_path
+        ):
+            inc = IncrementalEvaluator(problem, kernel="numpy")
+            with pytest.raises(DivergenceError) as info:
+                # a control point re-runs the planted probability fold on
+                # the gates downstream of its site, so the delta's own
+                # check fires before evaluate's from-scratch one
+                for name in circuit.node_names:
+                    inc.evaluate([TestPoint(name, TestPointType.CONTROL_AND)])
+        assert info.value.kind == "incremental.delta"
+        bundle = info.value.bundle_path
+        assert bundle is not None
+        manifest, _circuit = load_bundle(bundle)
+        assert manifest["context"]["kernel"] == "numpy"
+        assert main(["replay", bundle]) == 0
+        assert replay_bundle(bundle).reproduced
+        lift()
+        assert main(["replay", bundle]) == 1
+        assert not replay_bundle(bundle).reproduced
+
+    def test_float_plant_corrupts_placement_pass(self, engine_bug):
+        from repro.core.problem import TPIProblem
+        from repro.core.virtual import evaluate_placement
+
+        circuit = random_dag(8, 40, seed=3)
+        problem = TPIProblem.from_test_length(circuit, n_patterns=64)
+        reference = evaluate_placement(problem, [], kernel="interp")
+        lift = engine_bug(GateType.AND, GateType.OR, folds="floats")
+        corrupted = evaluate_placement(problem, [], kernel="numpy")
+        assert corrupted.stem_pre != reference.stem_pre
+        assert corrupted.wire_obs != reference.wire_obs
+        lift()
+        healthy = evaluate_placement(problem, [], kernel="numpy")
+        assert healthy.stem_pre == reference.stem_pre
+        assert healthy.wire_obs == reference.wire_obs
+
+
 class TestGuardedSession:
     def test_ambient_guard_catches_planted_bug(self, tmp_path, engine_bug):
         circuit = c17()
