@@ -9,12 +9,13 @@ it deliberately: a time-budgeted loop draws seeded random circuits from
 its arbiter —
 
 * numpy logic simulation vs the interpreter (full node-word map);
-* numpy fault simulation vs the interpreter, fault by fault;
+* numpy fault simulation, forced onto the batched sweep, vs the
+  interpreter, fault by fault;
 * fault dropping (:meth:`run_coverage`) vs the exact run it must match;
 * numpy COP and placement passes vs the interpreted passes;
 * :class:`IncrementalEvaluator` deltas vs a from-scratch full pass, and
   its batched candidate gains vs the interpreted walk;
-* the batched fault sweep forced across word-tile and chunk seams;
+* the batched fault sweep forced across chunk seams;
 * the DP's claimed optimum vs exhaustive search under the quantized
   objective, on small fanout-free instances (the paper's exactness
   regime);
@@ -46,7 +47,9 @@ from ..core.virtual import evaluate_placement
 from ..errors import BudgetExceededError, SolverError
 from ..resilience import Budget
 from ..sim import npsim
+from ..sim.bitops import word_count
 from ..sim.fault_sim import FaultSimulator
+from ..sim.faults import collapse_faults
 from ..sim.logic_sim import LogicSimulator
 from ..sim.patterns import UniformRandomSource
 from ..testability.cop import cop_measures
@@ -159,7 +162,12 @@ def _check_fault_sim(
     circuit: Circuit, seed: int, n_patterns: int
 ) -> Optional[_Divergence]:
     stimulus = _stimulus(circuit, seed, n_patterns)
-    fast = FaultSimulator(circuit, kernel="numpy").run(stimulus, n_patterns)
+    # Forced: small fuzz circuits have fewer faults than the batch rule
+    # asks for, and the numpy kernel walks such lists on the interpreter.
+    with npsim.forced():
+        fast = FaultSimulator(circuit, kernel="numpy").run(
+            stimulus, n_patterns
+        )
     slow = FaultSimulator(circuit, kernel="interp").run(stimulus, n_patterns)
     bad = next(
         (
@@ -317,7 +325,7 @@ def _check_incremental(circuit: Circuit, seed: int) -> Optional[_Divergence]:
     # Fuzz-sized circuits are narrower than the vectorized engines'
     # adaptive cutoffs; force them on so the lane actually attacks
     # PlacementDelta and PlacementBatch rather than the interpreted walk.
-    with npsim.forced_delta():
+    with npsim.forced():
         inc = IncrementalEvaluator(problem, base, kernel="numpy")
         fast = _evaluation_payload(inc.evaluate(points))
     slow = _evaluation_payload(
@@ -353,7 +361,7 @@ def _check_candidate_gains(
         kind = rng.choice(kinds)
         if not (kind.is_control and (name, branch) in controlled):
             candidates.append(TestPoint(name, kind, branch=branch))
-    with npsim.forced_delta():
+    with npsim.forced():
         batched = inc.candidate_gains(candidates)
     for index, (cand, gain) in enumerate(zip(candidates, batched)):
         walked = inc._walk_gain(cand)
@@ -412,51 +420,67 @@ def _check_dp_vs_exhaustive(
     )
 
 
-def _check_tiled_batch(
+#: Fault machines per chunk in the chunk-seam lane: small enough that
+#: every fuzz circuit's fault list spans several chunks.
+_SEAM_MACHINES = 3
+
+
+def batch_seam_words(
+    circuit: Circuit, stimulus: Dict[str, int], n_patterns: int,
+    chunk_bytes: int,
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Batched vs walked detection words of every collapsed fault.
+
+    The batch runs :func:`~repro.sim.npsim.propagate_batch` directly
+    with ``chunk_bytes`` as its memory budget; the walk is the
+    interpreted arbiter over the same good machine.  Both maps are keyed
+    by ``str(fault)``.
+    """
+    faults = collapse_faults(circuit).representatives
+    state = LogicSimulator(circuit, kernel="numpy").run(stimulus, n_patterns)
+    sim = FaultSimulator(circuit, kernel="numpy")
+    detect, _evals = npsim.propagate_batch(
+        state, sim._batch_sites(faults, state), chunk_bytes=chunk_bytes
+    )
+    arbiter = FaultSimulator(circuit, kernel="interp")
+    batched = dict(zip(map(str, faults), npsim.rows_to_words(detect)))
+    walked = {
+        str(f): arbiter.simulate_fault(f, state, n_patterns) for f in faults
+    }
+    return batched, walked
+
+
+def _check_batch_seams(
     circuit: Circuit, seed: int, n_patterns: int
 ) -> Optional[_Divergence]:
-    """Batched sweeps forced through word tiles and chunks.
+    """The batched sweep split into many chunks, against the walk.
 
-    A deliberately tiny memory budget makes ``propagate_batch`` split
-    the fault cube along both the word axis (tile seams) and the fault
-    axis (chunk seams) on circuits where the default budget would run a
-    single untiled sweep — the exact seam bookkeeping the wide-pattern
-    coverage path relies on.
+    A tiny memory budget makes ``propagate_batch`` run a few fault
+    machines per chunk, so every chunk seam — site-sorted chunk order,
+    fault-free prefix copies, re-pinned sites, the shared cube buffer —
+    is crossed on circuits the default budget runs as one chunk.
     """
-    from ..sim import npsim
-    from ..sim.fault_sim import BatchPolicy
-
     stimulus = _stimulus(circuit, seed, n_patterns)
     plan = npsim.get_plan(circuit)
-    rows = plan.n_rows + npsim.batch_staging_rows(plan)
-    policy = BatchPolicy(
-        min_faults=1, min_capacity=1, chunk_bytes=8 * rows * 2 * 3
+    chunk_bytes = _SEAM_MACHINES * (
+        8 * (plan.n_rows + npsim.batch_staging_rows(plan))
+        * word_count(n_patterns)
     )
-    fast = FaultSimulator(circuit, kernel="numpy", batch_policy=policy).run(
-        stimulus, n_patterns
-    )
-    slow = FaultSimulator(circuit, kernel="interp").run(stimulus, n_patterns)
-
-    def summary(res):
-        return {
-            str(f): [res.detection_word[f], res.first_detect[f]]
-            for f in res.detection_word
-        }
-
-    if summary(fast) == summary(slow):
+    fast, slow = batch_seam_words(circuit, stimulus, n_patterns, chunk_bytes)
+    if fast == slow:
         return None
     return _Divergence(
-        kind="fuzz.tiled_batch",
+        kind="fuzz.batch_seams",
         context={
             "stimulus": stimulus,
             "n_patterns": n_patterns,
-            "chunk_bytes": policy.chunk_bytes,
+            "chunk_bytes": chunk_bytes,
             "kernel": "numpy",
         },
-        expected=summary(slow),
-        actual=summary(fast),
-        message="word-tiled batched sweep disagrees with interpreter "
-        "across tile/chunk seams",
+        expected=slow,
+        actual=fast,
+        message="batched sweep disagrees with interpreter across chunk "
+        "seams",
     )
 
 
@@ -752,7 +776,7 @@ def run_fuzz(
                     lambda c: _check_cop(c, stim_seed),
                     lambda c: _check_placement(c, stim_seed),
                     lambda c: _check_incremental(c, stim_seed),
-                    lambda c: _check_tiled_batch(c, stim_seed, n_patterns),
+                    lambda c: _check_batch_seams(c, stim_seed, n_patterns),
                 ]
                 if store:
                     checks.append(

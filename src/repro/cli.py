@@ -1102,8 +1102,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--patterns", type=int, default=64, metavar="N",
-        help="patterns per simulation lane (default 64; >64 drives the "
-        "numpy kernel's word-tiled batch seams)",
+        help="patterns per simulation lane (default 64; >64 drives "
+        "multi-word batches and partial last words)",
     )
     p.add_argument(
         "--bundle-dir", default="repro_bundles", metavar="DIR",

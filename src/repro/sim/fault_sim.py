@@ -5,6 +5,11 @@ levelized order) against cached good-circuit values, with all patterns packed
 into single integer words — i.e. single-fault propagation, all patterns in
 parallel, the PPSFP-style organization classic fault simulators use.
 
+On the numpy kernel a block of faults may instead run through one
+fault-parallel sweep (:func:`repro.sim.npsim.propagate_batch`);
+:func:`repro.sim.npsim.fault_batch_declined` picks between the two paths
+per block, and every block it declines walks on the interpreter.
+
 Key outputs:
 
 * per-fault **detection word** (bit ``p`` set iff pattern ``p`` detects);
@@ -29,7 +34,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
 from ..circuit.gates import evaluate_gate
@@ -43,49 +48,10 @@ from .faults import CollapsedFaultSet, Fault, collapse_faults
 from .logic_sim import LogicSimulator
 
 __all__ = [
-    "BatchPolicy",
-    "DEFAULT_BATCH_POLICY",
     "FaultSimResult",
     "FaultSimulator",
     "fault_coverage",
 ]
-
-
-@dataclass(frozen=True)
-class BatchPolicy:
-    """When and how the numpy kernel batches faults into one sweep.
-
-    The fault-parallel batched pass re-evaluates the *whole circuit* per
-    fault machine, trading inflated per-fault work for ufunc dispatch
-    amortized across the whole batch.  This policy gathers the knobs
-    that decide the trade; tests and the fuzzer pin explicit instances
-    instead of monkeypatching module constants.  Wide pattern budgets
-    need no cap: :func:`~repro.sim.npsim.propagate_batch` tiles the
-    pattern axis under its memory budget, so wide-pattern runs keep the
-    chunk capacity of narrow ones.
-
-    Attributes
-    ----------
-    min_faults:
-        Below this many faults the sweep's fixed dispatch cost (one
-        grouped full-circuit pass) is not worth amortizing.
-    min_capacity:
-        Minimum fault machines per memory-budget chunk for the batch to
-        pay: narrower chunks degenerate toward one full-circuit pass
-        per fault.
-    chunk_bytes:
-        Memory budget per batched chunk, forwarded to
-        :func:`~repro.sim.npsim.propagate_batch` and
-        :func:`~repro.sim.npsim.batch_capacity`.
-    """
-
-    min_faults: int = 16
-    min_capacity: int = 16
-    chunk_bytes: int = npsim.BATCH_CHUNK_BYTES
-
-
-#: Process-wide default policy.
-DEFAULT_BATCH_POLICY = BatchPolicy()
 
 
 @dataclass
@@ -194,11 +160,12 @@ class FaultSimulator:
     """Stuck-at fault simulator bound to one circuit.
 
     The good-circuit values are computed once per stimulus; each fault then
-    re-evaluates only its fanout cone.
+    re-evaluates only its fanout cone, unless its block runs through the
+    numpy kernel's fault-parallel batch.
 
     ``guard`` (or an ambient :class:`repro.verify.GuardedSession`)
-    shadow-re-executes a sampled fraction of numpy propagation results
-    through the interpreted event-driven walk and raises
+    shadow-re-executes a sampled fraction of batched results through the
+    interpreted event-driven walk and raises
     :class:`~repro.errors.DivergenceError` on any mismatch.
     """
 
@@ -207,15 +174,11 @@ class FaultSimulator:
         circuit: Circuit,
         kernel: Optional[str] = None,
         guard=None,
-        batch_policy: Optional[BatchPolicy] = None,
     ) -> None:
         circuit.validate()
         self.circuit = circuit
         self.kernel = resolve_kernel(kernel)
         self._guard = guard
-        self.batch_policy = (
-            batch_policy if batch_policy is not None else DEFAULT_BATCH_POLICY
-        )
         # Runtime-lazy: repro.verify imports this module.
         from ..verify.guard import active_guard
 
@@ -243,13 +206,15 @@ class FaultSimulator:
             self._fanout_counts[name] = circuit.fanout_count(name)
         self._masks: Dict[int, int] = {}
         # Every node's levelized fanout-cone order, built together in one
-        # reverse-topological pass on first use: both kernels walk a cone
+        # reverse-topological pass on first use: the walk visits a cone
         # per collapsed fault — nearly every site — so the one-pass
         # all-nodes build amortizes.
         self._cone_orders: Optional[Dict[str, List[str]]] = None
         #: Faulty-machine gate evaluations performed over this
         #: simulator's lifetime (each one is word-parallel over the
-        #: pattern budget) — the unit of fault-sim throughput.
+        #: pattern budget) — the unit of fault-sim throughput.  The walk
+        #: counts the gates it evaluates; the batch counts gate rows ×
+        #: fault machines of its sweeps.
         self.gate_evals = 0
 
     # ------------------------------------------------------------------
@@ -321,6 +286,12 @@ class FaultSimulator:
         """
         return self._propagate(fault, good_values, n_patterns, None)
 
+    def _mask(self, n_patterns: int) -> int:
+        mask = self._masks.get(n_patterns)
+        if mask is None:
+            mask = self._masks[n_patterns] = ones_mask(n_patterns)
+        return mask
+
     def _propagate(
         self,
         fault: Fault,
@@ -328,24 +299,15 @@ class FaultSimulator:
         n_patterns: int,
         output_diffs: Optional[Dict[str, int]],
     ) -> int:
-        """Shared propagation kernel.
+        """Walk one fault (the interpreted path, on every kernel).
 
         Returns the combined detection word; when ``output_diffs`` is a
         dict it is additionally filled with per-output difference words.
         """
         self._check_revision()
-        mask = self._masks.get(n_patterns)
-        if mask is None:
-            mask = self._masks[n_patterns] = ones_mask(n_patterns)
-
-        # numpy path: injection, excitation check and straight-line cone
-        # evaluation all stay in packed-array space — the int-word view is
-        # only materialized when the Guard samples a shadow check.
-        if self._np_plan is not None:
-            return self._np_propagate(
-                fault, good_values, n_patterns, mask, output_diffs
-            )
-
+        mask = self._mask(n_patterns)
+        if isinstance(good_values, npsim.PackedState):
+            good_values = good_values.int_map()
         stuck_word = mask if fault.value else 0
 
         if fault.branch is None:
@@ -397,68 +359,43 @@ class FaultSimulator:
         self._np_state_cache = (good_values, n_patterns, state)
         return state
 
-    def _np_propagate(
+    def _block_words(
         self,
-        fault: Fault,
+        faults: Sequence[Fault],
         good_values: Mapping[str, int],
         n_patterns: int,
-        mask: int,
-        output_diffs: Optional[Dict[str, int]],
-    ) -> int:
-        """Word-parallel propagation through the numpy cone plan."""
-        state = self._np_state(good_values, n_patterns)
-        plan = self._np_plan
+        budget: Optional[Budget],
+        where: str,
+        beat: Callable[[int, int], None],
+    ) -> List[int]:
+        """Detection words of one block of faults, batched or walked.
 
-        if fault.branch is None:
-            start = fault.node
-            injected = state.stuck_row(fault.value)
-            if npsim.words_equal(state.node_row(start), injected):
-                return 0  # fault never excited anywhere
-        else:
-            start, pin = fault.branch
-            injected = state.inject_branch(
-                start, pin, state.stuck_row(fault.value)
-            )
-            self.gate_evals += 1
-            if npsim.words_equal(injected, state.node_row(start)):
-                return 0
-
-        cone = plan.cone(start, self._cone_order)
-        self.gate_evals += cone.n_gates
-        detect, diffs = npsim.propagate_cone(
-            state, cone, injected, output_diffs is not None
-        )
-        if output_diffs is not None:
-            for po, diff in diffs:
-                output_diffs[po] = diff
-        guard = self._active_guard(self._guard)
-        if guard is not None and guard.should_check():
-            self._shadow_check(
-                guard, fault, start, ndarray_to_word(injected), state,
-                n_patterns, mask, detect,
-                None if output_diffs is None else dict(output_diffs),
-            )
-        return detect
-
-    def _np_batch_ok(self, n_faults: int, n_patterns: int) -> bool:
-        """Whether the fault-parallel batched pass beats per-cone walks.
-
-        The batched sweep re-evaluates the whole circuit per fault, so
-        it pays off only when enough fault machines share each ufunc
-        call (see :class:`BatchPolicy`); wide pattern runs stay eligible
-        because the sweep tiles the pattern axis per chunk.
+        :func:`~repro.sim.npsim.fault_batch_declined` picks the path and
+        the block is counted under ``dispatch.fault_sim.*``.  ``budget``
+        is charged ``n_patterns`` per fault before that fault (or, on the
+        batch, the whole block) is simulated, and ``beat(done, charged)``
+        reports progress at the same points.
         """
-        policy = self.batch_policy
-        if self._np_plan is None or n_faults < policy.min_faults:
-            return False
-        return (
-            npsim.batch_capacity(
-                self._np_plan, n_patterns, chunk_bytes=policy.chunk_bytes
-            )
-            >= policy.min_capacity
+        reason = npsim.fault_batch_declined(
+            self._np_plan, len(faults), n_patterns
         )
+        if reason is None:
+            obs.count("dispatch.fault_sim.batch")
+            if budget is not None:
+                for _ in faults:
+                    budget.charge("patterns", n_patterns, where)
+            beat(0, len(faults))
+            return self._batch_words(faults, good_values, n_patterns)
+        obs.count("dispatch.fault_sim.walk." + reason)
+        words = []
+        for i, fault in enumerate(faults):
+            if budget is not None:
+                budget.charge("patterns", n_patterns, where)
+            beat(i, i + 1)
+            words.append(self._propagate(fault, good_values, n_patterns, None))
+        return words
 
-    def _np_batch_words(
+    def _batch_words(
         self,
         faults: Sequence[Fault],
         good_values: Mapping[str, int],
@@ -466,33 +403,15 @@ class FaultSimulator:
     ) -> List[int]:
         """Detection words of ``faults`` via one batched circuit sweep.
 
-        Bit-identical to calling :meth:`simulate_fault` per fault (an
-        unexcited fault simply produces a zero column), including the
-        Guard's sampling sequence: shadow checks draw per fault in input
-        order, exactly as the per-fault loop would.
+        Bit-identical to walking each fault (an unexcited fault simply
+        produces a zero column).  The Guard draws one shadow-check coin
+        per fault, in input order.
         """
         self._check_revision()
-        mask = self._masks.get(n_patterns)
-        if mask is None:
-            mask = self._masks[n_patterns] = ones_mask(n_patterns)
+        mask = self._mask(n_patterns)
         state = self._np_state(good_values, n_patterns)
-        plan = self._np_plan
-        sites = []
-        for fault in faults:
-            if fault.branch is None:
-                sites.append(
-                    (plan.row[fault.node], state.stuck_row(fault.value))
-                )
-            else:
-                sink, pin = fault.branch
-                forced = state.inject_branch(
-                    sink, pin, state.stuck_row(fault.value)
-                ).copy()
-                self.gate_evals += 1
-                sites.append((plan.row[sink], forced))
-        detect, evals = npsim.propagate_batch(
-            state, sites, chunk_bytes=self.batch_policy.chunk_bytes
-        )
+        sites = self._batch_sites(faults, state)
+        detect, evals = npsim.propagate_batch(state, sites)
         self.gate_evals += evals
         words = npsim.rows_to_words(detect)
         guard = self._active_guard(self._guard)
@@ -505,9 +424,32 @@ class FaultSimulator:
                 )
                 self._shadow_check(
                     guard, fault, start, ndarray_to_word(forced), state,
-                    n_patterns, mask, word, None,
+                    n_patterns, mask, word,
                 )
         return words
+
+    def _batch_sites(
+        self, faults: Sequence[Fault], state: "npsim.PackedState"
+    ) -> List[Tuple[int, object]]:
+        """:func:`~repro.sim.npsim.propagate_batch` sites of ``faults``.
+
+        A stem fault pins its stuck row at its node; a branch fault pins
+        its sink gate re-evaluated with the stuck fan-in (one gate
+        evaluation).
+        """
+        row = state.plan.row
+        sites = []
+        for fault in faults:
+            if fault.branch is None:
+                sites.append((row[fault.node], state.stuck_row(fault.value)))
+            else:
+                sink, pin = fault.branch
+                forced = state.inject_branch(
+                    sink, pin, state.stuck_row(fault.value)
+                ).copy()
+                self.gate_evals += 1
+                sites.append((row[sink], forced))
+        return sites
 
     def _interp_propagate(
         self,
@@ -517,7 +459,7 @@ class FaultSimulator:
         mask: int,
         output_diffs: Optional[Dict[str, int]],
     ) -> int:
-        """Interpreted event-driven cone walk (the numpy path's arbiter)."""
+        """Interpreted event-driven cone walk (the batch's arbiter)."""
         out_set = self._out_set
         faulty: Dict[str, int] = {}
         detect = 0
@@ -574,58 +516,45 @@ class FaultSimulator:
         fault: Fault,
         start: str,
         injected: int,
-        good_values: Mapping[str, int],
+        state: "npsim.PackedState",
         n_patterns: int,
         mask: int,
         detect: int,
-        diffs_actual: Optional[Dict[str, int]],
     ) -> None:
-        """Re-run one numpy cone result through the interpreted walk.
+        """Re-run one batched detection word through the interpreted walk.
 
         The arbiter's gate evaluations are rolled back from ``gate_evals``
         so throughput counters keep measuring real (fast-path) work.
         """
         saved_evals = self.gate_evals
-        arbiter_diffs: Optional[Dict[str, int]] = (
-            None
-            if diffs_actual is None
-            else {po: 0 for po in self.circuit.outputs}
-        )
         try:
-            expected_detect = self._interp_propagate(
-                start, injected, good_values, mask, arbiter_diffs
+            expected = self._interp_propagate(
+                start, injected, state.int_map(), mask, None
             )
         finally:
             self.gate_evals = saved_evals
-        variant = "detect" if diffs_actual is None else "diffs"
-        if variant == "detect":
-            expected, actual = expected_detect, detect
-        else:
-            expected = {"detect": expected_detect, "diffs": arbiter_diffs}
-            actual = {"detect": detect, "diffs": diffs_actual}
-        if expected == actual:
-            guard.checks += 1
+        guard.checks += 1
+        if expected == detect:
             obs.count("guard.checks")
             return
         from ..verify.bundle import fault_to_payload
 
-        guard.checks += 1
         guard.diverge(
             "fault_sim.cone",
             expected=expected,
-            actual=actual,
+            actual=detect,
             circuit=self.circuit,
             context={
                 "fault": fault_to_payload(fault),
                 "n_patterns": n_patterns,
-                "good_values": dict(good_values),
-                "variant": variant,
+                "good_values": dict(state),
+                "variant": "detect",
                 "start": start,
                 "kernel": self.kernel,
             },
             message=(
-                f"{self.kernel} cone propagation for {start!r} disagrees "
-                f"with the interpreted walk on fault {fault}"
+                f"{self.kernel} batched propagation for {start!r} "
+                f"disagrees with the interpreted walk on fault {fault}"
             ),
         )
 
@@ -697,36 +626,19 @@ class FaultSimulator:
             result = FaultSimResult(n_patterns=n_patterns)
             detected = 0
             heartbeat = obs.Heartbeat("fault_sim.run")
-            if self._np_batch_ok(len(faults), n_patterns):
-                if budget is not None:
-                    for _ in faults:
-                        budget.charge(
-                            "patterns", n_patterns, "fault_sim.fault"
-                        )
-                heartbeat.beat(faults_done=0, faults_total=len(faults))
-                words = self._np_batch_words(faults, good_values, n_patterns)
-                for fault, word in zip(faults, words):
-                    result.detection_word[fault] = word
-                    result.first_detect[fault] = _first_set_bit(word)
-                    if word:
-                        detected += 1
-                heartbeat.beat(
-                    faults_done=len(faults), faults_total=len(faults)
-                )
-            else:
-                for i, fault in enumerate(faults):
-                    if budget is not None:
-                        budget.charge(
-                            "patterns", n_patterns, "fault_sim.fault"
-                        )
-                    heartbeat.beat(
-                        faults_done=i, faults_total=len(faults)
-                    )
-                    word = self.simulate_fault(fault, good_values, n_patterns)
-                    result.detection_word[fault] = word
-                    result.first_detect[fault] = _first_set_bit(word)
-                    if word:
-                        detected += 1
+            total = len(faults)
+            words = self._block_words(
+                faults, good_values, n_patterns, budget, "fault_sim.fault",
+                lambda done, _charged: heartbeat.beat(
+                    faults_done=done, faults_total=total
+                ),
+            )
+            heartbeat.beat(faults_done=total, faults_total=total)
+            for fault, word in zip(faults, words):
+                result.detection_word[fault] = word
+                result.first_detect[fault] = _first_set_bit(word)
+                if word:
+                    detected += 1
             result._n_detected = detected
             seconds = perf_counter() - start
             evals = self.gate_evals - evals_before
@@ -865,50 +777,25 @@ class FaultSimulator:
                 if nxt is None:
                     break
                 blk_n, good_block = nxt
-                survivors: List[Fault] = []
-                if self._np_batch_ok(len(remaining), blk_n):
-                    if budget is not None:
-                        for _ in remaining:
-                            budget.charge(
-                                "patterns", blk_n, "fault_sim.block"
-                            )
-                    sims += len(remaining)
-                    heartbeat.beat(
+                words = self._block_words(
+                    remaining, good_block, blk_n, budget, "fault_sim.block",
+                    lambda _done, charged: heartbeat.beat(
                         block_patterns=blk_n,
                         pattern_offset=offset,
                         faults_remaining=len(remaining),
-                        fault_block_sims=sims,
-                    )
-                    words = self._np_batch_words(remaining, good_block, blk_n)
-                    for fault, word in zip(remaining, words):
-                        if word:
-                            result.detection_word[fault] = word << offset
-                            result.first_detect[fault] = (
-                                offset + _first_set_bit(word)
-                            )
-                        else:
-                            survivors.append(fault)
-                else:
-                    for fault in remaining:
-                        if budget is not None:
-                            budget.charge(
-                                "patterns", blk_n, "fault_sim.block"
-                            )
-                        sims += 1
-                        heartbeat.beat(
-                            block_patterns=blk_n,
-                            pattern_offset=offset,
-                            faults_remaining=len(remaining),
-                            fault_block_sims=sims,
+                        fault_block_sims=sims + charged,
+                    ),
+                )
+                sims += len(remaining)
+                survivors: List[Fault] = []
+                for fault, word in zip(remaining, words):
+                    if word:
+                        result.detection_word[fault] = word << offset
+                        result.first_detect[fault] = (
+                            offset + _first_set_bit(word)
                         )
-                        word = self.simulate_fault(fault, good_block, blk_n)
-                        if word:
-                            result.detection_word[fault] = word << offset
-                            result.first_detect[fault] = (
-                                offset + _first_set_bit(word)
-                            )
-                        else:
-                            survivors.append(fault)
+                    else:
+                        survivors.append(fault)
                 remaining = survivors
                 offset += blk_n
             for fault in remaining:

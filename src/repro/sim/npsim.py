@@ -22,9 +22,9 @@ in parallel workers (no pickled payload needed).
 Four passes share the plan:
 
 * **logic** — fault-free simulation of all gates (uint64 bitwise folds);
-* **cone** — per-fault-site straight-line propagation over the existing
-  cone orders (:class:`ConePlan`), plus the fault-parallel batched sweep
-  (:func:`propagate_batch`);
+* **fault** — the fault-parallel batched sweep (:func:`propagate_batch`)
+  for fault blocks that :func:`fault_batch_declined` accepts; every
+  other block walks on the interpreter;
 * **cop forward / backward** — the COP probability passes as float64
   array sweeps, including the ``stem_combine`` escape folds;
 * **placement** — the placement-aware forward+backward pass of
@@ -53,27 +53,25 @@ interpreted ground truth.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..circuit.gates import GateType
 from ..circuit.netlist import Circuit
-from ..errors import SimulationError
-from .bitops import ndarray_to_word, ones_mask, word_count, word_to_ndarray
+from .bitops import word_count, word_to_ndarray
 
 __all__ = [
     "BATCH_CHUNK_BYTES",
-    "BATCH_TILE_MIN_SITES",
+    "BATCH_MAX_WORDS",
+    "BATCH_MIN_FAULTS",
     "DELTA_MIN_MEAN_WIDTH",
     "GAIN_BATCH_BYTES",
     "CircuitPlan",
-    "ConePlan",
     "PackedState",
     "PlacementBase",
     "PlacementBatch",
@@ -81,24 +79,18 @@ __all__ = [
     "batch_capacity",
     "batch_profitable",
     "batch_staging_rows",
-    "batch_tile_words",
     "delta_profitable",
-    "forced_delta",
+    "fault_batch_declined",
+    "forced",
     "gain_batch_columns",
     "get_plan",
     "clear_plans",
     "plan_registry_size",
     "mask_array",
     "propagate_batch",
-    "propagate_cone",
     "rows_to_words",
-    "words_equal",
 ]
 
-
-def words_equal(a, b) -> bool:
-    """Exact equality of two packed uint64 rows."""
-    return bool(np.array_equal(a, b))
 
 _AND_TYPES = (GateType.AND, GateType.NAND)
 _OR_TYPES = (GateType.OR, GateType.NOR)
@@ -386,9 +378,6 @@ class PackedState(Mapping):
         self.mask = mask_array(n_patterns)
         self._ints: Optional[Dict[str, int]] = None
         self._zeros = None
-        self._scratch = None
-        self._detect = None
-        self._tmp = None
         self._inject = None
 
     # -- Mapping interface (int-word view) ------------------------------
@@ -441,28 +430,6 @@ class PackedState(Mapping):
             self._zeros = zeros
         return self._zeros
 
-    def scratch(self, n_local: int):
-        """Reusable faulty-value matrix with at least ``n_local`` rows."""
-        buf = self._scratch
-        if buf is None or buf.shape[0] < n_local:
-            buf = self._scratch = np.empty(
-                (max(n_local, 16), self.values.shape[1]), dtype=np.uint64
-            )
-        return buf
-
-    def buffers(self):
-        """(detect, tmp, inject) single-row work vectors."""
-        if self._detect is None:
-            n_words = self.values.shape[1]
-            self._detect = np.empty(n_words, dtype=np.uint64)
-            self._tmp = np.empty(n_words, dtype=np.uint64)
-            self._inject = np.empty(n_words, dtype=np.uint64)
-        return self._detect, self._tmp, self._inject
-
-    def node_row(self, name: str):
-        """The good-machine value row of one node."""
-        return self.values[self.plan.row[name]]
-
     def inject_branch(self, site: str, pin: int, stuck):
         """Faulty output row of a fanout-branch fault's sink gate.
 
@@ -477,78 +444,10 @@ class PackedState(Mapping):
             stuck if p == pin else V[plan.row[fi]]
             for p, fi in enumerate(plan.fanins[site])
         ]
-        _detect, _tmp, inject = self.buffers()
-        _eval_word_rows(plan.gate_types[site], rows, inject, self.mask)
-        return inject
-
-
-# ---------------------------------------------------------------------------
-# Cone plans
-# ---------------------------------------------------------------------------
-
-
-class ConePlan:
-    """Straight-line propagation schedule for one fault site's cone.
-
-    Every cone gate is evaluated (a gate the interpreted event-driven walk
-    would skip recomputes its good value and contributes a zero diff), so
-    detection words and per-output diffs are identical by construction.
-    """
-
-    __slots__ = ("start", "n_local", "n_gates", "ops", "po_terms")
-
-    def __init__(self, plan: "CircuitPlan", start: str, order: Sequence[str]):
-        if not order or order[0] != start:
-            raise SimulationError(f"cone order must start at {start!r}")
-        local = {name: i for i, name in enumerate(order)}
-        self.start = start
-        self.n_local = len(order)
-        self.n_gates = len(order) - 1
-        ops: List[Tuple[GateType, int, Tuple[Tuple[bool, int], ...]]] = []
-        row = plan.row
-        for name in order[1:]:
-            srcs = tuple(
-                (True, local[fi]) if fi in local else (False, row[fi])
-                for fi in plan.fanins[name]
-            )
-            ops.append((plan.gate_types[name], local[name], srcs))
-        self.ops = ops
-        self.po_terms: List[Tuple[str, int, int]] = [
-            (name, row[name], local[name])
-            for name in order
-            if name in plan.out_set
-        ]
-
-
-def propagate_cone(
-    state: PackedState,
-    cone: ConePlan,
-    injected,
-    want_diffs: bool,
-) -> Tuple[int, Optional[List[Tuple[str, int]]]]:
-    """Propagate one injected fault through its cone plan.
-
-    Returns ``(detect_word, diffs)`` where ``diffs`` lists ``(output,
-    diff_word)`` for the cone's primary outputs (``None`` unless
-    ``want_diffs``).  All ints are masked exactly like the interpreted
-    walk's results.
-    """
-    V = state.values
-    mask = state.mask
-    F = state.scratch(cone.n_local)
-    F[0] = injected
-    for gate_type, out_local, srcs in cone.ops:
-        rows = [F[i] if is_local else V[i] for is_local, i in srcs]
-        _eval_word_rows(gate_type, rows, F[out_local], mask)
-    detect, tmp, _inject = state.buffers()
-    detect[:] = 0
-    diffs: Optional[List[Tuple[str, int]]] = [] if want_diffs else None
-    for name, global_row, local_row in cone.po_terms:
-        np.bitwise_xor(F[local_row], V[global_row], out=tmp)
-        np.bitwise_or(detect, tmp, out=detect)
-        if diffs is not None:
-            diffs.append((name, ndarray_to_word(tmp)))
-    return ndarray_to_word(detect), diffs
+        if self._inject is None:
+            self._inject = np.empty(V.shape[1], dtype=np.uint64)
+        _eval_word_rows(plan.gate_types[site], rows, self._inject, self.mask)
+        return self._inject
 
 
 # ---------------------------------------------------------------------------
@@ -556,29 +455,33 @@ def propagate_cone(
 # ---------------------------------------------------------------------------
 
 #: Memory budget (bytes) for one batched value cube; chunks are sized so a
-#: chunk's ``n_rows × B × tile_words`` uint64 matrix — plus its staging
+#: chunk's ``n_rows × B × n_words`` uint64 matrix — plus its staging
 #: rows, see :func:`batch_staging_rows` — stays inside it.  Larger budgets
 #: buy little throughput: past a few MiB each ufunc call already spans
 #: enough fault machines, while the cube's pages count fully toward the
 #: process's peak RSS.
 BATCH_CHUNK_BYTES = 6 << 20
 
-#: Fewest fault machines a chunk should hold before the word axis tiles:
-#: when the full pattern width would squeeze the chunk below this many
-#: machines, ``propagate_batch`` shrinks the tile width instead so each
-#: ufunc call keeps amortizing dispatch over enough fault columns.
-BATCH_TILE_MIN_SITES = 16
+#: Fewest faults a block needs for the batch: below it the sweep's fixed
+#: cost (one grouped full-circuit pass) is not worth amortizing.
+BATCH_MIN_FAULTS = 16
+
+#: Widest block (64-pattern words) the batch takes.  The sweep
+#: re-evaluates every gate below a chunk's first site for every fault
+#: machine and every word, so its edge over the interpreted walk shrinks
+#: as words grow (DESIGN.md §14 has the measured regimes).
+BATCH_MAX_WORDS = 16
 
 
 def batch_staging_rows(plan: "CircuitPlan") -> int:
     """Row-equivalents of per-chunk scratch beyond the value cube itself.
 
-    Besides the ``(n_rows, B, tile_words)`` cube, a batched chunk holds
+    Besides the ``(n_rows, B, n_words)`` cube, a batched chunk holds
     the primary-output staging block used to diff faulty outputs against
     the good matrix (``n_po`` row-equivalents — the diff is computed in
     place on the staged copy, so the block is charged once) plus O(1)
     rows for the stacked forced values, the tiled pattern mask, and the
-    per-tile detection reduction.  :func:`batch_capacity` charges these
+    per-chunk detection reduction.  :func:`batch_capacity` charges these
     against the memory budget so a chunk's true footprint stays inside
     ``chunk_bytes``; counting only the faulty cube (as earlier revisions
     did) let wide-output circuits overshoot the budget by up to 2x.
@@ -586,48 +489,18 @@ def batch_staging_rows(plan: "CircuitPlan") -> int:
     return len(plan.outputs) + 3
 
 
-def _tile_words_for(
-    plan: "CircuitPlan", n_words: int, chunk_bytes: int
-) -> int:
-    """Word-axis tile width for a batched sweep at ``n_words`` patterns.
-
-    Prefers the untiled layout (one tile spanning the full width)
-    whenever a chunk at full width still fits ``BATCH_TILE_MIN_SITES``
-    fault machines; otherwise the widest tile that does.
-    """
-    rows = plan.n_rows + batch_staging_rows(plan)
-    budget_words = chunk_bytes // (8 * rows * BATCH_TILE_MIN_SITES)
-    return max(1, min(n_words, budget_words))
-
-
-def batch_tile_words(
-    plan: "CircuitPlan", n_patterns: int, chunk_bytes: int = BATCH_CHUNK_BYTES
-) -> int:
-    """Word-axis tile width :func:`propagate_batch` will pick by default."""
-    return _tile_words_for(plan, word_count(n_patterns), chunk_bytes)
-
-
 def batch_capacity(
     plan: "CircuitPlan",
     n_patterns: int,
     chunk_bytes: int = BATCH_CHUNK_BYTES,
-    tile_words: Optional[int] = None,
 ) -> int:
     """Fault machines one batched chunk can hold under the memory budget.
 
     Charges the full chunk footprint — value cube plus staging rows (see
-    :func:`batch_staging_rows`) — at the word-axis tile width the batch
-    would actually run (pass ``tile_words`` to pin a different one).
-    Thanks to tiling this stays a useful chunk width at any pattern
-    budget: widening the patterns narrows the tile, not the chunk.
+    :func:`batch_staging_rows`) — at the block's full word width.
     """
-    n_words = word_count(n_patterns)
-    if tile_words is None:
-        tile_words = _tile_words_for(plan, n_words, chunk_bytes)
-    else:
-        tile_words = max(1, min(tile_words, n_words))
     rows = plan.n_rows + batch_staging_rows(plan)
-    return chunk_bytes // (8 * rows * tile_words)
+    return chunk_bytes // (8 * rows * word_count(n_patterns))
 
 
 def rows_to_words(matrix) -> List[int]:
@@ -645,7 +518,6 @@ def propagate_batch(
     state: PackedState,
     sites: Sequence[Tuple[int, "np.ndarray"]],
     chunk_bytes: int = BATCH_CHUNK_BYTES,
-    tile_words: Optional[int] = None,
 ) -> Tuple["np.ndarray", int]:
     """Propagate many injected faults through the whole circuit at once.
 
@@ -653,44 +525,30 @@ def propagate_batch(
     of the injection site and the faulty value row to pin there (a stuck
     row for stem faults, the re-evaluated sink output for branch faults).
 
-    Where :func:`propagate_cone` walks one fault's cone with one ufunc
-    call per gate, this pass stacks ``B`` fault machines into a
-    ``(n_rows, B, tile_words)`` cube and re-runs the *grouped*
-    full-circuit sweep on it, so each ufunc call covers ``group × B``
-    gate evaluations.  Every gate outside a fault's cone recomputes its
-    good value from good fan-ins, and the site row is re-pinned after its
-    group evaluates, so each column reproduces exactly the faulty machine
-    the cone walk would build.  The win is dispatch amortization: per-
-    fault work inflates by roughly ``n_gates / mean(|cone|)``, but
-    thousands of Python-level cone steps collapse into one sweep of a few
-    hundred array calls.
-
-    Wide pattern budgets tile along the word axis: when the full width
-    would not fit :data:`BATCH_TILE_MIN_SITES` fault machines inside
-    ``chunk_bytes``, the sweep runs per word-tile — same chunking, same
-    pinning, each tile evaluating words ``[w0, w1)`` of every machine —
-    and ORs each tile's detection columns into its word slice of the
-    result.  Word columns never interact in any gate fold (bitwise folds
-    are per-bit, masks are per-word), so tiling commutes with evaluation
-    and the detection matrix is bit-identical across tile seams.  Pass
-    ``tile_words`` to pin the width (tests pin seams; ``None`` picks
-    :func:`batch_tile_words`).
+    Where the interpreted walk visits one fault's cone gate by gate, this
+    pass stacks ``B`` fault machines into a ``(n_rows, B, n_words)`` cube
+    and re-runs the *grouped* full-circuit sweep on it, so each ufunc call
+    covers ``group × B`` gate evaluations.  Every gate outside a fault's
+    cone recomputes its good value from good fan-ins, and the site row is
+    re-pinned after its group evaluates, so each column reproduces
+    exactly the faulty machine the walk would build.  The win is dispatch
+    amortization: per-fault work inflates by roughly
+    ``n_gates / mean(|cone|)``, but thousands of Python-level gate steps
+    collapse into one sweep of a few hundred array calls.
 
     Chunks are capped by ``chunk_bytes`` (cube plus staging rows — see
-    :func:`batch_capacity`) and sites are processed in ascending row
-    order: every row below a chunk's first site is provably fault-free,
-    so it is block-copied from the good matrix instead of re-evaluated.
-    One cube buffer and one staging buffer are allocated per call, sized
-    for the first (widest) chunk at the full tile width; every chunk and
-    tile runs on a contiguous prefix view of them, so no two cubes are
-    ever resident at once.
+    :func:`batch_capacity`; at least one machine per chunk) and sites are
+    processed in ascending row order: every row below a chunk's first
+    site is provably fault-free, so it is block-copied from the good
+    matrix instead of re-evaluated.  One cube buffer and one staging
+    buffer are allocated per call, sized for the first (widest) chunk;
+    every chunk runs on a contiguous prefix view of them, so no two cubes
+    are ever resident at once.
 
     Returns ``(detect, gate_evals)`` — a ``(len(sites), n_words)`` uint64
     detection matrix in input order (row ``i`` packs, per pattern,
     whether fault ``i`` flips any primary output), and the number of
-    gate-machine evaluations performed.  A gate-machine evaluation is
-    word-parallel over the full pattern budget, so tiles are partial
-    evaluations summing to one — the count is tile-invariant.
+    gate-machine evaluations performed.
     """
     plan = state.plan
     V = state.values
@@ -716,30 +574,25 @@ def propagate_batch(
     )
     good_po = np.ascontiguousarray(V[po_rows])
     detect = np.zeros((n_sites, n_words), dtype=np.uint64)
-    if tile_words is None:
-        tile_words = _tile_words_for(plan, n_words, chunk_bytes)
-    else:
-        tile_words = max(1, min(int(tile_words), n_words))
     capacity = max(
-        1,
-        chunk_bytes // (8 * (n_rows + batch_staging_rows(plan)) * tile_words),
+        1, chunk_bytes // (8 * (n_rows + batch_staging_rows(plan)) * n_words)
     )
     gate_evals = 0
     widest = min(capacity, n_sites)
-    cube_buf = np.empty(n_rows * widest * tile_words, dtype=np.uint64)
-    staged_buf = np.empty(n_po * widest * tile_words, dtype=np.uint64)
+    cube_buf = np.empty(n_rows * widest * n_words, dtype=np.uint64)
+    staged_buf = np.empty(n_po * widest * n_words, dtype=np.uint64)
     for c0 in range(0, n_sites, capacity):
         chunk = order[c0 : c0 + capacity]
         B = len(chunk)
         site_rows = rows[chunk]
-        forced_full = np.stack([sites[i][1] for i in chunk])
+        forced = np.stack([sites[i][1] for i in chunk])
         # Rows below the chunk's first site carry no fault effect; copy.
         copy_to = max(n_in, int(site_rows[0]))
         bidx = np.arange(B)
         n_pre = int(np.searchsorted(site_rows, copy_to, side="left"))
         # Chunk sites are sorted by row, so the machines a logic group
         # must re-pin form a contiguous slice: two binary searches per
-        # group here replace two full boolean passes per group per tile.
+        # group here replace two full boolean passes per group.
         group_lo = np.fromiter(
             (max(g[2], copy_to) for g in plan.logic_groups),
             dtype=np.intp,
@@ -752,51 +605,44 @@ def propagate_batch(
         )
         bounds_lo = np.searchsorted(site_rows, group_lo, side="left")
         bounds_hi = np.searchsorted(site_rows, group_hi, side="left")
-        for w0 in range(0, n_words, tile_words):
-            w1 = min(w0 + tile_words, n_words)
-            tw = w1 - w0
-            flat = cube_buf[: n_rows * B * tw].reshape(n_rows, B * tw)
-            cube = flat.reshape(n_rows, B, tw)
-            cube[:copy_to] = V[:copy_to, None, w0:w1]
-            forced = forced_full[:, w0:w1]
-            if n_pre:
-                cube[site_rows[:n_pre], bidx[:n_pre]] = forced[:n_pre]
-            # The flat 2D view evaluates with simple strides; the pattern
-            # mask tiles across fault machines (the cube's inner axis is
-            # the tile's words).
-            mask_t = mask[w0:w1]
-            flat_mask = mask_t if tw == 1 else np.tile(mask_t, B)
-            for group, (gate_type, arity, lo, hi, fanin_rows) in enumerate(
-                plan.logic_groups
-            ):
-                if hi <= copy_to:
-                    continue
-                lo_eff = max(lo, copy_to)
-                _eval_word_group(
-                    gate_type,
-                    arity,
-                    fanin_rows[lo_eff - lo :],
-                    flat,
-                    flat[lo_eff:hi],
-                    flat_mask,
-                )
-                p0, p1 = int(bounds_lo[group]), int(bounds_hi[group])
-                if p1 > p0:
-                    cube[site_rows[p0:p1], bidx[p0:p1]] = forced[p0:p1]
-            # Diff faulty outputs against the good matrix in place on one
-            # staged copy (charged in batch_staging_rows), then OR-reduce
-            # into this tile's word slice of the detection matrix.
-            st = staged_buf[: n_po * B * tw].reshape(n_po, B, tw)
-            if po_contiguous:
-                np.bitwise_xor(
-                    cube[po_lo : po_lo + n_po],
-                    good_po[:, None, w0:w1],
-                    out=st,
-                )
-            else:
-                np.take(cube, po_rows, axis=0, out=st)
-                np.bitwise_xor(st, good_po[:, None, w0:w1], out=st)
-            detect[chunk, w0:w1] = np.bitwise_or.reduce(st, axis=0)
+        flat = cube_buf[: n_rows * B * n_words].reshape(n_rows, B * n_words)
+        cube = flat.reshape(n_rows, B, n_words)
+        cube[:copy_to] = V[:copy_to, None]
+        if n_pre:
+            cube[site_rows[:n_pre], bidx[:n_pre]] = forced[:n_pre]
+        # The flat 2D view evaluates with simple strides; the pattern
+        # mask tiles across fault machines (the cube's inner axis is the
+        # block's words).
+        flat_mask = mask if n_words == 1 else np.tile(mask, B)
+        for group, (gate_type, arity, lo, hi, fanin_rows) in enumerate(
+            plan.logic_groups
+        ):
+            if hi <= copy_to:
+                continue
+            lo_eff = max(lo, copy_to)
+            _eval_word_group(
+                gate_type,
+                arity,
+                fanin_rows[lo_eff - lo :],
+                flat,
+                flat[lo_eff:hi],
+                flat_mask,
+            )
+            p0, p1 = int(bounds_lo[group]), int(bounds_hi[group])
+            if p1 > p0:
+                cube[site_rows[p0:p1], bidx[p0:p1]] = forced[p0:p1]
+        # Diff faulty outputs against the good matrix in place on one
+        # staged copy (charged in batch_staging_rows), then OR-reduce
+        # into the detection matrix.
+        st = staged_buf[: n_po * B * n_words].reshape(n_po, B, n_words)
+        if po_contiguous:
+            np.bitwise_xor(
+                cube[po_lo : po_lo + n_po], good_po[:, None], out=st
+            )
+        else:
+            np.take(cube, po_rows, axis=0, out=st)
+            np.bitwise_xor(st, good_po[:, None], out=st)
+        detect[chunk] = np.bitwise_or.reduce(st, axis=0)
         gate_evals += (n_rows - copy_to) * B
     return detect, gate_evals
 
@@ -878,7 +724,8 @@ class CircuitPlan:
     """All index arrays needed to simulate one circuit structure.
 
     Built once per structural hash (see :func:`get_plan`); immutable
-    afterwards except for the lazily-populated cone-plan cache.
+    afterwards except for the lazily built placement helpers
+    (:meth:`stem_folds`, :meth:`delta_aux`).
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -1082,8 +929,7 @@ class CircuitPlan:
                     ]
             self.place_in_edges.append(mat)
 
-        # cone cache
-        self._cones: Dict[str, ConePlan] = {}
+        # guards the lazily built placement helpers
         self._lock = threading.Lock()
 
     # -- construction helpers -------------------------------------------
@@ -1170,22 +1016,6 @@ class CircuitPlan:
         if isinstance(good_values, dict):
             state._ints = good_values  # already materialized; share it
         return state
-
-    # ------------------------------------------------------------------
-    # Cone propagation
-    # ------------------------------------------------------------------
-    def cone(
-        self, start: str, order_fn: Callable[[str], Sequence[str]]
-    ) -> ConePlan:
-        """The (cached) cone plan for fault site ``start``."""
-        plan = self._cones.get(start)
-        if plan is None:
-            with self._lock:
-                plan = self._cones.get(start)
-                if plan is None:
-                    plan = ConePlan(self, start, order_fn(start))
-                    self._cones[start] = plan
-        return plan
 
     # ------------------------------------------------------------------
     # COP forward pass
@@ -1353,10 +1183,9 @@ class CircuitPlan:
 #: fixed ~20µs of slice bookkeeping regardless of width, while the
 #: interpreter pays ~1µs per actually-dirty node; measured break-even
 #: sits near 26 rows/level, and narrow-level circuits (deep multipliers,
-#: RPR corridors) regress well below 1x.  Overridable via the
-#: ``REPRO_NP_DELTA_MIN_WIDTH`` environment variable (``0`` forces the
-#: vectorized path on, which the equivalence suites use to pin tiny
-#: circuits onto it).
+#: RPR corridors) regress well below 1x.  :func:`forced` pins the
+#: vectorized path on regardless (the equivalence suites use it on tiny
+#: circuits).
 DELTA_MIN_MEAN_WIDTH = 32.0
 
 #: Byte budget of :class:`PlacementBatch`'s six float64 work matrices
@@ -1367,12 +1196,8 @@ DELTA_MIN_MEAN_WIDTH = 32.0
 GAIN_BATCH_BYTES = 512 << 10
 
 
-def _delta_min_width() -> float:
-    raw = os.environ.get("REPRO_NP_DELTA_MIN_WIDTH")
-    try:
-        return DELTA_MIN_MEAN_WIDTH if not raw else float(raw)
-    except ValueError:
-        return DELTA_MIN_MEAN_WIDTH
+#: Set by :func:`forced`: every dispatch rule below takes its fast path.
+_FORCED = False
 
 
 def _mean_width(plan: "CircuitPlan") -> float:
@@ -1384,8 +1209,7 @@ def delta_profitable(plan: "CircuitPlan") -> bool:
     interpreted dirty-cone walk on this plan (see
     :data:`DELTA_MIN_MEAN_WIDTH`).
     """
-    min_width = _delta_min_width()
-    return min_width <= 0 or _mean_width(plan) >= min_width
+    return _FORCED or _mean_width(plan) >= DELTA_MIN_MEAN_WIDTH
 
 
 def gain_batch_columns(plan: "CircuitPlan") -> int:
@@ -1403,28 +1227,55 @@ def batch_profitable(plan: "CircuitPlan", columns: int) -> bool:
     serves every column, so its effective width is the mean rows per
     level times the columns.
     """
-    min_width = _delta_min_width()
-    return min_width <= 0 or _mean_width(plan) * columns >= min_width
+    return _FORCED or _mean_width(plan) * columns >= DELTA_MIN_MEAN_WIDTH
+
+
+def fault_batch_declined(
+    plan: Optional["CircuitPlan"], n_faults: int, n_patterns: int
+) -> Optional[str]:
+    """Why :func:`propagate_batch` should not take a block of faults.
+
+    ``None`` means batch it.  Otherwise the block walks on the
+    interpreter, and the reason is one of ``"interp"`` (no plan: the
+    interpreted kernel), ``"few_faults"`` (fewer than
+    :data:`BATCH_MIN_FAULTS`), ``"too_wide"`` (more than
+    :data:`BATCH_MAX_WORDS` words) or ``"over_budget"`` (one fault
+    machine alone exceeds :data:`BATCH_CHUNK_BYTES`).  :func:`forced`
+    overrides every reason but ``"interp"``.
+    """
+    if plan is None:
+        return "interp"
+    if _FORCED:
+        return None
+    if n_faults < BATCH_MIN_FAULTS:
+        return "few_faults"
+    if word_count(n_patterns) > BATCH_MAX_WORDS:
+        return "too_wide"
+    # The budget is read here, not bound as a default argument, so a
+    # test can shrink it to provoke this reason.
+    if batch_capacity(plan, n_patterns, BATCH_CHUNK_BYTES) < 1:
+        return "over_budget"
+    return None
 
 
 @contextmanager
-def forced_delta():
-    """Pin the vectorized delta engines on regardless of plan shape.
+def forced():
+    """Pin every numpy fast path on regardless of its dispatch rule.
 
-    Sets ``REPRO_NP_DELTA_MIN_WIDTH=0`` for the duration, so the
+    For the duration, :func:`delta_profitable`, :func:`batch_profitable`
+    and :func:`fault_batch_declined` choose the array engines, so the
     fuzzer, ``replay`` and the equivalence suites attack
-    :class:`PlacementDelta` and :class:`PlacementBatch` on circuits the
-    dispatch rules would hand to the interpreted walk.
+    :class:`PlacementDelta`, :class:`PlacementBatch` and
+    :func:`propagate_batch` on circuits the rules would hand to the
+    interpreted walk.  The flag is process-global, not thread-local.
     """
-    prior = os.environ.get("REPRO_NP_DELTA_MIN_WIDTH")
-    os.environ["REPRO_NP_DELTA_MIN_WIDTH"] = "0"
+    global _FORCED
+    prior = _FORCED
+    _FORCED = True
     try:
         yield
     finally:
-        if prior is None:
-            del os.environ["REPRO_NP_DELTA_MIN_WIDTH"]
-        else:
-            os.environ["REPRO_NP_DELTA_MIN_WIDTH"] = prior
+        _FORCED = prior
 
 
 #: Per-site (control-kind, observed) summary meaning "no point here".

@@ -11,7 +11,8 @@ reproduces (the bundle is a confirmed, actionable failure), ``1`` when
 it does not (stale bundle / environment-dependent flake), ``2`` for an
 unreadable or unsupported bundle — including every bundle of the removed
 ``compiled`` backend, whose recorded kernel sources no longer have an
-engine to run on.
+engine to run on, and the per-output ``diffs`` bundles of the removed
+numpy cone walk.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..core.virtual import evaluate_placement
 from ..sim.compile import DEFAULT_KERNEL
 from ..sim.fault_sim import FaultSimulator
 from ..sim.logic_sim import LogicSimulator
-from ..sim.npsim import forced_delta
+from ..sim.npsim import forced
 from ..testability.cop import cop_measures
 from .bundle import (
     fault_from_payload,
@@ -69,11 +70,13 @@ def _fast_kernel(context) -> str:
     return context.get("kernel") or DEFAULT_KERNEL
 
 
-def _refuse_removed_backend(manifest) -> None:
-    """Reject bundles of the removed ``compiled`` backend.
+def _refuse_removed_paths(manifest) -> None:
+    """Reject bundles of removed fast paths.
 
-    Such a bundle recorded a generated kernel's source; replaying it on
-    another backend would print a misleading "not reproduced".
+    A ``compiled``-backend bundle recorded a generated kernel's source,
+    and a ``diffs`` bundle recorded the per-output words of the numpy
+    cone walk; neither engine exists any more, so replaying them would
+    print a misleading "not reproduced".
     """
     context = manifest.get("context") or {}
     if manifest.get("sources") or context.get("kernel") == "compiled":
@@ -82,13 +85,18 @@ def _refuse_removed_backend(manifest) -> None:
             "removed; its divergence cannot be replayed (rerun the "
             "producing workload on the numpy backend instead)"
         )
+    if context.get("variant") == "diffs":
+        raise ValueError(
+            "bundle was written by the numpy per-fault cone walk, which "
+            "was removed; its per-output divergence cannot be replayed "
+            "(rerun the producing workload instead)"
+        )
 
 
 def _replay_fault_sim(manifest, circuit) -> tuple:
     context = manifest["context"]
     fault = fault_from_payload(context["fault"])
     n_patterns = int(context["n_patterns"])
-    variant = context.get("variant", "detect")
     kernel = _fast_kernel(context)
     # Re-derive the good machine from the recorded input words on the fast
     # backend, as the recorded run did: a good-machine engine bug then
@@ -98,26 +106,30 @@ def _replay_fault_sim(manifest, circuit) -> tuple:
     good_values = LogicSimulator(circuit, kernel=kernel).run(
         {pi: recorded[pi] for pi in circuit.inputs}, n_patterns
     )
-    fast_sim = FaultSimulator(circuit, kernel=kernel)
-    arbiter_sim = FaultSimulator(circuit, kernel="interp")
-    if variant == "diffs":
-        fast = fast_sim.simulate_fault_responses(fault, good_values, n_patterns)
-        slow = arbiter_sim.simulate_fault_responses(
-            fault, good_values, n_patterns
-        )
-    else:
-        fast = fast_sim.simulate_fault(fault, good_values, n_patterns)
-        slow = arbiter_sim.simulate_fault(fault, good_values, n_patterns)
-        if fast == slow and kernel == "numpy":
-            # The recorded word may have come from the numpy backend's
-            # batched full-circuit strategy rather than a cone walk; a
-            # batch-only engine bug reproduces only on that path.
-            batched = fast_sim.run(
-                {}, n_patterns, good_values=good_values
-            ).detection_word.get(fault)
-            if batched is not None:
-                fast = batched
+    # The recorded word came from the batched sweep, whatever the batch
+    # rule says about a one-fault list on this (often minimized) circuit.
+    with forced():
+        fast = FaultSimulator(circuit, kernel=kernel).run(
+            {}, n_patterns, faults=[fault], good_values=good_values
+        ).detection_word[fault]
+    slow = FaultSimulator(circuit, kernel="interp").simulate_fault(
+        fault, good_values, n_patterns
+    )
     return fast, slow, f"fault {fault} over {n_patterns} patterns"
+
+
+def _replay_batch_seams(manifest, circuit) -> tuple:
+    from ..analysis.fuzz import batch_seam_words
+
+    context = manifest["context"]
+    stimulus = _words(context, "stimulus")
+    n_patterns = int(context["n_patterns"])
+    chunk_bytes = int(context["chunk_bytes"])
+    fast, slow = batch_seam_words(circuit, stimulus, n_patterns, chunk_bytes)
+    return fast, slow, (
+        f"batched sweep in {chunk_bytes}-byte chunks over "
+        f"{n_patterns} patterns"
+    )
 
 
 def _replay_logic_sim(manifest, circuit) -> tuple:
@@ -242,7 +254,7 @@ def _replay_incremental_delta(manifest, circuit) -> tuple:
     }
     # The recorded delta ran on the vectorized engine, whatever the
     # dispatch rule says about this (often minimized) circuit.
-    with forced_delta():
+    with forced():
         inc = IncrementalEvaluator(
             problem, base_points, kernel=_fast_kernel(context)
         )
@@ -262,7 +274,7 @@ def _replay_incremental_gains(manifest, circuit) -> tuple:
     faults = [fault_from_payload(f) for f in context["faults"]]
     candidates = [point_from_payload(p) for p in context["candidates"]]
     index = int(context["index"])
-    with forced_delta():
+    with forced():
         inc = IncrementalEvaluator(
             problem, base_points, faults=faults, kernel=_fast_kernel(context)
         )
@@ -370,6 +382,8 @@ _REPLAYERS = {
     "fuzz.fault_sim": _replay_fault_sim,
     "fuzz.logic_sim": _replay_logic_sim,
     "fuzz.coverage": _replay_coverage,
+    "fuzz.batch_seams": _replay_batch_seams,
+    "fuzz.tiled_batch": _replay_batch_seams,
     "cop.measures": _replay_cop,
     "fuzz.cop": _replay_cop,
     "fuzz.placement": _replay_placement,
@@ -389,7 +403,7 @@ def replay_bundle(path: Union[str, Path]) -> ReplayResult:
     replayer = _REPLAYERS.get(kind)
     if replayer is None and not kind.startswith("solver."):
         raise ValueError(f"no replayer for bundle kind {kind!r}")
-    _refuse_removed_backend(manifest)
+    _refuse_removed_paths(manifest)
     if replayer is None:
         result = _replay_solver(manifest, circuit)
         result.bundle = str(path)

@@ -37,7 +37,7 @@ class TestNumpyKernelFuzz:
 
     def test_short_clean_campaign_on_numpy(self, tmp_path):
         # A multi-word pattern budget drives every lane through partial
-        # last words and the batched sweep's word-tile seams.
+        # last words and the batched sweep's chunk seams.
         report = run_fuzz(
             budget_ms=3000,
             seed=0,
@@ -49,27 +49,19 @@ class TestNumpyKernelFuzz:
         assert report.trials >= 1
 
     def test_numpy_divergence_bundled_with_kernel(self, tmp_path, monkeypatch):
-        # Corrupt the array engine's cone propagation the way a real
-        # engine bug would: every campaign lane keeps the interpreted
-        # arbiter, so the fault lane must catch it and the bundle must
-        # record which backend diverged.
+        # Corrupt the batched sweep the way a real engine bug would: the
+        # fault lane forces the batch even on short fault lists, so it
+        # must catch the bug and the bundle must record which backend
+        # diverged.
         from repro.sim import npsim
 
-        real_cone = npsim.propagate_cone
         real_batch = npsim.propagate_batch
-
-        def corrupt_cone(state, cone, injected, want_diffs):
-            detect, diffs = real_cone(state, cone, injected, want_diffs)
-            return detect ^ 1, diffs
 
         def corrupt_batch(state, sites, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
             detect, evals = real_batch(state, sites, chunk_bytes)
             detect[:, 0] ^= self.np.uint64(1)
             return detect, evals
 
-        # Corrupt both propagation strategies the engine picks between,
-        # so the planted bug survives whichever one a trial exercises.
-        monkeypatch.setattr(npsim, "propagate_cone", corrupt_cone)
         monkeypatch.setattr(npsim, "propagate_batch", corrupt_batch)
         report = run_fuzz(
             budget_ms=30_000,
@@ -79,15 +71,69 @@ class TestNumpyKernelFuzz:
         )
         assert report.failures, "fuzzer missed the corrupted numpy engine"
         failure = report.failures[0]
+        assert failure.kind == "fuzz.fault_sim"
         manifest, _ = load_bundle(failure.bundle)
         assert manifest["context"]["kernel"] == "numpy"
-        # While the engine bug is still live the replay runs the numpy
-        # fast path (the recorded kernel) and reproduces; once the
-        # engine is healthy again the divergence correctly goes stale.
+        # While the engine bug is still live the replay runs the forced
+        # batch (the recorded kernel) and reproduces; once the engine is
+        # healthy again the divergence correctly goes stale.
         assert replay_bundle(failure.bundle).reproduced
-        monkeypatch.setattr(npsim, "propagate_cone", real_cone)
         monkeypatch.setattr(npsim, "propagate_batch", real_batch)
         assert not replay_bundle(failure.bundle).reproduced
+
+
+class TestBatchSeamLane:
+    """The chunk-seam lane: ``propagate_batch`` a few machines per chunk
+    against the interpreted walk."""
+
+    def test_clean_lane(self):
+        from repro.analysis.fuzz import _check_batch_seams
+
+        for seed in range(4):
+            circuit = generators.random_dag(5, 24, seed=seed)
+            assert _check_batch_seams(circuit, seed, 130) is None
+
+    def test_planted_batch_bug_bundles_replayably(
+        self, tmp_path, monkeypatch
+    ):
+        import numpy as np
+
+        from repro.analysis.fuzz import _check_batch_seams
+        from repro.cli import main
+        from repro.sim import npsim
+        from repro.verify import write_bundle
+
+        real = npsim.propagate_batch
+
+        def flip_bit_zero(state, sites, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
+            detect, evals = real(state, sites, chunk_bytes)
+            detect[:, 0] ^= np.uint64(1)
+            return detect, evals
+
+        monkeypatch.setattr(npsim, "propagate_batch", flip_bit_zero)
+        circuit = generators.random_dag(5, 24, seed=2)
+        divergence = _check_batch_seams(circuit, 0, 130)
+        assert divergence is not None
+        assert divergence.kind == "fuzz.batch_seams"
+        # ``fuzz.tiled_batch`` is the lane's kind before tiling was
+        # removed; its bundles carry the same context and replay too.
+        paths = [
+            write_bundle(
+                kind,
+                circuit=circuit,
+                context=divergence.context,
+                expected=divergence.expected,
+                actual=divergence.actual,
+                message=divergence.message,
+                bundle_dir=tmp_path / kind,
+            )
+            for kind in (divergence.kind, "fuzz.tiled_batch")
+        ]
+        for path in paths:
+            assert main(["replay", str(path)]) == 0
+        monkeypatch.setattr(npsim, "propagate_batch", real)
+        for path in paths:
+            assert main(["replay", str(path)]) == 1
 
 
 class TestStoreLane:

@@ -4,7 +4,8 @@ On these inputs every solver either answers or raises an error from the
 taxonomy.  None of them may run into Python's recursion limit: the chain
 is deeper than that limit, so a solver that recursed once per tree level
 would fail on it.  Greedy and the solver cascade must also choose the
-same plan on the numpy kernel as on the interpreted arbiter.
+same plan on the numpy kernel as on the interpreted arbiter, and the
+CLI's ``stats`` and ``coverage`` must print the same lines on both.
 """
 
 import sys
@@ -90,6 +91,23 @@ def test_cli_insert_on_deep_chain(tmp_path, capsys):
     write_bench_file(and_or_chain(CHAIN_GATES), path)
     assert main(["insert", str(path)]) == 0
     assert "feasible=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["stats", "coverage"])
+def test_cli_simulation_on_deep_chain_matches_interp(
+    command, tmp_path, capsys
+):
+    # The default 4096 patterns: the numpy kernel walks the chain's wide
+    # fault-simulation blocks on the interpreter and must print exactly
+    # what the interpreted kernel prints.
+    path = tmp_path / "chain.bench"
+    write_bench_file(and_or_chain(CHAIN_GATES), path)
+    printed = {}
+    for kernel in ("numpy", "interp"):
+        assert main([command, str(path), "--kernel", kernel]) == 0
+        printed[kernel] = capsys.readouterr().out
+    assert printed["numpy"] == printed["interp"]
+    assert "coverage" in printed["numpy"]
 
 
 def test_balanced_tree_of_256_leaves():

@@ -160,7 +160,7 @@ class TestCandidateGain:
 #: Pin the vectorized delta engines on regardless of circuit shape.  The
 #: adaptive dispatch declines tiny/narrow circuits for performance;
 #: equivalence must hold on them regardless.
-_forced_numpy_delta = npsim.forced_delta
+_forced_numpy_delta = npsim.forced
 
 
 @contextmanager

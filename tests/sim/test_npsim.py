@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.circuit import generators
 from repro.core import TestPoint, TestPointType, TPIProblem, evaluate_placement
 from repro.errors import DivergenceError
@@ -202,34 +203,25 @@ class TestFaultSimEquality:
             )
             assert got == ref, fault
 
-    def test_cone_gate_evals_count_whole_cones(self):
-        # Per-fault propagation evaluates every gate of an excited
-        # fault's cone (the interpreter's event-driven walk legitimately
-        # skips dead gates, so its count is only a lower bound).
+    def test_walked_gate_evals_match_interp(self):
+        # A single fault walks on the interpreter on every kernel, so
+        # the numpy simulator counts exactly the gates the event-driven
+        # walk evaluates.
         circuit = generators.random_dag(5, 40, seed=11)
         stim = _stim(circuit, 128, seed=7)
-        good = dict(LogicSimulator(circuit, kernel="interp").run(stim, 128))
+        good = LogicSimulator(circuit, kernel="numpy").run(stim, 128)
         nump = FaultSimulator(circuit, kernel="numpy")
         interp = FaultSimulator(circuit, kernel="interp")
         for fault in all_stuck_at_faults(circuit):
-            start = fault.node if fault.branch is None else fault.branch[0]
-            branch_evals = 0 if fault.branch is None else 1
-            n0, i0 = nump.gate_evals, interp.gate_evals
-            nump.simulate_fault(fault, good, 128)
-            interp.simulate_fault(fault, good, 128)
-            n_evals = nump.gate_evals - n0
-            i_evals = interp.gate_evals - i0
-            cone = len(interp._cone_order(start)) - 1
-            # An unexcited fault stops at injection on both paths; an
-            # excited one makes the interpreter evaluate at least one sink.
-            excited = i_evals > branch_evals
-            assert n_evals == branch_evals + (cone if excited else 0), fault
-            assert i_evals <= n_evals, fault
+            assert nump.simulate_fault(
+                fault, good, 128
+            ) == interp.simulate_fault(fault, dict(good), 128), fault
+            assert nump.gate_evals == interp.gate_evals, fault
 
     def test_batched_run_counts_full_sweep_evals(self):
         # run() on a wide fault list takes the batched full-circuit pass,
         # whose honest work metric is gate rows × fault machines — at
-        # least the summed cone sizes the per-cone walks would evaluate.
+        # least the gates the per-fault walks would evaluate.
         circuit = generators.random_dag(5, 40, seed=11)
         stim = _stim(circuit, 128, seed=7)
         faults = all_stuck_at_faults(circuit)
@@ -311,55 +303,45 @@ class TestBatchedFaultSim:
     @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(0, 50),
-        tile=st.sampled_from([1, 2, 3, 5]),
+        machines=st.sampled_from([1, 2, 3, 5]),
         n_patterns=st.sampled_from([130, 192, 323]),
     )
-    def test_tile_seams_bit_identical(self, seed, tile, n_patterns):
-        # Word-axis tiling must commute with evaluation: any tile width
-        # (including widths that straddle the last partial word) yields
-        # the untiled detection matrix and gate-eval count exactly.
+    def test_chunk_seams_bit_identical(self, seed, machines, n_patterns):
+        # Any chunk width (including one fault machine per chunk) yields
+        # the single-chunk detection matrix exactly.
         circuit = generators.random_dag(5, 40, seed=seed)
         plan = get_plan(circuit)
         stim = _stim(circuit, n_patterns, seed=seed + 1)
         state = LogicSimulator(circuit, kernel="numpy").run(stim, n_patterns)
         sites = self._sites(plan, state, all_stuck_at_faults(circuit))
-        # Pin the per-chunk fault capacity so tiling is the only thing
-        # that varies (capacity is per-tile-footprint by default).
-        rows = plan.n_rows + npsim.batch_staging_rows(plan)
-        budget = 8 * rows * tile * 24
-        full, evals_full = npsim.propagate_batch(
-            state, sites, chunk_bytes=budget * max(state.values.shape[1], 1),
-            tile_words=state.values.shape[1],
+        footprint = 8 * (plan.n_rows + npsim.batch_staging_rows(plan)) * (
+            state.values.shape[1]
         )
-        tiled, evals_tiled = npsim.propagate_batch(
-            state, sites, chunk_bytes=budget, tile_words=tile
+        full, _ = npsim.propagate_batch(state, sites)
+        chunked, _ = npsim.propagate_batch(
+            state, sites, chunk_bytes=footprint * machines
         )
-        assert np.array_equal(full, tiled)
+        assert np.array_equal(full, chunked)
 
-    def test_tiled_run_matches_interp_end_to_end(self):
-        # Force tiles *and* chunks through a tiny memory budget and the
-        # fault simulator must still reproduce the interpreted run and
-        # coverage results exactly, first-detects included.
-        from repro.sim.fault_sim import BatchPolicy
-
+    def test_forced_run_matches_interp_end_to_end(self):
+        # Forced onto the batch, a short fault list at a width over the
+        # cap must still reproduce the interpreted run and coverage
+        # results exactly, first-detects included.
         circuit = generators.random_dag(5, 40, seed=13)
-        plan = get_plan(circuit)
-        n_patterns = 300
+        n_patterns = 1500
         stim = _stim(circuit, n_patterns, seed=4)
-        rows = plan.n_rows + npsim.batch_staging_rows(plan)
-        policy = BatchPolicy(
-            min_faults=1, min_capacity=1, chunk_bytes=8 * rows * 2 * 5
-        )
+        faults = all_stuck_at_faults(circuit)[:9]
         ref = FaultSimulator(circuit, kernel="interp")
-        sim = FaultSimulator(circuit, kernel="numpy", batch_policy=policy)
-        res = sim.run(stim, n_patterns)
-        exact = ref.run(stim, n_patterns)
+        exact = ref.run(stim, n_patterns, faults=faults)
+        ref_cov = ref.run_coverage(stim, n_patterns, faults=faults, block=64)
+        with npsim.forced(), obs.recording(obs.RunRecorder(None)) as recorder:
+            sim = FaultSimulator(circuit, kernel="numpy")
+            res = sim.run(stim, n_patterns, faults=faults)
+            cov = sim.run_coverage(stim, n_patterns, faults=faults, block=64)
+        counters = recorder.metrics.snapshot()["counters"]
+        assert set(counters) & _DISPATCH == {"dispatch.fault_sim.batch"}
         assert res.detection_word == exact.detection_word
         assert res.first_detect == exact.first_detect
-        cov = FaultSimulator(
-            circuit, kernel="numpy", batch_policy=policy
-        ).run_coverage(stim, n_patterns, block=64)
-        ref_cov = ref.run_coverage(stim, n_patterns, block=64)
         assert cov.first_detect == ref_cov.first_detect
         assert cov.detection_word == ref_cov.detection_word
 
@@ -377,7 +359,7 @@ class TestBatchedFaultSim:
         n_patterns = words * 64
         footprint = 8 * (plan.n_rows + staging) * words
         capacity = lambda budget: npsim.batch_capacity(
-            plan, n_patterns, chunk_bytes=budget, tile_words=words
+            plan, n_patterns, chunk_bytes=budget
         )
         assert capacity(footprint * K) == K
         assert capacity(footprint * K - 1) == K - 1
@@ -397,31 +379,145 @@ class TestBatchedFaultSim:
         faults = all_stuck_at_faults(circuit)
         sim = FaultSimulator(circuit, kernel="numpy")
         sim.run(stim, 64, faults=faults[:4])
-        assert calls == []  # short list: per-cone walks
+        assert calls == []  # short list: walked on the interpreter
         sim.run(stim, 64, faults=faults)
         assert calls == [len(faults)]
 
     def test_batch_declined_outside_its_regime(self):
-        sim = FaultSimulator(generators.c17(), kernel="numpy")
-        assert sim._np_batch_ok(1000, 64)
-        assert sim._np_batch_ok(1000, 1024)
-        assert not sim._np_batch_ok(8, 64)  # too few faults
-        # Wide patterns stay eligible: the sweep tiles the word axis, so
-        # chunk capacity no longer collapses with the pattern budget.
-        assert sim._np_batch_ok(1000, 65536)
-        assert sim._np_batch_ok(1000, 1 << 26)
+        plan = get_plan(generators.c17())
+        declined = npsim.fault_batch_declined
+        floor, cap = npsim.BATCH_MIN_FAULTS, npsim.BATCH_MAX_WORDS
+        assert (floor, cap) == (16, 16)
+        assert declined(plan, 1000, 64) is None
+        assert declined(plan, 16, 64) is None
+        assert declined(plan, 15, 64) == "few_faults"
+        assert declined(plan, 1000, 1024) is None
+        assert declined(plan, 1000, 1025) == "too_wide"
+        assert declined(plan, 1000, 65536) == "too_wide"
+        assert declined(None, 1000, 64) == "interp"
 
-    def test_batch_policy_pins_the_decision(self):
-        from repro.sim.fault_sim import BatchPolicy
+    @pytest.mark.parametrize("words", [1, 16])
+    def test_budget_admits_one_machine_at_most(self, words):
+        # The batch takes a block while one fault machine (its value
+        # rows plus staging rows at the block's width) fits
+        # BATCH_CHUNK_BYTES: at 16 words that is 49152 rows.
+        from types import SimpleNamespace
 
-        # A higher fault floor declines lists the default accepts.
-        picky = FaultSimulator(
-            generators.c17(),
-            kernel="numpy",
-            batch_policy=BatchPolicy(min_faults=64),
+        outputs = ["y"] * 5
+        limit = npsim.BATCH_CHUNK_BYTES // (8 * words)
+        rows = limit - npsim.batch_staging_rows(SimpleNamespace(outputs=outputs))
+        fits = SimpleNamespace(n_rows=rows, outputs=outputs)
+        over = SimpleNamespace(n_rows=rows + 1, outputs=outputs)
+        assert npsim.batch_capacity(fits, 64 * words) == 1
+        assert npsim.fault_batch_declined(fits, 1000, 64 * words) is None
+        assert (
+            npsim.fault_batch_declined(over, 1000, 64 * words)
+            == "over_budget"
         )
-        assert not picky._np_batch_ok(32, 64)
-        assert picky._np_batch_ok(64, 64)
+        if words == 16:
+            assert limit == 49152
+
+    def test_forced_overrides_every_decline(self, monkeypatch):
+        plan = get_plan(generators.c17())
+        monkeypatch.setattr(npsim, "BATCH_CHUNK_BYTES", 8)
+        declined = npsim.fault_batch_declined
+        assert declined(plan, 1000, 64) == "over_budget"
+        with npsim.forced():
+            assert declined(plan, 15, 64) is None
+            assert declined(plan, 1000, 1025) is None
+            assert declined(plan, 1000, 64) is None
+            assert declined(None, 1000, 64) == "interp"
+            with npsim.forced():  # nesting restores the outer state
+                pass
+            assert declined(plan, 15, 64) is None
+        assert declined(plan, 15, 64) == "few_faults"
+
+
+#: The routing counters ``FaultSimulator`` emits, one per simulated block.
+_DISPATCH = {
+    "dispatch.fault_sim.batch",
+    "dispatch.fault_sim.walk.interp",
+    "dispatch.fault_sim.walk.few_faults",
+    "dispatch.fault_sim.walk.too_wide",
+    "dispatch.fault_sim.walk.over_budget",
+}
+
+
+class TestDispatchCounters:
+    """Every simulated block is counted under the path that ran it."""
+
+    def _counters(self, run):
+        with obs.recording(obs.RunRecorder(None)) as recorder:
+            run()
+        counters = recorder.metrics.snapshot()["counters"]
+        return {k: v for k, v in counters.items() if k in _DISPATCH}
+
+    def test_each_walk_reason_is_counted(self, monkeypatch):
+        circuit = generators.random_dag(5, 40, seed=11)
+        faults = all_stuck_at_faults(circuit)
+        stim = _stim(circuit, 2048, seed=1)
+
+        def run(kernel, n_patterns, fault_list):
+            FaultSimulator(circuit, kernel=kernel).run(
+                stim, n_patterns, faults=fault_list
+            )
+
+        assert self._counters(lambda: run("interp", 64, faults)) == {
+            "dispatch.fault_sim.walk.interp": 1
+        }
+        assert self._counters(lambda: run("numpy", 64, faults[:15])) == {
+            "dispatch.fault_sim.walk.few_faults": 1
+        }
+        assert self._counters(lambda: run("numpy", 1088, faults)) == {
+            "dispatch.fault_sim.walk.too_wide": 1
+        }
+        assert self._counters(lambda: run("numpy", 1024, faults)) == {
+            "dispatch.fault_sim.batch": 1
+        }
+        monkeypatch.setattr(npsim, "BATCH_CHUNK_BYTES", 8)
+        assert self._counters(lambda: run("numpy", 64, faults)) == {
+            "dispatch.fault_sim.walk.over_budget": 1
+        }
+
+    @pytest.mark.parametrize("kernel", BACKENDS)
+    def test_one_count_per_dropping_block(self, kernel):
+        circuit = generators.random_dag(5, 40, seed=11)
+        stim = _stim(circuit, 4096, seed=2)
+        sim = FaultSimulator(circuit, kernel=kernel)
+        results = []
+        counts = self._counters(
+            lambda: results.append(sim.run_coverage(stim, 4096, block=64))
+        )
+        # Blocks of 64, 128, ..., 2048 and a 64-pattern tail; the run
+        # stops after the block where its last fault drops.
+        ends = [64, 192, 448, 960, 1984, 4032, 4096]
+        (result,) = results
+        if result.undetected_faults():
+            drawn = len(ends)
+        else:
+            last = max(result.first_detect.values())
+            drawn = next(i for i, end in enumerate(ends) if last < end) + 1
+        assert sum(counts.values()) == drawn
+
+    def test_trace_file_carries_the_counters(self, tmp_path):
+        import json
+
+        circuit = generators.c17()
+        stim = _stim(circuit, 64)
+        trace = tmp_path / "run.jsonl"
+        with obs.recording(obs.RunRecorder(trace)):
+            FaultSimulator(circuit, kernel="numpy").run(stim, 64)
+            FaultSimulator(circuit, kernel="numpy").run(
+                stim, 64, faults=all_stuck_at_faults(circuit)[:3]
+            )
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        counters = next(
+            r["metrics"]["counters"]
+            for r in reversed(records)
+            if r.get("event") == "metrics"
+        )
+        assert counters["dispatch.fault_sim.batch"] == 1
+        assert counters["dispatch.fault_sim.walk.few_faults"] == 1
 
 
 class TestCopEquality:
@@ -525,23 +621,33 @@ class TestGuardOnNumpy:
         assert result.detection_word == arbiter.detection_word
 
     def test_planted_cone_divergence_raises(self, tmp_path, monkeypatch):
+        # A short fault list walks unless forced onto the batch; forced,
+        # a planted batch bug must raise a ``fault_sim.cone`` divergence
+        # whose bundle replays while planted and goes stale once lifted.
+        from repro.verify import replay_bundle
+
         circuit = generators.c17()
         stim = _stim(circuit, 64)
-        real = npsim.propagate_cone
+        real = npsim.propagate_batch
 
-        def corrupt(state, cone, injected, want_diffs):
-            detect, diffs = real(state, cone, injected, want_diffs)
-            return detect ^ 1, diffs  # flip pattern 0's verdict
+        def corrupt(state, sites, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
+            detect, evals = real(state, sites, chunk_bytes)
+            detect[:, 0] ^= np.uint64(1)  # flip pattern 0's verdict
+            return detect, evals
 
-        monkeypatch.setattr(npsim, "propagate_cone", corrupt)
+        monkeypatch.setattr(npsim, "propagate_batch", corrupt)
         guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
         sim = FaultSimulator(circuit, kernel="numpy", guard=guard)
-        # A short fault list keeps run() on the per-cone strategy.
         faults = all_stuck_at_faults(circuit)[:4]
-        with pytest.raises(DivergenceError) as info:
+        with npsim.forced(), pytest.raises(DivergenceError) as info:
             sim.run(stim, 64, faults=faults)
         assert info.value.kind == "fault_sim.cone"
         assert guard.divergences == 1
+        bundle = info.value.bundle_path
+        assert bundle is not None
+        assert replay_bundle(bundle).reproduced
+        monkeypatch.setattr(npsim, "propagate_batch", real)
+        assert not replay_bundle(bundle).reproduced
 
     def test_planted_batch_divergence_raises(self, tmp_path, monkeypatch):
         circuit = generators.c17()
@@ -590,6 +696,34 @@ class TestBackendProperties:
         )
         assert got.first_detect == ref.first_detect
         assert got.n_detected() == ref.n_detected()
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 5000),
+        n_patterns=st.sampled_from([960, 1024, 1088, 4096]),
+        block=st.sampled_from([64, 1024]),
+    )
+    def test_run_and_coverage_across_the_width_cap(
+        self, seed, n_patterns, block
+    ):
+        # Widths on both sides of BATCH_MAX_WORDS (16 words = 1024
+        # patterns): exact runs and dropping blocks switch between the
+        # batch and the walk, and every result must match the arbiter.
+        circuit = generators.random_dag(6, 60, seed=seed)
+        stim = _stim(circuit, n_patterns, seed=seed)
+        faults = all_stuck_at_faults(circuit)
+        ref = FaultSimulator(circuit, kernel="interp")
+        got = FaultSimulator(circuit, kernel="numpy")
+        exact = got.run(stim, n_patterns, faults=faults)
+        ref_exact = ref.run(stim, n_patterns, faults=faults)
+        assert exact.detection_word == ref_exact.detection_word
+        assert exact.first_detect == ref_exact.first_detect
+        cov = got.run_coverage(stim, n_patterns, faults=faults, block=block)
+        ref_cov = ref.run_coverage(
+            stim, n_patterns, faults=faults, block=block
+        )
+        assert cov.detection_word == ref_cov.detection_word
+        assert cov.first_detect == ref_cov.first_detect
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 5000))

@@ -58,13 +58,16 @@ class TestFaultSimGuard:
         assert result.detection_word == arbiter.detection_word
 
     def test_planted_cone_bug_raises_with_bundle(self, tmp_path, engine_bug):
+        from repro.cli import main
+        from repro.sim import npsim
+
         circuit = c17()  # all-NAND: a NAND fold bug hits every cone
         stim = _stim(circuit)
-        engine_bug(GateType.NAND, GateType.AND)
+        lift = engine_bug(GateType.NAND, GateType.AND)
         guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
         bad_sim = FaultSimulator(circuit, kernel="numpy", guard=guard)
-        # A short fault list keeps run() on the per-cone strategy.
-        with pytest.raises(DivergenceError) as info:
+        # A short fault list walks unless forced onto the batch.
+        with npsim.forced(), pytest.raises(DivergenceError) as info:
             bad_sim.run(stim, 64, faults=all_stuck_at_faults(circuit)[:4])
         exc = info.value
         assert exc.kind == "fault_sim.cone"
@@ -74,6 +77,62 @@ class TestFaultSimGuard:
         assert manifest["context"]["kernel"] == "numpy"
         assert "sources" not in manifest
         assert sorted(bundled_circuit.inputs) == sorted(circuit.inputs)
+        assert main(["replay", str(exc.bundle_path)]) == 0
+        lift()
+        assert main(["replay", str(exc.bundle_path)]) == 1
+
+    def test_short_lists_walk_unguarded(self, tmp_path, engine_bug):
+        # Unforced, a short list walks on the interpreter — the arbiter
+        # itself — so a batch-only engine bug cannot touch it.
+        circuit = c17()
+        stim = _stim(circuit)
+        engine_bug(GateType.NAND, GateType.AND)
+        guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
+        good = LogicSimulator(circuit, kernel="interp").run(stim, 64)
+        faults = all_stuck_at_faults(circuit)[:4]
+        result = FaultSimulator(circuit, kernel="numpy", guard=guard).run(
+            stim, 64, faults=faults, good_values=good
+        )
+        arbiter = FaultSimulator(circuit, kernel="interp").run(
+            stim, 64, faults=faults
+        )
+        assert result.detection_word == arbiter.detection_word
+        assert guard.checks == 0
+
+    def test_replay_refuses_removed_cone_walk_bundles(self, tmp_path, capsys):
+        # Per-output ``diffs`` bundles came only from the removed numpy
+        # cone walk: replay refuses them (exit 2) instead of printing a
+        # misleading "not reproduced".
+        from repro.cli import main
+        from repro.verify import write_bundle
+        from repro.verify.bundle import fault_to_payload
+
+        circuit = c17()
+        good = LogicSimulator(circuit, kernel="interp").run(_stim(circuit), 64)
+        fault = all_stuck_at_faults(circuit)[0]
+        context = {
+            "fault": fault_to_payload(fault),
+            "n_patterns": 64,
+            "good_values": dict(good),
+            "start": fault.node,
+            "kernel": "numpy",
+        }
+        bundles = {
+            variant: write_bundle(
+                "fault_sim.cone",
+                circuit=circuit,
+                context={**context, "variant": variant},
+                expected={"detect": 1},
+                actual={"detect": 0},
+                message="planted",
+                bundle_dir=tmp_path / variant,
+            )
+            for variant in ("diffs", "detect")
+        }
+        assert main(["replay", str(bundles["diffs"])]) == 2
+        err = capsys.readouterr().err
+        assert "cone walk" in err and "removed" in err
+        assert main(["replay", str(bundles["detect"])]) == 1  # healthy
 
     def test_bundle_replays_deterministically(self, tmp_path, engine_bug):
         circuit = c17()
@@ -148,7 +207,7 @@ class TestIncrementalDeltaReplay:
         circuit = random_dag(8, 40, seed=3)
         problem = TPIProblem.from_test_length(circuit, n_patterns=64)
         lift = engine_bug(GateType.AND, GateType.OR, folds="floats")
-        with npsim.forced_delta(), GuardedSession(
+        with npsim.forced(), GuardedSession(
             fraction=1.0, seed=0, bundle_dir=tmp_path
         ):
             inc = IncrementalEvaluator(problem, kernel="numpy")
