@@ -492,7 +492,7 @@ def bench_greedy_deep_chain(repeats: int, quick: bool) -> Dict[str, object]:
     batched scorer's dispatch rule.
 
     One gate per level puts both chains at the narrow end of
-    :func:`~repro.sim.npsim.batch_profitable`: the 300-gate chain is
+    :func:`~repro.sim.npsim.placement_batch_declined`: the 300-gate chain is
     scored in batches, the 1500-gate chain on the interpreted walk
     (``batched_chain<gates>`` records the decision).  Every round's
     full placement pass pays numpy's per-level dispatch, so numpy greedy
@@ -523,9 +523,9 @@ def bench_greedy_deep_chain(repeats: int, quick: bool) -> Dict[str, object]:
         plan = npsim.get_plan(circuit)
         tag = f"chain{gates}"
         workloads.append(f"{tag}, {max_iterations} iterations")
-        out[f"batched_{tag}"] = npsim.batch_profitable(
+        out[f"batched_{tag}"] = npsim.placement_batch_declined(
             plan, npsim.gain_batch_columns(plan)
-        )
+        ) is None
         out[f"seconds_interp_{tag}"] = round(t_interp, 4)
         out[f"seconds_numpy_{tag}"] = round(t_numpy, 4)
         out[f"speedup_{tag}"] = round(t_interp / t_numpy, 2)

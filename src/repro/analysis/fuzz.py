@@ -322,9 +322,9 @@ def _check_incremental(circuit: Circuit, seed: int) -> Optional[_Divergence]:
     problem = TPIProblem.from_test_length(circuit, n_patterns=64)
     points = _random_points(problem, rng, rng.randint(1, 3))
     base = points[: rng.randint(0, len(points))]
-    # Fuzz-sized circuits are narrower than the vectorized engines'
-    # adaptive cutoffs; force them on so the lane actually attacks
-    # PlacementDelta and PlacementBatch rather than the interpreted walk.
+    # Fuzz-sized circuits are narrower than the vectorized engine's
+    # adaptive cutoff; force it on so the lane actually attacks
+    # PlacementBatch's deltas and gains rather than the interpreted walk.
     with npsim.forced():
         inc = IncrementalEvaluator(problem, base, kernel="numpy")
         fast = _evaluation_payload(inc.evaluate(points))

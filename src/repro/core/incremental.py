@@ -140,25 +140,23 @@ class IncrementalEvaluator:
 
         self._active_guard = active_guard
         #: Kernel mode for the from-scratch base passes (``rebase``) and
-        #: the delta re-propagation: the numpy backend runs the dirty-cone
-        #: sweeps as level-synchronous array subsets
-        #: (:class:`repro.sim.npsim.PlacementDelta`) while the interpreted
-        #: heap walk stays the shadow-sampled arbiter.  The interpreted
-        #: walk also serves ``kernel="interp"`` and narrow-level circuits,
-        #: which pay the engine's fixed per-level cost without amortizing
-        #: it over wide slices (see ``npsim.DELTA_MIN_MEAN_WIDTH``).
+        #: the delta re-propagation: on numpy, ``evaluate()`` and
+        #: :meth:`candidate_gains` both run level-synchronous array sweeps
+        #: (:class:`repro.sim.npsim.PlacementBatch`) while the interpreted
+        #: heap walk stays the shadow-sampled arbiter.  The walk also
+        #: serves ``kernel="interp"`` and narrow-level circuits, which pay
+        #: the engine's fixed per-level cost without amortizing it over
+        #: wide slices (``npsim.placement_batch_declined`` decides per
+        #: call).
         self.kernel = resolve_kernel(kernel)
         self.circuit = problem.circuit
         circuit = self.circuit
-        self._plan: Optional[npsim.CircuitPlan] = None
-        self._np_delta: Optional[npsim.PlacementDelta] = None
-        #: Column-batched candidate scorer, built by the first
-        #: :meth:`candidate_gains` call the dispatch rule sends to it.
+        self._plan: Optional[npsim.CircuitPlan] = (
+            npsim.get_plan(circuit) if self.kernel == "numpy" else None
+        )
+        #: The vectorized delta engine, built by the first call the
+        #: dispatch rule sends to it.
         self._batch: Optional[npsim.PlacementBatch] = None
-        if self.kernel == "numpy":
-            self._plan = npsim.get_plan(circuit)
-            if npsim.delta_profitable(self._plan):
-                self._np_delta = npsim.PlacementDelta(self._plan)
         self._topo = circuit.topological_order()
         self._level = circuit.levels()
         self._node = {name: circuit.node(name) for name in self._topo}
@@ -196,9 +194,6 @@ class IncrementalEvaluator:
         self.base_points = list(points)
         self.base = evaluate_placement(self.problem, points, kernel=self.kernel)
         self._base_stems, self._base_branches = _site_states(points)
-        self._array_base: Optional[npsim.PlacementBase] = None
-        if self._np_delta is not None:
-            self._np_delta.rebase(self._placement_base())
         theta = self.problem.threshold - 1e-12
         self._failing: Set[Fault] = {
             f
@@ -208,18 +203,6 @@ class IncrementalEvaluator:
         if self._batch is not None:
             self._rebase_batch()
         return self.base
-
-    def _placement_base(self) -> npsim.PlacementBase:
-        """The base placement in array form (built once per rebase)."""
-        if self._array_base is None:
-            self._array_base = npsim.PlacementBase(
-                self._plan,
-                self.base,
-                self._base_stems,
-                self._base_branches,
-                control_observability_factor,
-            )
-        return self._array_base
 
     def _wire_counts(self, faults):
         """Fault counts per wire: ``(2, n_rows)`` stems and ``(2, n_edges)``
@@ -240,8 +223,38 @@ class IncrementalEvaluator:
             f for f in self._faults if f in self._failing
         )
         self._batch.rebase(
-            self._placement_base(), stems.sum(axis=0), branches.sum(axis=0)
+            self.base,
+            self._base_stems,
+            self._base_branches,
+            control_observability_factor,
+            stems.sum(axis=0),
+            branches.sum(axis=0),
         )
+
+    def _dispatch(
+        self, pass_name: str, placements: int
+    ) -> Optional[npsim.PlacementBatch]:
+        """The batch when the dispatch rule gives it ``placements``
+        placements, else ``None`` (the interpreted walk).
+
+        :func:`~repro.sim.npsim.placement_batch_declined` decides on every
+        call, and the choice is counted as
+        ``dispatch.incremental.<pass_name>.batch`` or
+        ``dispatch.incremental.<pass_name>.walk.<reason>``.
+        """
+        reason = npsim.placement_batch_declined(self._plan, placements)
+        if reason is not None:
+            obs.count(f"dispatch.incremental.{pass_name}.walk.{reason}")
+            return None
+        obs.count(f"dispatch.incremental.{pass_name}.batch")
+        if self._batch is None:
+            self._batch = npsim.PlacementBatch(
+                self._plan,
+                npsim.gain_batch_columns(self._plan),
+                *self._wire_counts(self._faults),
+            )
+            self._rebase_batch()
+        return self._batch
 
     def failing_faults(self) -> List[Fault]:
         """Failing faults of the base placement (cached, base fault list)."""
@@ -284,13 +297,15 @@ class IncrementalEvaluator:
 
         Returns patch dictionaries (missing key = base value unchanged)
         for ``stem_pre``, ``stem_post``, ``branch_pre``, ``branch_post``,
-        ``wire_obs``, ``branch_obs`` and ``stem_post_obs``.  Dispatches to
-        the backend's vectorized delta engine when one exists, shadowing
+        ``wire_obs``, ``branch_obs`` and ``stem_post_obs``.  One column of
+        :class:`~repro.sim.npsim.PlacementBatch` when the dispatch rule
+        takes it (counted as ``dispatch.incremental.delta.*``), shadowing
         a guard-sampled fraction against the interpreted walk.
         """
-        if self._np_delta is None:
+        batch = self._dispatch("delta", 1)
+        if batch is None:
             return self._delta_interp(stem_diff, branch_diff)
-        patches, recomputed = self._np_delta.delta(
+        patches, recomputed = batch.delta(
             stem_diff,
             branch_diff,
             control_probability_transform,
@@ -719,21 +734,25 @@ class IncrementalEvaluator:
     ) -> List[int]:
         """:meth:`candidate_gain` of each candidate, against the same base.
 
-        On the numpy kernel, when :func:`~repro.sim.npsim.batch_profitable`
-        expects level sweeps over a chunk of candidate columns to beat
-        walking them one at a time, the scores come from
+        On the numpy kernel, when
+        :func:`~repro.sim.npsim.placement_batch_declined` expects level
+        sweeps over a chunk of candidate columns to beat walking them one
+        at a time, the scores come from
         :class:`~repro.sim.npsim.PlacementBatch`; otherwise (and always
         on ``kernel="interp"``) each candidate is scored by the
-        interpreted dirty-cone walk.  Every candidate is validated before
-        any is scored.  ``tick`` (a budget check) runs before each walked
-        candidate and before each batch chunk.  Under a guard, each
-        batched candidate flips one sampling coin, and a sampled one is
-        re-scored on the interpreted walk.
+        interpreted dirty-cone walk.  A call with live candidates is
+        counted as ``dispatch.incremental.gains.*``.  Every candidate is
+        validated before any is scored.  ``tick`` (a budget check) runs
+        before each walked candidate and before each batch chunk.  Under a
+        guard, each batched candidate flips one sampling coin, and a
+        sampled one is re-scored on the interpreted walk.
         """
         diffs = [self._candidate_diff(c) for c in candidates]
         live = [i for i, diff in enumerate(diffs) if diff is not None]
         gains = [0] * len(candidates)
-        batch = self._gain_batch(len(live))
+        if not live:
+            return gains
+        batch = self._dispatch("gains", len(live))
         if batch is None:
             for i in live:
                 if tick is not None:
@@ -767,20 +786,6 @@ class IncrementalEvaluator:
             if guard is not None and guard.should_check():
                 self._shadow_gain_check(guard, candidates, i, gain)
         return gains
-
-    def _gain_batch(self, n_live: int) -> Optional[npsim.PlacementBatch]:
-        """The batch scorer when it should score ``n_live`` candidates."""
-        if self._plan is None or not n_live:
-            return None
-        columns = npsim.gain_batch_columns(self._plan)
-        if not npsim.batch_profitable(self._plan, min(columns, n_live)):
-            return None
-        if self._batch is None:
-            self._batch = npsim.PlacementBatch(
-                self._plan, columns, *self._wire_counts(self._faults)
-            )
-            self._rebase_batch()
-        return self._batch
 
     def gains_bundle_context(
         self, candidates: Sequence[TestPoint], index: int

@@ -73,18 +73,15 @@ __all__ = [
     "GAIN_BATCH_BYTES",
     "CircuitPlan",
     "PackedState",
-    "PlacementBase",
     "PlacementBatch",
-    "PlacementDelta",
     "batch_capacity",
-    "batch_profitable",
     "batch_staging_rows",
-    "delta_profitable",
     "fault_batch_declined",
     "forced",
     "gain_batch_columns",
     "get_plan",
     "clear_plans",
+    "placement_batch_declined",
     "plan_registry_size",
     "mask_array",
     "propagate_batch",
@@ -271,14 +268,16 @@ def _sens_fold(kind: str, side_cols) -> "np.ndarray":
 
 
 # ---------------------------------------------------------------------------
-# Placement level sweeps (shared by the full pass, deltas and the batch)
+# Placement level sweeps (shared by the full pass and the delta batch)
 # ---------------------------------------------------------------------------
 # The arrays are ``(n,)`` for one placement or ``(n, C)`` for a column
 # batch of C placements; every formula is elementwise, so a column holds
 # exactly the floats a one-placement sweep would.  Control sites are
 # ``(position, index, kind)`` fixes: ``position`` is the row or edge id,
 # ``index`` what to write (the same id for a site every column shares, a
-# ``(row, column)`` pair for one column's own site).
+# ``(row, column)`` pair for one column's own site).  A branch fix
+# transforms ``T`` in place, so fixes of one site never stack: a column
+# that lifts or changes a shared control sweeps with its own fix list.
 
 
 def _forward_level(plan, entry, Q, S, T, s_fix, e_fix, cpt) -> None:
@@ -322,7 +321,7 @@ def _backward_level(
     sweeps stay branch-free yet reproduce the interpreter's ``f * x`` and
     ``z * (1.0 - 1.0)``); batches pass them as ``(n, 1)`` columns.
     ``s_fix`` / ``e_fix`` are ``(row or edge, column, factor,
-    zero_multiplier)`` overrides for one batch column's own site.
+    zero_multiplier)`` overrides for a batch column's own sites.
     """
     for grp in entry.edge_groups:
         lo, hi = grp.lo, grp.hi
@@ -1178,14 +1177,15 @@ class CircuitPlan:
 # Vectorized placement deltas (IncrementalEvaluator's numpy fast path)
 # ---------------------------------------------------------------------------
 
-#: Mean rows-per-level below which the vectorized delta loses to the
-#: interpreted heap walk.  Each dirty level costs the array engine a
-#: fixed ~20µs of slice bookkeeping regardless of width, while the
-#: interpreter pays ~1µs per actually-dirty node; measured break-even
+#: Effective rows per level below which :class:`PlacementBatch` loses to
+#: the interpreted heap walk.  Each recomputed level costs the array
+#: engine a fixed ~20µs of slice bookkeeping regardless of width, while
+#: the interpreter pays ~1µs per actually-dirty node; measured break-even
 #: sits near 26 rows/level, and narrow-level circuits (deep multipliers,
-#: RPR corridors) regress well below 1x.  :func:`forced` pins the
-#: vectorized path on regardless (the equivalence suites use it on tiny
-#: circuits).
+#: RPR corridors) regress well below 1x.  A level swept for C columns
+#: serves all of them, so the width that counts is rows per level × C
+#: (:func:`placement_batch_declined`).  :func:`forced` pins the batch on
+#: regardless (the equivalence suites use it on tiny circuits).
 DELTA_MIN_MEAN_WIDTH = 32.0
 
 #: Byte budget of :class:`PlacementBatch`'s six float64 work matrices
@@ -1204,30 +1204,34 @@ def _mean_width(plan: "CircuitPlan") -> float:
     return plan.n_rows / max(len(plan.levels), 1)
 
 
-def delta_profitable(plan: "CircuitPlan") -> bool:
-    """Whether :class:`PlacementDelta` is expected to beat the
-    interpreted dirty-cone walk on this plan (see
-    :data:`DELTA_MIN_MEAN_WIDTH`).
-    """
-    return _FORCED or _mean_width(plan) >= DELTA_MIN_MEAN_WIDTH
-
-
 def gain_batch_columns(plan: "CircuitPlan") -> int:
     """Candidate columns per :class:`PlacementBatch` chunk (at least 1)."""
     per_column = 8 * 3 * (plan.n_rows + plan.n_edges)
     return max(1, GAIN_BATCH_BYTES // per_column)
 
 
-def batch_profitable(plan: "CircuitPlan", columns: int) -> bool:
-    """Whether scoring ``columns`` candidates per level sweep is expected
-    to beat walking them one by one.
+def placement_batch_declined(
+    plan: Optional["CircuitPlan"], placements: int
+) -> Optional[str]:
+    """Why :class:`PlacementBatch` should not sweep ``placements``
+    placements against its base.
 
-    The :data:`DELTA_MIN_MEAN_WIDTH` economics with a column axis: a
-    batched level costs about one :class:`PlacementDelta` level but
-    serves every column, so its effective width is the mean rows per
-    level times the columns.
+    ``None`` means batch them: ``evaluate()`` asks for one placement,
+    ``candidate_gains()`` for one per live candidate.  Otherwise they walk
+    on the interpreter, and the reason is ``"interp"`` (no plan: the
+    interpreted kernel) or ``"narrow"``: rows per level times the columns
+    of one chunk (``min(gain_batch_columns(plan), placements)``) stays
+    below :data:`DELTA_MIN_MEAN_WIDTH`.  :func:`forced` overrides
+    ``"narrow"``.
     """
-    return _FORCED or _mean_width(plan) * columns >= DELTA_MIN_MEAN_WIDTH
+    if plan is None:
+        return "interp"
+    if _FORCED:
+        return None
+    columns = min(gain_batch_columns(plan), placements)
+    if _mean_width(plan) * columns < DELTA_MIN_MEAN_WIDTH:
+        return "narrow"
+    return None
 
 
 def fault_batch_declined(
@@ -1262,12 +1266,13 @@ def fault_batch_declined(
 def forced():
     """Pin every numpy fast path on regardless of its dispatch rule.
 
-    For the duration, :func:`delta_profitable`, :func:`batch_profitable`
-    and :func:`fault_batch_declined` choose the array engines, so the
-    fuzzer, ``replay`` and the equivalence suites attack
-    :class:`PlacementDelta`, :class:`PlacementBatch` and
-    :func:`propagate_batch` on circuits the rules would hand to the
-    interpreted walk.  The flag is process-global, not thread-local.
+    For the duration, :func:`placement_batch_declined` and
+    :func:`fault_batch_declined` decline only the interpreted kernel, so
+    the fuzzer, ``replay`` and the equivalence suites attack
+    :class:`PlacementBatch` and :func:`propagate_batch` on circuits the
+    rules would hand to the interpreted walk.  The rules run on every
+    call, so an evaluator or simulator built outside the block is forced
+    inside it too.  The flag is process-global, not thread-local.
     """
     global _FORCED
     prior = _FORCED
@@ -1276,10 +1281,6 @@ def forced():
         yield
     finally:
         _FORCED = prior
-
-
-#: Per-site (control-kind, observed) summary meaning "no point here".
-_NO_SITE = (None, False)
 
 
 def _take_ranges(data, starts, counts):
@@ -1295,10 +1296,11 @@ class _DeltaAux:
     """Plan-level index structures for dirty-level re-propagation.
 
     Built once per plan (see :meth:`CircuitPlan.delta_aux`) and shared by
-    every :class:`PlacementDelta` and :class:`PlacementBatch`: the
-    level-entry index of every row and CSR sink/fan-in adjacency in row
-    space, which is all the delta sweeps need on top of the plan's own
-    level tables.
+    every :class:`PlacementBatch`: the level-entry index of every row,
+    CSR sink/fan-in adjacency in row space, and the row names and edge
+    keys as object arrays, so a delta labels its changed values with one
+    fancy index instead of one lookup each.  That is all the delta
+    sweeps need on top of the plan's own level tables.
     """
 
     def __init__(self, plan: "CircuitPlan") -> None:
@@ -1325,6 +1327,11 @@ class _DeltaAux:
             for k, fi in enumerate(fins):
                 fanin_rows[base + k] = row[fi]
         self.fanin_rows = fanin_rows
+        self.row_names = np.array(plan._row_names, dtype=object)
+        # element by element: numpy would unpack the key tuples
+        self.edge_keys = np.empty(n_edges, dtype=object)
+        for e, key in enumerate(plan.edge_keys):
+            self.edge_keys[e] = key
 
     def fanin_entries(self, rows):
         """Level entries of every fan-in of ``rows``."""
@@ -1342,303 +1349,46 @@ class _DeltaAux:
         return self.fanin_entries(self.edge_sink_rows[edges])
 
 
-class PlacementBase:
-    """One placement evaluation in row / edge array form: a delta base.
-
-    ``base`` carries the seven dicts of a
-    :class:`~repro.core.virtual.VirtualEvaluation`; ``base_stems`` /
-    ``base_branches`` map sites to (control-kind, observed) summaries of
-    the base placement; ``cof`` is the control observability factor
-    function.  Shared by :class:`PlacementDelta` and
-    :class:`PlacementBatch`.
-    """
-
-    def __init__(self, plan, base, base_stems, base_branches, cof) -> None:
-        n_rows, n_edges = plan.n_rows, plan.n_edges
-        row, edge_id = plan.row, plan.edge_id
-        self.Q = plan.float_rows(base.stem_pre)
-        self.S = plan.float_rows(base.stem_post)
-        self.WO = plan.float_rows(base.wire_obs)
-        self.PO = plan.float_rows(base.stem_post_obs)
-        T = np.empty(n_edges, dtype=np.float64)
-        OB = np.empty(n_edges, dtype=np.float64)
-        bpost, bobs = base.branch_post, base.branch_obs
-        for i, key in enumerate(plan.edge_keys):
-            T[i] = bpost[key]
-            OB[i] = bobs[key]
-        self.T, self.OB = T, OB
-        # factor / zero-multiplier arrays of the base placement (same
-        # IEEE-identity convention as the full placement pass)
-        Fs = np.ones(n_rows, dtype=np.float64)
-        Zms = np.ones(n_rows, dtype=np.float64)
-        Fe = np.ones(n_edges, dtype=np.float64)
-        Zme = np.ones(n_edges, dtype=np.float64)
-        sctl: Dict[int, object] = {}
-        bctl: Dict[int, object] = {}
-        for name, (ctrl, observed) in base_stems.items():
-            r = row[name]
-            if ctrl is not None:
-                Fs[r] = cof(ctrl)
-                sctl[r] = ctrl
-            if observed:
-                Zms[r] = 1.0 - 1.0
-        for key, (ctrl, observed) in base_branches.items():
-            e = edge_id[key]
-            if ctrl is not None:
-                Fe[e] = cof(ctrl)
-                bctl[e] = ctrl
-            if observed:
-                Zme[e] = 1.0 - 1.0
-        self.Fs, self.Zms, self.Fe, self.Zme = Fs, Zms, Fe, Zme
-        self.sctl = sctl
-        self.bctl = bctl
-        self.stems = dict(base_stems)
-        self.branches = dict(base_branches)
-
-
-class PlacementDelta:
-    """Vectorized dirty-cone re-propagation against a cached base.
-
-    The incremental evaluator re-propagates the placement passes from a
-    few dirty sites, stopping the moment a recomputed value equals the
-    cached base (exact float equality).  This class runs those deltas at
-    *level granularity*: a level whose inputs moved is recomputed with
-    the exact per-level slice code of :meth:`CircuitPlan.placement`
-    (contiguous array sweeps, no per-row bookkeeping), and a level no
-    dirt reaches is skipped entirely — its work-array slices still hold
-    the base values.
-
-    Bit-identity: recomputing a *clean* row of a dirty level reads the
-    same finalized inputs as the base pass and applies the same grouped
-    formulas in the same fold order, so it reproduces the base value to
-    the last ulp (evaluation is elementwise; columns never interact).
-    Changed values are therefore exactly the rows the interpreter's
-    event-driven walk would have patched, and the patch dicts — built by
-    comparing recomputed slices against the base — match the interpreted
-    delta verbatim.  The property and fuzz suites pin this.
-
-    Between deltas the work arrays equal the base: each call recomputes
-    only dirty-level slices and restores them from the base copies
-    before returning, so a delta costs O(dirty levels), not O(circuit).
-    """
-
-    def __init__(self, plan: "CircuitPlan") -> None:
-        self.plan = plan
-        self.aux = plan.delta_aux()
-
-    # ------------------------------------------------------------------
-    def rebase(self, base: PlacementBase) -> None:
-        """Capture one placement evaluation as the delta base."""
-        self.base = base
-        self.Qw, self.Sw = base.Q.copy(), base.S.copy()
-        self.Tw = base.T.copy()
-        self.WOw, self.POw = base.WO.copy(), base.PO.copy()
-        self.OBw = base.OB.copy()
-        self.Fsw, self.Zmsw = base.Fs.copy(), base.Zms.copy()
-        self.Few, self.Zmew = base.Fe.copy(), base.Zme.copy()
-
-    # ------------------------------------------------------------------
-    def delta(self, stem_diff, branch_diff, cpt, cof):
-        """Patch dicts and recompute count for a dirty-site overlay.
-
-        ``stem_diff`` / ``branch_diff`` map changed sites to their new
-        (control-kind, observed) summaries; ``cpt`` / ``cof`` are the
-        control probability transform and observability factor.  Returns
-        ``(patches, recomputed)`` where ``patches`` is the seven-tuple of
-        patch dicts the interpreted delta produces (missing key = base
-        value unchanged).
-        """
-        plan, aux, b = self.plan, self.aux, self.base
-        row, edge_id = plan.row, plan.edge_id
-        names = plan._row_names
-        edge_keys = plan.edge_keys
-        levels = plan.levels
-        n_entries = len(levels)
-        edge_driver_rows = plan.edge_driver_rows
-        Qw, Sw, Tw = self.Qw, self.Sw, self.Tw
-        WOw, POw, OBw = self.WOw, self.POw, self.OBw
-
-        # -- overlay the dirty sites onto the work factor arrays
-        sctl = dict(b.sctl)
-        bctl = dict(b.bctl)
-        dirty_rows: List[int] = []
-        dirty_edges: List[int] = []
-        for site, (ctrl, observed) in stem_diff.items():
-            r = row[site]
-            dirty_rows.append(r)
-            self.Fsw[r] = cof(ctrl) if ctrl is not None else 1.0
-            self.Zmsw[r] = 1.0 - 1.0 if observed else 1.0
-            if ctrl is not None:
-                sctl[r] = ctrl
-            else:
-                sctl.pop(r, None)
-        for key, (ctrl, observed) in branch_diff.items():
-            e = edge_id[key]
-            dirty_edges.append(e)
-            self.Few[e] = cof(ctrl) if ctrl is not None else 1.0
-            self.Zmew[e] = 1.0 - 1.0 if observed else 1.0
-            if ctrl is not None:
-                bctl[e] = ctrl
-            else:
-                bctl.pop(e, None)
-        s_fix = [(r, r, ctl) for r, ctl in sctl.items()]
-        e_fix = [(e, e, ctl) for e, ctl in bctl.items()]
-
-        # -- forward: mark the levels of control-relevant dirty sites,
-        # sweep ascending, re-marking a sink's level only when some
-        # in-edge branch-post moved (the heap walk's trigger rule)
-        fwd_dirty = np.zeros(n_entries, dtype=bool)
-        for site, state in stem_diff.items():
-            if (
-                state[0] is not None
-                or b.stems.get(site, _NO_SITE)[0] is not None
-            ):
-                fwd_dirty[aux.entry_of_row[row[site]]] = True
-        for key, state in branch_diff.items():
-            if (
-                state[0] is not None
-                or b.branches.get(key, _NO_SITE)[0] is not None
-            ):
-                fwd_dirty[aux.entry_of_row[row[key[0]]]] = True
-        f_touched: List[int] = []
-        changed_T: List["np.ndarray"] = []
-        for j in range(n_entries - 1, -1, -1):  # ascending level
-            if not fwd_dirty[j]:
-                continue
-            entry = levels[j]
-            f_touched.append(j)
-            # inputs (level 0) keep their base probabilities
-            _forward_level(plan, entry, Qw, Sw, Tw, s_fix, e_fix, cpt)
-            elo, ehi = entry.edge_lo, entry.edge_hi
-            if ehi > elo:
-                moved = Tw[elo:ehi] != b.T[elo:ehi]
-                if moved.any():
-                    ch = np.nonzero(moved)[0] + elo
-                    changed_T.append(ch)
-                    fwd_dirty[
-                        aux.entry_of_row[aux.edge_sink_rows[ch]]
-                    ] = True
-
-        # -- backward: mark the levels of dirty sites, of branch-diff
-        # drivers, and of the fan-ins of every sink whose branch-post
-        # moved; sweep descending, re-marking fan-in levels whenever a
-        # wire observability moves
-        bwd_dirty = np.zeros(n_entries, dtype=bool)
-        for site in stem_diff:
-            bwd_dirty[aux.entry_of_row[row[site]]] = True
-        for key in branch_diff:
-            bwd_dirty[aux.entry_of_row[row[key[0]]]] = True
-        if changed_T:
-            bwd_dirty[aux.sink_fanin_entries(np.concatenate(changed_T))] = True
-        b_touched: List[int] = []
-        folds = plan.stem_folds()
-        for j in range(n_entries):  # descending level
-            if not bwd_dirty[j]:
-                continue
-            entry = levels[j]
-            b_touched.append(j)
-            _backward_level(
-                entry, folds[j], Tw, WOw, POw, OBw,
-                self.Fsw, self.Zmsw, self.Few, self.Zmew,
-            )
-            nlo, nhi = entry.node_lo, entry.node_hi
-            moved = WOw[nlo:nhi] != b.WO[nlo:nhi]
-            if moved.any():
-                bwd_dirty[aux.fanin_entries(np.nonzero(moved)[0] + nlo)] = True
-
-        # -- extract patches (changed-vs-base only), restore work arrays
-        stem_pre: Dict[str, float] = {}
-        stem_post: Dict[str, float] = {}
-        branch_pre: Dict[tuple, float] = {}
-        branch_post: Dict[tuple, float] = {}
-        wire_obs: Dict[str, float] = {}
-        branch_obs: Dict[tuple, float] = {}
-        stem_post_obs: Dict[str, float] = {}
-        recomputed = 0
-        for j in f_touched:
-            entry = levels[j]
-            nlo, nhi = entry.node_lo, entry.node_hi
-            recomputed += nhi - nlo
-            for off in np.nonzero(Qw[nlo:nhi] != b.Q[nlo:nhi])[0]:
-                r = nlo + off
-                stem_pre[names[r]] = float(Qw[r])
-            for off in np.nonzero(Sw[nlo:nhi] != b.S[nlo:nhi])[0]:
-                r = nlo + off
-                stem_post[names[r]] = float(Sw[r])
-            elo, ehi = entry.edge_lo, entry.edge_hi
-            if ehi > elo:
-                drv = edge_driver_rows[elo:ehi]
-                for off in np.nonzero(Sw[drv] != b.S[drv])[0]:
-                    branch_pre[edge_keys[elo + off]] = float(Sw[drv[off]])
-                for off in np.nonzero(Tw[elo:ehi] != b.T[elo:ehi])[0]:
-                    e = elo + off
-                    branch_post[edge_keys[e]] = float(Tw[e])
-            Qw[nlo:nhi] = b.Q[nlo:nhi]
-            Sw[nlo:nhi] = b.S[nlo:nhi]
-            Tw[elo:ehi] = b.T[elo:ehi]
-        for j in b_touched:
-            entry = levels[j]
-            nlo, nhi = entry.node_lo, entry.node_hi
-            recomputed += nhi - nlo
-            for off in np.nonzero(WOw[nlo:nhi] != b.WO[nlo:nhi])[0]:
-                r = nlo + off
-                wire_obs[names[r]] = float(WOw[r])
-            for off in np.nonzero(POw[nlo:nhi] != b.PO[nlo:nhi])[0]:
-                r = nlo + off
-                stem_post_obs[names[r]] = float(POw[r])
-            elo, ehi = entry.edge_lo, entry.edge_hi
-            if ehi > elo:
-                for off in np.nonzero(OBw[elo:ehi] != b.OB[elo:ehi])[0]:
-                    e = elo + off
-                    branch_obs[edge_keys[e]] = float(OBw[e])
-            WOw[nlo:nhi] = b.WO[nlo:nhi]
-            POw[nlo:nhi] = b.PO[nlo:nhi]
-            OBw[elo:ehi] = b.OB[elo:ehi]
-        if dirty_rows:
-            dr = np.asarray(dirty_rows, dtype=np.intp)
-            self.Fsw[dr] = b.Fs[dr]
-            self.Zmsw[dr] = b.Zms[dr]
-        if dirty_edges:
-            de = np.asarray(dirty_edges, dtype=np.intp)
-            self.Few[de] = b.Fe[de]
-            self.Zmew[de] = b.Zme[de]
-        patches = (
-            stem_pre, stem_post, branch_pre, branch_post,
-            wire_obs, branch_obs, stem_post_obs,
-        )
-        return patches, recomputed
-
-
-def _fixes(shared, own, j):
-    """Level ``j``'s fixes: the base placement's plus the columns' own."""
-    a = shared.get(j)
-    c = own.get(j)
-    if c is None:
-        return a or ()
-    return a + c if a else c
+def _changed(work, base, labels) -> dict:
+    """``{label: value}`` wherever ``work`` differs from ``base``."""
+    idx = np.flatnonzero(work != base)
+    return dict(zip(labels[idx].tolist(), work[idx].tolist()))
 
 
 class PlacementBatch:
-    """Column-batched :class:`PlacementDelta` scoring one-site candidates.
+    """Level-granular placement deltas against one cached base.
 
-    A greedy round scores each candidate test point against the same
-    base, and each candidate adds one point.  The batch scores up to
-    ``columns`` of them per sweep: six ``(rows or edges) × columns``
-    float64 work matrices hold one candidate placement per column, and
-    PlacementDelta's level-granular sweep recomputes a level for all
-    columns when any column dirties it.  A column the level is clean for
-    recomputes its own inputs with the same formulas, so it reproduces
-    them bit for bit (see :class:`PlacementDelta`).  Each column's own
-    site is a scalar fix; the factor arrays stay the base's, shared by
-    every column.
+    The incremental evaluator re-propagates the placement passes from a
+    few changed sites, and a greedy round scores many one-site candidates
+    against the same base.  This class runs both.  Six ``(rows or edges)
+    × columns`` float64 work matrices (Q, S, T, WO, PO, OB) hold one
+    placement per column, each differing from the base at a few sites
+    (points added, removed or changed).  The sweep runs at *level
+    granularity*: a level some column dirties is recomputed for every
+    column with the exact slice code of :meth:`CircuitPlan.placement`
+    (:func:`_forward_level` / :func:`_backward_level`), and a level no
+    dirt reaches is skipped — its slices still hold the base.  A level
+    joins the forward sweep when one of its in-edges moved, and the
+    backward sweep when a wire observability it feeds moved.
 
-    Scoring needs no patch dicts.  A fault's status can change only on a
-    touched level, so a candidate's gain is the count of failing faults
-    on the touched levels before minus after, with the evaluator's rule
-    ``excitation * obs < θ``.  The fault stage runs in place on the work
-    matrices.  The base counts come from the evaluator's own failing set.
-    After each chunk the touched slices are restored from the base, so
-    between chunks every column holds the base again.
+    Bit-identity: recomputing a *clean* row, or a column the level is
+    clean for, reads the same finalized inputs as the base pass and
+    applies the same grouped formulas in the same fold order, so it
+    reproduces the base value to the last ulp (evaluation is
+    elementwise; columns never interact).  The values that differ from
+    the base are therefore exactly the ones the interpreter's
+    event-driven walk patches.  The property and fuzz suites pin this.
+
+    The factor arrays stay the base's, shared by every column as ``(n,
+    1)`` columns.  A column's own sites are fixes inside the level
+    sweeps: forward, the control transforms of a level (the base's, or a
+    replacement list where the column changes them); backward, a factor
+    and zero-multiplier override per site.
+
+    :meth:`delta` sweeps one placement and returns the evaluator's patch
+    dicts; :meth:`gains` scores one-site candidates in chunks of columns
+    without building any.  Each call restores the touched slices from the
+    base, so between calls every column holds the base again.
     """
 
     def __init__(self, plan, columns: int, stem_weights, edge_weights):
@@ -1650,32 +1400,226 @@ class PlacementBatch:
         self.w_stem = stem_weights
         self.w_edge = edge_weights
         #: The six work matrices Q, S, T, WO, PO, OB, as wide as the
-        #: widest chunk so far (at most ``columns``).
+        #: widest call so far (at most ``columns``).
         self.work: Optional[Tuple["np.ndarray", ...]] = None
 
-    def rebase(self, base: PlacementBase, failing_rows, failing_edges) -> None:
-        """Capture a new base with its failing-fault counts per row and
-        per edge, and reset every work column to it."""
-        plan, entry_of_row = self.plan, self.aux.entry_of_row
-        self._base = tuple(
-            a[:, None] for a in (base.Q, base.S, base.T, base.WO, base.PO, base.OB)
+    def rebase(
+        self, base, stems, branches, cof, failing_rows, failing_edges
+    ) -> None:
+        """Capture one placement evaluation as the new base.
+
+        ``base`` carries the seven dicts of a
+        :class:`~repro.core.virtual.VirtualEvaluation`; ``stems`` /
+        ``branches`` map the base placement's sites to (control-kind,
+        observed) summaries; ``cof`` is the control observability factor
+        function; ``failing_rows`` / ``failing_edges`` count the base's
+        failing faults per row and per edge.  Every work column is reset
+        to the base.
+        """
+        plan = self.plan
+        row, edge_id = plan.row, plan.edge_id
+        names, keys = plan._row_names, plan.edge_keys
+
+        def column(values, labels):
+            return np.fromiter(
+                map(values.__getitem__, labels), np.float64, len(labels)
+            )[:, None]
+
+        self._base = (
+            column(base.stem_pre, names),
+            column(base.stem_post, names),
+            column(base.branch_post, keys),
+            column(base.wire_obs, names),
+            column(base.stem_post_obs, names),
+            column(base.branch_obs, keys),
         )
-        self._factors = tuple(
-            a[:, None] for a in (base.Fs, base.Zms, base.Fe, base.Zme)
-        )
+        # factor / zero-multiplier arrays of the base placement (same
+        # IEEE-identity convention as the full placement pass)
+        Fs = np.ones((plan.n_rows, 1), dtype=np.float64)
+        Zms = np.ones((plan.n_rows, 1), dtype=np.float64)
+        Fe = np.ones((plan.n_edges, 1), dtype=np.float64)
+        Zme = np.ones((plan.n_edges, 1), dtype=np.float64)
+        #: The base's control kind per row / per edge id, and its control
+        #: fixes per level entry, stems then edges.
+        self._controls: Tuple[Dict[int, object], Dict[int, object]] = ({}, {})
+        self._fixes: Tuple[Dict[int, list], Dict[int, list]] = ({}, {})
+        for is_branch, sites, F, Zm in (
+            (False, stems, Fs, Zms), (True, branches, Fe, Zme)
+        ):
+            for site, (ctrl, observed) in sites.items():
+                i = edge_id[site] if is_branch else row[site]
+                if ctrl is not None:
+                    F[i] = cof(ctrl)
+                    self._controls[is_branch][i] = ctrl
+                    self._fixes[is_branch].setdefault(
+                        self._entry(is_branch, i), []
+                    ).append((i, i, ctrl))
+                if observed:
+                    Zm[i] = 1.0 - 1.0
+        self._factors = (Fs, Zms, Fe, Zme)
         self._fail_rows = np.concatenate(([0.0], np.cumsum(failing_rows)))
         self._fail_edges = np.concatenate(([0.0], np.cumsum(failing_edges)))
-        self._s_fix: Dict[int, list] = {}
-        self._e_fix: Dict[int, list] = {}
-        for r, ctl in base.sctl.items():
-            j = int(entry_of_row[r])
-            self._s_fix.setdefault(j, []).append((r, r, ctl))
-        for e, ctl in base.bctl.items():
-            j = int(entry_of_row[plan.edge_driver_rows[e]])
-            self._e_fix.setdefault(j, []).append((e, e, ctl))
         if self.work is not None:
             for w, a in zip(self.work, self._base):
                 w[...] = a
+
+    def _reserve(self, width: int) -> None:
+        """Widen the work matrices to at least ``width`` base columns."""
+        if self.work is None or self.work[0].shape[1] < width:
+            self.work = tuple(
+                np.empty((len(a), width), dtype=np.float64) for a in self._base
+            )
+            for w, a in zip(self.work, self._base):
+                w[...] = a
+
+    def _entry(self, is_branch: bool, i: int) -> int:
+        """Level entry of a row, or of an edge's driver."""
+        plan = self.plan
+        return int(
+            self.aux.entry_of_row[plan.edge_driver_rows[i] if is_branch else i]
+        )
+
+    def _sweep(self, m, fwd, bwd, fixes, overrides, cpt) -> int:
+        """Recompute the dirty levels of the first ``m`` work columns.
+
+        ``fwd`` / ``bwd`` flag the seed levels of the forward and backward
+        sweeps and end up flagging every level each recomputed.
+        ``fixes`` holds, for stems and for edges, the control fixes of a
+        level that replace the base's there; ``overrides`` the
+        ``(site, column, factor, zero_multiplier)`` overrides per level.
+        Returns the rows of the recomputed levels.
+        """
+        plan, aux = self.plan, self.aux
+        levels = plan.levels
+        Qw, Sw, Tw, WOw, POw, OBw = (w[:, :m] for w in self.work)
+        Tb, WOb = self._base[2], self._base[3]
+        (s_fix, e_fix), (s_base, e_base) = fixes, self._fixes
+        nodes = 0
+        changed: List["np.ndarray"] = []
+        for j in range(len(levels) - 1, -1, -1):  # ascending level
+            if not fwd[j]:
+                continue
+            entry = levels[j]
+            nodes += entry.node_hi - entry.node_lo
+            _forward_level(
+                plan, entry, Qw, Sw, Tw,
+                s_fix[j] if j in s_fix else s_base.get(j, ()),
+                e_fix[j] if j in e_fix else e_base.get(j, ()),
+                cpt,
+            )
+            elo, ehi = entry.edge_lo, entry.edge_hi
+            if ehi > elo:
+                moved = (Tw[elo:ehi] != Tb[elo:ehi]).any(axis=1)
+                if moved.any():
+                    ch = np.flatnonzero(moved) + elo
+                    changed.append(ch)
+                    fwd[aux.entry_of_row[aux.edge_sink_rows[ch]]] = True
+        if changed:
+            bwd[aux.sink_fanin_entries(np.concatenate(changed))] = True
+        folds = plan.stem_folds()
+        s_ovr, e_ovr = overrides
+        for j in range(len(levels)):  # descending level
+            if not bwd[j]:
+                continue
+            entry = levels[j]
+            nodes += entry.node_hi - entry.node_lo
+            _backward_level(
+                entry, folds[j], Tw, WOw, POw, OBw, *self._factors,
+                s_ovr.get(j, ()), e_ovr.get(j, ()),
+            )
+            nlo, nhi = entry.node_lo, entry.node_hi
+            moved = (WOw[nlo:nhi] != WOb[nlo:nhi]).any(axis=1)
+            if moved.any():
+                bwd[aux.fanin_entries(np.flatnonzero(moved) + nlo)] = True
+        return nodes
+
+    def _runs(self, touched) -> List[Tuple[int, int, int, int]]:
+        """``(row lo, row hi, edge lo, edge hi)`` of each run of
+        consecutive touched level entries (a run's rows and edges are
+        contiguous)."""
+        levels = self.plan.levels
+        idx = np.flatnonzero(touched)
+        if not len(idx):
+            return []
+        spans = []
+        for run in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1):
+            top, bottom = levels[run[0]], levels[run[-1]]
+            spans.append(
+                (bottom.node_lo, top.node_hi, top.edge_lo, bottom.edge_hi)
+            )
+        return spans
+
+    def _restore(self, spans, m: int) -> None:
+        """Reset the first ``m`` work columns to the base on ``spans``."""
+        Qw, Sw, Tw, WOw, POw, OBw = self.work
+        Qb, Sb, Tb, WOb, POb, OBb = self._base
+        for rlo, rhi, elo, ehi in spans:
+            for w, a in ((Qw, Qb), (Sw, Sb), (WOw, WOb), (POw, POb)):
+                w[rlo:rhi, :m] = a[rlo:rhi]
+            for w, a in ((Tw, Tb), (OBw, OBb)):
+                w[elo:ehi, :m] = a[elo:ehi]
+
+    def delta(self, stem_diff, branch_diff, cpt, cof):
+        """Patch dicts and recompute count of one placement near the base.
+
+        ``stem_diff`` / ``branch_diff`` map the sites where the placement
+        differs from the base (keyed like the evaluator's site summaries)
+        to their new (control-kind, observed) summaries; ``cpt`` /
+        ``cof`` are the control probability transform and observability
+        factor.  Returns ``(patches, recomputed)``: the seven patch dicts
+        the interpreted delta produces (missing key = base value
+        unchanged), built from whole-column comparisons, and the rows of
+        recomputed levels.
+        """
+        plan = self.plan
+        self._reserve(1)
+        fwd = np.zeros(len(plan.levels), dtype=bool)
+        bwd = np.zeros(len(plan.levels), dtype=bool)
+        overrides: Tuple[Dict[int, list], Dict[int, list]] = ({}, {})
+        changes: Tuple[Dict[int, dict], Dict[int, dict]] = ({}, {})
+        for is_branch, diff, ids in (
+            (False, stem_diff, plan.row), (True, branch_diff, plan.edge_id)
+        ):
+            for site, (ctrl, observed) in diff.items():
+                i = ids[site]
+                j = self._entry(is_branch, i)
+                bwd[j] = True
+                overrides[is_branch].setdefault(j, []).append((
+                    i, 0,
+                    cof(ctrl) if ctrl is not None else 1.0,
+                    1.0 - 1.0 if observed else 1.0,
+                ))
+                # forward-dirty when the new or the base placement
+                # controls the site
+                if ctrl is not None or i in self._controls[is_branch]:
+                    fwd[j] = True
+                    changes[is_branch].setdefault(j, {})[i] = ctrl
+        # fixes never stack (see the level-sweep notes): a level whose
+        # controls change sweeps with the placement's whole fix list
+        fixes = tuple(
+            {
+                j: [f for f in base.get(j, ()) if f[0] not in sites]
+                + [(i, i, c) for i, c in sites.items() if c is not None]
+                for j, sites in level_changes.items()
+            }
+            for base, level_changes in zip(self._fixes, changes)
+        )
+        recomputed = self._sweep(1, fwd, bwd, fixes, overrides, cpt)
+        Q, S, T, WO, PO, OB = (w[:, 0] for w in self.work)
+        Qb, Sb, Tb, WOb, POb, OBb = (a[:, 0] for a in self._base)
+        names, keys = self.aux.row_names, self.aux.edge_keys
+        drv = plan.edge_driver_rows
+        patches = (
+            _changed(Q, Qb, names),
+            _changed(S, Sb, names),
+            _changed(S[drv], Sb[drv], keys),
+            _changed(T, Tb, keys),
+            _changed(WO, WOb, names),
+            _changed(OB, OBb, keys),
+            _changed(PO, POb, names),
+        )
+        self._restore(self._runs(fwd | bwd), 1)
+        return patches, recomputed
 
     def gains(
         self, sites, cpt, theta: float, tick=None
@@ -1697,12 +1641,7 @@ class PlacementBatch:
             return [], 0
         chunks = -(-n // self.columns)
         size = -(-n // chunks)
-        if self.work is None or self.work[0].shape[1] < size:
-            self.work = tuple(
-                np.empty((len(a), size), dtype=np.float64) for a in self._base
-            )
-            for w, a in zip(self.work, self._base):
-                w[...] = a
+        self._reserve(size)
         gains: List[int] = []
         recomputed = 0
         for start in range(0, n, size):
@@ -1716,83 +1655,44 @@ class PlacementBatch:
         return gains, recomputed
 
     def _chunk(self, sites, cpt, theta: float) -> Tuple[List[int], int]:
-        plan, aux = self.plan, self.aux
-        levels = plan.levels
-        n_entries = len(levels)
-        entry_of_row = aux.entry_of_row
+        """Score one chunk of candidates, one per column.
+
+        A greedy round scores each candidate against the same base, and
+        each candidate adds one point, so its own forward fix (when it
+        adds a control point) stacks on its level's base fixes.  There
+        are no patch dicts: a fault's status can change only on a touched
+        level, so a candidate's gain is the count of failing faults on
+        the touched levels before minus after, with the evaluator's rule
+        ``excitation * obs < θ``.  The fault stage runs in place on the
+        work matrices; the base counts come from the evaluator's own
+        failing set.
+        """
+        plan = self.plan
         m = len(sites)
         Qw, Sw, Tw, WOw, POw, OBw = (w[:, :m] for w in self.work)
-        Qb, Sb, Tb, WOb, POb, OBb = self._base
-        Fs, Zms, Fe, Zme = self._factors
-
-        # -- each column's own site: a backward factor override and seed,
-        # plus a forward control fix and seed when it adds a control point
-        fwd_dirty = np.zeros(n_entries, dtype=bool)
-        bwd_dirty = np.zeros(n_entries, dtype=bool)
-        s_fwd: Dict[int, list] = {}
-        e_fwd: Dict[int, list] = {}
-        s_bwd: Dict[int, list] = {}
-        e_bwd: Dict[int, list] = {}
+        fwd = np.zeros(len(plan.levels), dtype=bool)
+        bwd = np.zeros(len(plan.levels), dtype=bool)
+        fixes: Tuple[Dict[int, list], Dict[int, list]] = ({}, {})
+        overrides: Tuple[Dict[int, list], Dict[int, list]] = ({}, {})
         for k, (is_branch, i, ctl, f, zm) in enumerate(sites):
-            j = int(entry_of_row[plan.edge_driver_rows[i] if is_branch else i])
-            bwd_dirty[j] = True
-            (e_bwd if is_branch else s_bwd).setdefault(j, []).append(
-                (i, k, f, zm)
-            )
+            j = self._entry(is_branch, i)
+            bwd[j] = True
+            overrides[is_branch].setdefault(j, []).append((i, k, f, zm))
             if ctl is not None:
-                fwd_dirty[j] = True
-                (e_fwd if is_branch else s_fwd).setdefault(j, []).append(
-                    (i, (i, k), ctl)
-                )
+                fwd[j] = True
+                level = fixes[is_branch].get(j)
+                if level is None:
+                    level = fixes[is_branch][j] = list(
+                        self._fixes[is_branch].get(j, ())
+                    )
+                level.append((i, (i, k), ctl))
+        nodes = self._sweep(m, fwd, bwd, fixes, overrides, cpt)
 
-        # -- forward sweep, ascending; a level joins when any column moved
-        # one of its in-edges
-        nodes = 0
-        changed: List["np.ndarray"] = []
-        for j in range(n_entries - 1, -1, -1):
-            if not fwd_dirty[j]:
-                continue
-            entry = levels[j]
-            nodes += entry.node_hi - entry.node_lo
-            _forward_level(
-                plan, entry, Qw, Sw, Tw,
-                _fixes(self._s_fix, s_fwd, j), _fixes(self._e_fix, e_fwd, j),
-                cpt,
-            )
-            elo, ehi = entry.edge_lo, entry.edge_hi
-            if ehi > elo:
-                moved = (Tw[elo:ehi] != Tb[elo:ehi]).any(axis=1)
-                if moved.any():
-                    ch = np.flatnonzero(moved) + elo
-                    changed.append(ch)
-                    fwd_dirty[entry_of_row[aux.edge_sink_rows[ch]]] = True
-
-        # -- backward sweep, descending
-        if changed:
-            bwd_dirty[aux.sink_fanin_entries(np.concatenate(changed))] = True
-        folds = plan.stem_folds()
-        for j in range(n_entries):
-            if not bwd_dirty[j]:
-                continue
-            entry = levels[j]
-            nodes += entry.node_hi - entry.node_lo
-            _backward_level(
-                entry, folds[j], Tw, WOw, POw, OBw, Fs, Zms, Fe, Zme,
-                s_bwd.get(j, ()), e_bwd.get(j, ()),
-            )
-            nlo, nhi = entry.node_lo, entry.node_hi
-            moved = (WOw[nlo:nhi] != WOb[nlo:nhi]).any(axis=1)
-            if moved.any():
-                bwd_dirty[aux.fanin_entries(np.flatnonzero(moved) + nlo)] = True
-
-        # -- fault stage and restore, per run of touched levels (a run's
-        # rows and edges are contiguous); PO and T serve as scratch
+        # -- fault stage per run of touched levels; PO and T serve as
+        # scratch, then every touched slice is restored
         gain = np.zeros(m, dtype=np.float64)
-        touched = np.flatnonzero(fwd_dirty | bwd_dirty)
-        for run in np.split(touched, np.flatnonzero(np.diff(touched) > 1) + 1):
-            top, bottom = levels[run[0]], levels[run[-1]]
-            rlo, rhi = bottom.node_lo, top.node_hi
-            elo, ehi = top.edge_lo, bottom.edge_hi
+        spans = self._runs(fwd | bwd)
+        for rlo, rhi, elo, ehi in spans:
             gain += (self._fail_rows[rhi] - self._fail_rows[rlo]) + (
                 self._fail_edges[ehi] - self._fail_edges[elo]
             )
@@ -1816,10 +1716,7 @@ class PlacementBatch:
                 np.multiply(T, OB, out=T)
                 np.less(T, theta, out=T)
                 gain -= self.w_edge[1, elo:ehi] @ T
-            for w, a in ((Qw, Qb), (Sw, Sb), (WOw, WOb), (POw, POb)):
-                w[rlo:rhi] = a[rlo:rhi]
-            for w, a in ((Tw, Tb), (OBw, OBb)):
-                w[elo:ehi] = a[elo:ehi]
+        self._restore(spans, m)
         return [int(g) for g in gain], nodes * m
 
 

@@ -253,12 +253,13 @@ def _replay_incremental_delta(manifest, circuit) -> tuple:
         for key, state in context["branch_diff"].items()
     }
     # The recorded delta ran on the vectorized engine, whatever the
-    # dispatch rule says about this (often minimized) circuit.
+    # dispatch rule says about this (often minimized) circuit; the rule
+    # runs per call, so the delta itself must run forced.
     with forced():
         inc = IncrementalEvaluator(
             problem, base_points, kernel=_fast_kernel(context)
         )
-    fast = dict(zip(PATCH_FIELDS, inc._delta(stem_diff, branch_diff)))
+        fast = dict(zip(PATCH_FIELDS, inc._delta(stem_diff, branch_diff)))
     slow = dict(zip(PATCH_FIELDS, inc._delta_interp(stem_diff, branch_diff)))
     detail = (
         f"vectorized delta of {len(stem_diff) + len(branch_diff)} site(s) "

@@ -26,6 +26,7 @@ from repro.core import (
     prepare_for_tpi,
     solve_greedy,
 )
+from repro import obs
 from repro.errors import DivergenceError
 from repro.sim import all_stuck_at_faults, npsim
 from repro.verify import Guard
@@ -157,10 +158,16 @@ class TestCandidateGain:
         _assert_identical(inc.base, evaluate_placement(problem, [point]))
 
 
-#: Pin the vectorized delta engines on regardless of circuit shape.  The
-#: adaptive dispatch declines tiny/narrow circuits for performance;
-#: equivalence must hold on them regardless.
-_forced_numpy_delta = npsim.forced
+#: The placement-delta dispatch counters (see ``_dispatch_counts``).
+_DISPATCH = "dispatch.incremental."
+
+
+def _dispatch_counts(run):
+    """The ``dispatch.incremental.*`` counters one call of ``run`` emits."""
+    with obs.recording(obs.RunRecorder(None)) as recorder:
+        run()
+    counters = recorder.metrics.snapshot()["counters"]
+    return {k: v for k, v in counters.items() if k.startswith(_DISPATCH)}
 
 
 @contextmanager
@@ -206,7 +213,7 @@ class TestNumpyDeltaEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 500))
     def test_numpy_deltas_match_interp_and_recompute(self, data, seed):
-        with _forced_numpy_delta():
+        with npsim.forced():
             circuit = generators.random_dag(4, 24, seed=seed)
             problem = TPIProblem(circuit=circuit, threshold=0.05)
             base = _random_branch_placement(circuit, data.draw)
@@ -214,18 +221,25 @@ class TestNumpyDeltaEquivalence:
             inc_np = IncrementalEvaluator(
                 problem, base_points=base, kernel="numpy"
             )
-            assert inc_np._np_delta is not None  # the forced engine is live
             inc_it = IncrementalEvaluator(
                 problem, base_points=base, kernel="interp"
             )
             ref = evaluate_placement(problem, target, kernel="interp")
-            _assert_identical(inc_np.evaluate(target), ref)
+            got = []
+            counts = _dispatch_counts(
+                lambda: got.append(inc_np.evaluate(target))
+            )
+            _assert_identical(got[0], ref)
             _assert_identical(inc_it.evaluate(target), ref)
+        if any(inc_np._diff_sites(target)):  # the forced engine ran it
+            assert counts == {"dispatch.incremental.delta.batch": 1}
+        else:
+            assert counts == {}
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 200))
     def test_commit_sequences_track_exactly(self, data, seed):
-        with _forced_numpy_delta():
+        with npsim.forced():
             circuit = generators.random_dag(4, 20, seed=seed)
             problem = TPIProblem(circuit=circuit, threshold=0.05)
             faults = all_stuck_at_faults(circuit)
@@ -256,10 +270,109 @@ class TestNumpyDeltaEquivalence:
         # A deep chain has mean level width ~1 — far below the cutoff.
         circuit = generators.random_tree(40, seed=1)
         problem = TPIProblem.from_test_length(circuit, n_patterns=64)
-        assert IncrementalEvaluator(problem, kernel="numpy")._np_delta is None
-        with _forced_numpy_delta():
-            inc = IncrementalEvaluator(problem, kernel="numpy")
-            assert inc._np_delta is not None
+        target = [TestPoint(circuit.outputs[0], OP)]
+        numpy = IncrementalEvaluator(problem, kernel="numpy")
+        interp = IncrementalEvaluator(problem, kernel="interp")
+        assert _dispatch_counts(lambda: numpy.evaluate(target)) == {
+            "dispatch.incremental.delta.walk.narrow": 1
+        }
+        assert _dispatch_counts(lambda: interp.evaluate(target)) == {
+            "dispatch.incremental.delta.walk.interp": 1
+        }
+        # no diff, no delta: nothing to count
+        assert _dispatch_counts(lambda: numpy.evaluate([])) == {}
+        with npsim.forced():
+            assert _dispatch_counts(lambda: numpy.evaluate(target)) == {
+                "dispatch.incremental.delta.batch": 1
+            }
+            assert _dispatch_counts(lambda: interp.evaluate(target)) == {
+                "dispatch.incremental.delta.walk.interp": 1
+            }
+
+    def test_forcing_reaches_an_evaluator_built_outside_it(self):
+        # Both entry points pick their path per call, so forced() takes
+        # effect on an evaluator that already exists.
+        circuit = generators.random_dag(8, 40, seed=3)
+        problem = TPIProblem.from_test_length(circuit, n_patterns=64)
+        names = list(circuit.node_names)
+        target = [
+            TestPoint(names[5], TestPointType.CONTROL_AND),
+            TestPoint(names[20], OP),
+        ]
+        candidates = [TestPoint(n, OP) for n in names]
+        inc = IncrementalEvaluator(problem, kernel="numpy")
+        arbiter = IncrementalEvaluator(problem, kernel="interp")
+        calls = []
+        real = npsim.PlacementBatch.delta
+
+        def spy(self, *args):
+            calls.append(1)
+            return real(self, *args)
+
+        got = []
+        with npsim.forced(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(npsim.PlacementBatch, "delta", spy)
+            counts = _dispatch_counts(lambda: (
+                got.append(inc.evaluate(target)),
+                got.append(inc.candidate_gains(candidates)),
+            ))
+        assert counts == {
+            "dispatch.incremental.delta.batch": 1,
+            "dispatch.incremental.gains.batch": 1,
+        }
+        assert len(calls) == 1
+        _assert_identical(got[0], evaluate_placement(problem, target))
+        assert got[1] == arbiter.candidate_gains(candidates)
+
+    @pytest.mark.parametrize(
+        "change", [TestPointType.CONTROL_OR, OP, None], ids=["or", "op", "lift"]
+    )
+    @pytest.mark.parametrize("branch", [False, True])
+    def test_changed_or_lifted_base_controls(self, change, branch):
+        # A control point the base has is changed, swapped for an
+        # observation point or lifted, next to an added one; the forced
+        # delta must rebuild that level's control fixes, not stack them.
+        circuit = generators.random_dag(6, 40, seed=9)
+        problem = TPIProblem(circuit=circuit, threshold=0.05)
+        multi = [n for n in circuit.node_names if len(circuit.fanouts(n)) > 1]
+        site = circuit.fanouts(multi[0])[0] if branch else None
+        other = TestPoint(multi[1], TestPointType.CONTROL_RANDOM)
+        base = [TestPoint(multi[0], TestPointType.CONTROL_AND, branch=site)]
+        target = [other]
+        if change is not None:
+            target.append(TestPoint(multi[0], change, branch=site))
+        with npsim.forced():
+            inc = IncrementalEvaluator(problem, base_points=base, kernel="numpy")
+            _assert_identical(
+                inc.evaluate(target),
+                evaluate_placement(problem, target, kernel="interp"),
+            )
+            _assert_identical(
+                inc.evaluate(base + [other]),
+                evaluate_placement(problem, base + [other], kernel="interp"),
+            )
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 300))
+    def test_deltas_and_gains_share_one_batch(self, data, seed):
+        # evaluate() sweeps one column of the work matrices that
+        # candidate_gains widens; each call leaves every column at base.
+        circuit = generators.random_dag(4, 24, seed=seed)
+        problem = TPIProblem(circuit=circuit, threshold=0.05)
+        base = _random_branch_placement(circuit, data.draw, max_points=2)
+        candidates = _gain_candidates(circuit, data.draw, base)
+        arbiter = IncrementalEvaluator(problem, base_points=base, kernel="interp")
+        with npsim.forced(), _gain_batch_bytes(4096):
+            inc = IncrementalEvaluator(problem, base_points=base, kernel="numpy")
+            for _ in range(2):
+                target = _random_branch_placement(circuit, data.draw)
+                _assert_identical(
+                    inc.evaluate(target),
+                    evaluate_placement(problem, target, kernel="interp"),
+                )
+                assert inc.candidate_gains(candidates) == (
+                    arbiter.candidate_gains(candidates)
+                )
 
 
 def _gain_candidates(circuit, rng_draw, base):
@@ -315,13 +428,18 @@ class TestCandidateGains:
         )
         expected = [arbiter.candidate_gain(c) for c in candidates]
         assert arbiter.candidate_gains(candidates) == expected
-        with _forced_numpy_delta(), _gain_batch_bytes(budget):
+        with npsim.forced(), _gain_batch_bytes(budget):
             inc = IncrementalEvaluator(
                 problem, base_points=base, faults=faults, kernel="numpy"
             )
-            assert inc.candidate_gains(candidates) == expected
+            got = []
+            counts = _dispatch_counts(
+                lambda: got.append(inc.candidate_gains(candidates))
+            )
+            assert got == [expected]
             if any(inc._candidate_diff(c) for c in candidates):
-                assert inc._batch is not None  # the batch scored them
+                # the batch scored them
+                assert counts == {"dispatch.incremental.gains.batch": 1}
             assert [inc.candidate_gain(c) for c in candidates] == expected
         for cand, gain in zip(candidates, expected):
             if cand.kind is OP and cand in base:
@@ -333,7 +451,7 @@ class TestCandidateGains:
         circuit = generators.random_dag(4, 20, seed=seed)
         problem = TPIProblem(circuit=circuit, threshold=0.05)
         candidates = _gain_candidates(circuit, data.draw, [])
-        with _forced_numpy_delta(), _gain_batch_bytes(4096):
+        with npsim.forced(), _gain_batch_bytes(4096):
             inc = IncrementalEvaluator(problem, kernel="numpy")
             arbiter = IncrementalEvaluator(problem, kernel="interp")
             for _ in range(3):
@@ -364,7 +482,7 @@ class TestCandidateGains:
         base = [TestPoint(node, TestPointType.CONTROL_AND, branch=site)]
         valid = TestPoint(circuit.outputs[0], OP)
         second = TestPoint(node, TestPointType.CONTROL_OR, branch=site)
-        with _forced_numpy_delta():
+        with npsim.forced():
             inc = IncrementalEvaluator(problem, base_points=base, kernel=kernel)
             with pytest.raises(ValueError, match="multiple control points"):
                 inc.candidate_gain(second)
@@ -378,13 +496,13 @@ class TestCandidateGains:
         problem = TPIProblem(circuit=circuit, threshold=0.05)
         candidates = [TestPoint(n, OP) for n in circuit.node_names]
         ticks = []
-        with _forced_numpy_delta(), _gain_batch_bytes(4096):
+        with npsim.forced(), _gain_batch_bytes(4096):
             inc = IncrementalEvaluator(
                 problem, kernel="numpy" if batched else "interp"
             )
             inc.candidate_gains(candidates, tick=lambda: ticks.append(1))
             if batched:
-                columns = inc._batch.columns
+                columns = npsim.gain_batch_columns(npsim.get_plan(circuit))
                 assert len(ticks) == -(-len(candidates) // columns) > 1
             else:
                 assert len(ticks) == len(candidates)
@@ -396,7 +514,7 @@ class TestCandidateGains:
         candidates = [TestPoint(n, OP) for n in circuit.node_names]
         live = [c for c in candidates if c not in base]
         guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
-        with _forced_numpy_delta():
+        with npsim.forced():
             inc = IncrementalEvaluator(
                 problem, base_points=base, kernel="numpy", guard=guard
             )
@@ -415,7 +533,7 @@ class TestCandidateGains:
         candidates = [TestPoint(n, OP) for n in circuit.node_names]
         lift = engine_bug(GateType.AND, GateType.OR, folds="floats")
         guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
-        with _forced_numpy_delta():
+        with npsim.forced():
             inc = IncrementalEvaluator(problem, kernel="numpy", guard=guard)
             with pytest.raises(DivergenceError) as info:
                 inc.candidate_gains(candidates)
@@ -441,16 +559,20 @@ class TestSolverEquivalence:
 
     def test_greedy_identical_across_kernels(self):
         # Wide levels put the numpy solve on the vectorized delta engine
-        # (no env override) — the chosen points must not move.
-        from repro.sim import npsim
-
+        # (no forcing) — the chosen points must not move.
         circuit = generators.random_dag(32, 1000, seed=5, fanin_span=250)
-        assert npsim.delta_profitable(npsim.get_plan(circuit))
         problem = TPIProblem.from_test_length(
             circuit, n_patterns=1024, escape_budget=0.01
         )
         interp = solve_greedy(problem, kernel="interp", max_iterations=4)
-        vec = solve_greedy(problem, kernel="numpy", max_iterations=4)
+        solved = []
+        counts = _dispatch_counts(lambda: solved.append(
+            solve_greedy(problem, kernel="numpy", max_iterations=4)
+        ))
+        (vec,) = solved
+        assert counts == {
+            "dispatch.incremental.gains.batch": vec.stats["iterations"]
+        }
         assert vec.points == interp.points
         assert vec.cost == interp.cost
         assert vec.feasible == interp.feasible
@@ -484,9 +606,12 @@ class TestSolverEquivalence:
         problem = TPIProblem.from_test_length(
             circuit, n_patterns=1 << 16, escape_budget=0.001
         )
-        plan = npsim.get_plan(circuit)
-        assert npsim.batch_profitable(plan, npsim.gain_batch_columns(plan))
-        vec = solve_greedy(problem, kernel="numpy")
+        solved = []
+        counts = _dispatch_counts(
+            lambda: solved.append(solve_greedy(problem, kernel="numpy"))
+        )
+        (vec,) = solved
+        assert set(counts) == {"dispatch.incremental.gains.batch"}
         interp = solve_greedy(problem, kernel="interp")
         assert vec.points == interp.points
         assert vec.cost == interp.cost
