@@ -54,6 +54,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import platform
 import statistics
@@ -376,6 +377,10 @@ NUMPY_WIDE_PATTERNS = 65536
 NUMPY_WIDE_PATTERNS_QUICK = 16384
 
 
+#: Least wall time of one timed numpy batch in the wide-coverage bench.
+NUMPY_WIDE_MIN_BATCH_S = 0.2
+
+
 def bench_numpy_wide_coverage(repeats: int, quick: bool) -> Dict[str, object]:
     """Wide-budget ``run_coverage`` with dropping: numpy vs interp.
 
@@ -385,6 +390,11 @@ def bench_numpy_wide_coverage(repeats: int, quick: bool) -> Dict[str, object]:
     batch and never a wide block: this gates the dropping regime, not
     wide-word batching.  The numpy run is asserted identical down to
     first-detect indices against the interp arbiter's run.
+
+    One numpy run takes a few hundredths of a second and one interp run
+    over a second, so the speedup is timed as paired batches
+    (:func:`_paired_ratio`): each interp run against a numpy batch of at
+    least :data:`NUMPY_WIDE_MIN_BATCH_S`, taken back to back.
     """
     circuit = gray_to_binary(512)
     n_patterns = NUMPY_WIDE_PATTERNS_QUICK if quick else NUMPY_WIDE_PATTERNS
@@ -396,9 +406,13 @@ def bench_numpy_wide_coverage(repeats: int, quick: bool) -> Dict[str, object]:
         return sim.run_coverage(stimulus, n_patterns, faults=faults)
 
     run("numpy")  # warm the plan registry
-    reps = max(repeats, 3)
-    t_numpy, got_n = _best_of(reps, lambda: run("numpy"))
-    t_interp, reference = _best_of(reps, lambda: run("interp"))
+    start = time.perf_counter()
+    run("numpy")
+    batch = math.ceil(NUMPY_WIDE_MIN_BATCH_S / (time.perf_counter() - start))
+    t_numpy, speedup, got_n, reference = _paired_ratio(
+        repeats, (batch, 1), lambda: run("numpy"), lambda: run("interp")
+    )
+    t_interp = t_numpy * speedup
     assert got_n.first_detect == reference.first_detect
     assert list(got_n.detection_word) == list(reference.detection_word)
     return {
@@ -410,7 +424,8 @@ def bench_numpy_wide_coverage(repeats: int, quick: bool) -> Dict[str, object]:
         "coverage": round(reference.coverage(), 4),
         "seconds_interp": round(t_interp, 4),
         "seconds_numpy": round(t_numpy, 4),
-        "speedup": round(t_interp / t_numpy, 2),
+        "speedup": round(speedup, 2),
+        "numpy_runs_per_batch": batch,
         "identical_coverage_and_first_detect": True,
     }
 
@@ -540,62 +555,52 @@ def bench_greedy_deep_chain(repeats: int, quick: bool) -> Dict[str, object]:
 
 def _paired_ratio(
     repeats: int,
-    batch: int,
-    run_plain: Callable[[], object],
-    run_guarded: Callable[[], object],
+    batches: Tuple[int, int],
+    run_base: Callable[[], object],
+    run_other: Callable[[], object],
 ) -> Tuple[float, float, object, object]:
-    """Median guarded/plain wall ratio over alternating paired batches.
+    """Median other/base per-run wall ratio over alternating paired batches.
 
-    The two variants are compared *within* each rep — a guarded batch
-    timed back-to-back against a plain batch, alternating which goes
-    first — and the overhead is the median of the per-rep ratios.
+    The two variants are compared *within* each rep — a batch of
+    ``batches[1]`` other runs timed back-to-back against a batch of
+    ``batches[0]`` base runs, alternating which goes first — and the
+    ratio is the median of the per-rep ratios of per-run times.
     A shared container's clock drifts on the seconds scale, so mins
     taken from different moments would compare different machines;
     a time-local ratio cancels the drift and the median sheds the
     occasional descheduled rep.  GC is paused in the timed region (as
     ``timeit`` does): after the heavier benches this process holds a
     large heap, and a gen-2 pass landing inside one variant's batch
-    would swamp the percentage being measured.
+    would swamp the ratio being measured.
 
-    Returns ``(best plain seconds per run, median ratio, last plain
-    result, last guarded result)``.
+    Returns ``(best base seconds per run, median ratio, last base
+    result, last other result)``.
     """
 
-    def _batch(fn: Callable[[], object]) -> object:
-        last = None
-        for _ in range(batch):
+    def _batch(fn: Callable[[], object], runs: int) -> Tuple[float, object]:
+        start = time.perf_counter()
+        for _ in range(runs):
             last = fn()
-        return last
+        return (time.perf_counter() - start) / runs, last
 
     reps = max(repeats, 7)
     ratios: List[float] = []
-    best_plain = float("inf")
-    got_p = got_g = None
+    best_base = float("inf")
     gc.collect()
     gc.disable()
     try:
         for rep in range(reps):
-            plain_first = rep % 2 == 0
-            first, second = (
-                (run_plain, run_guarded) if plain_first
-                else (run_guarded, run_plain)
-            )
-            start = time.perf_counter()
-            got_first = _batch(first)
-            mid = time.perf_counter()
-            got_second = _batch(second)
-            end = time.perf_counter()
-            if plain_first:
-                got_p, got_g = got_first, got_second
-                t_p, t_g = mid - start, end - mid
+            if rep % 2 == 0:
+                t_b, got_b = _batch(run_base, batches[0])
+                t_o, got_o = _batch(run_other, batches[1])
             else:
-                got_g, got_p = got_first, got_second
-                t_g, t_p = mid - start, end - mid
-            ratios.append(t_g / t_p)
-            best_plain = min(best_plain, t_p)
+                t_o, got_o = _batch(run_other, batches[1])
+                t_b, got_b = _batch(run_base, batches[0])
+            ratios.append(t_o / t_b)
+            best_base = min(best_base, t_b)
     finally:
         gc.enable()
-    return best_plain / batch, statistics.median(ratios), got_p, got_g
+    return best_base, statistics.median(ratios), got_b, got_o
 
 
 #: Guard sampling fraction for the numpy backend's overhead bench.  A
@@ -641,7 +646,7 @@ def bench_numpy_guard_overhead(repeats: int, quick: bool) -> Dict[str, object]:
     reference = run_plain()  # warm the plan registry
     run_guarded()  # warm the arbiter's cone-order table
     t_plain, ratio, got_p, got_g = _paired_ratio(
-        repeats, 10, run_plain, run_guarded
+        repeats, (10, 10), run_plain, run_guarded
     )
     for got in (got_p, got_g):
         assert got.detection_word == reference.detection_word

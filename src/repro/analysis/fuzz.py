@@ -9,17 +9,25 @@ it deliberately: a time-budgeted loop draws seeded random circuits from
 its arbiter —
 
 * numpy logic simulation vs the interpreter (full node-word map);
-* numpy fault simulation, forced onto the batched sweep, vs the
-  interpreter, fault by fault;
+* numpy fault simulation of the whole fault list, forced onto one
+  batched sweep, vs the interpreter;
 * fault dropping (:meth:`run_coverage`) vs the exact run it must match;
 * numpy COP and placement passes vs the interpreted passes;
 * :class:`IncrementalEvaluator` deltas vs a from-scratch full pass, and
-  its batched candidate gains vs the interpreted walk;
+  its batched candidate gains vs the interpreted walk, both forced onto
+  the vectorized engine;
 * the batched fault sweep forced across chunk seams;
 * the DP's claimed optimum vs exhaustive search under the quantized
   objective, on small fanout-free instances (the paper's exactness
   regime);
-* the parallel fan-out vs a serial run.
+* the parallel fan-out vs a serial run;
+* with ``store=True``, a sweep result round-tripped through the result
+  store vs recomputation.
+
+Every lane but the store's only draws its inputs and records them as a
+bundle context: the comparison itself is the one ``repro-tpi replay``
+runs (:data:`repro.verify.replay.COMPARISONS`), so fuzzer and replay
+cannot disagree about what a bundle means.
 
 A divergence is minimized with :func:`shrink_circuit` — greedy structural
 reduction (drop to one output's cone, collapse gates to buffers, cut
@@ -39,26 +47,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..circuit.generators import random_dag, random_tree
 from ..circuit.netlist import Circuit
-from ..core.dp import quantized_tree_check, solve_tree
-from ..core.exhaustive import solve_exhaustive
-from ..core.incremental import GAINS_DIVERGENCE, IncrementalEvaluator
 from ..core.problem import TestPoint, TPIProblem
-from ..core.virtual import evaluate_placement
 from ..errors import BudgetExceededError, SolverError
 from ..resilience import Budget
 from ..sim import npsim
 from ..sim.bitops import word_count
-from ..sim.fault_sim import FaultSimulator
-from ..sim.faults import collapse_faults
-from ..sim.logic_sim import LogicSimulator
 from ..sim.patterns import UniformRandomSource
-from ..testability.cop import cop_measures
-from ..verify.bundle import (
-    fault_to_payload,
-    point_to_payload,
-    problem_to_payload,
-    write_bundle,
-)
+from ..verify.bundle import point_to_payload, problem_to_payload, write_bundle
+from ..verify.replay import COMPARISONS, diverged
 
 __all__ = ["FuzzFailure", "FuzzReport", "run_fuzz", "shrink_circuit"]
 
@@ -69,7 +65,6 @@ _DP_MAX_GATES = 8
 #: Run the parallel fan-out cross-check on every Nth trial (it forks a
 #: process pool, which dwarfs every other check).
 _PARALLEL_EVERY = 8
-_COST_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -128,155 +123,79 @@ class FuzzReport:
 
 
 # ---------------------------------------------------------------------------
-# Differential checks.  Each takes the circuit plus trial-local seeds and
-# returns None (agreement) or a ready-to-bundle _Divergence.
+# Differential lanes.  Each draws its inputs from the circuit plus
+# trial-local seeds, records them as the bundle context, and hands them to
+# that kind's comparison in repro.verify.replay: None (agreement) or a
+# ready-to-bundle _Divergence.
 # ---------------------------------------------------------------------------
 
 
-def _stimulus(circuit: Circuit, seed: int, n_patterns: int) -> Dict[str, int]:
-    return UniformRandomSource(seed).generate(circuit.inputs, n_patterns)
+def _diverges(
+    kind: str, circuit: Circuit, context: dict, **options
+) -> Optional[_Divergence]:
+    """Run ``kind``'s replay comparison on the context it would bundle.
+
+    Contexts are built from the bundle payload codecs, so the comparison
+    reads what ``replay`` will read back.
+    """
+    fast, slow, detail = COMPARISONS[kind](circuit, context, **options)
+    if not diverged(fast, slow):
+        return None
+    return _Divergence(
+        kind=kind,
+        context=context,
+        expected=slow,
+        actual=fast,
+        message=f"{detail}: results differ",
+    )
+
+
+def _stimulus_context(
+    circuit: Circuit, seed: int, n_patterns: int, **extra
+) -> dict:
+    return {
+        "stimulus": UniformRandomSource(seed).generate(
+            circuit.inputs, n_patterns
+        ),
+        "n_patterns": n_patterns,
+        "kernel": "numpy",
+        **extra,
+    }
 
 
 def _check_logic_sim(
     circuit: Circuit, seed: int, n_patterns: int
 ) -> Optional[_Divergence]:
-    stimulus = _stimulus(circuit, seed, n_patterns)
-    fast = LogicSimulator(circuit, kernel="numpy").run(stimulus, n_patterns)
-    slow = LogicSimulator(circuit, kernel="interp").run(stimulus, n_patterns)
-    if fast == slow:
-        return None
-    return _Divergence(
-        kind="fuzz.logic_sim",
-        context={
-            "stimulus": stimulus,
-            "n_patterns": n_patterns,
-            "kernel": "numpy",
-        },
-        expected=slow,
-        actual=dict(fast),
-        message="numpy logic backend disagrees with interpreter",
+    return _diverges(
+        "fuzz.logic_sim", circuit, _stimulus_context(circuit, seed, n_patterns)
     )
 
 
 def _check_fault_sim(
     circuit: Circuit, seed: int, n_patterns: int
 ) -> Optional[_Divergence]:
-    stimulus = _stimulus(circuit, seed, n_patterns)
-    # Forced: small fuzz circuits have fewer faults than the batch rule
-    # asks for, and the numpy kernel walks such lists on the interpreter.
-    with npsim.forced():
-        fast = FaultSimulator(circuit, kernel="numpy").run(
-            stimulus, n_patterns
-        )
-    slow = FaultSimulator(circuit, kernel="interp").run(stimulus, n_patterns)
-    bad = next(
-        (
-            f
-            for f in slow.faults
-            if fast.detection_word.get(f) != slow.detection_word[f]
-            or fast.first_detect.get(f) != slow.first_detect[f]
-        ),
-        None,
-    )
-    if bad is None:
-        return None
-    good_values = LogicSimulator(circuit, kernel="interp").run(
-        stimulus, n_patterns
-    )
-    return _Divergence(
-        kind="fuzz.fault_sim",
-        context={
-            "fault": fault_to_payload(bad),
-            "n_patterns": n_patterns,
-            "good_values": good_values,
-            "variant": "detect",
-            "kernel": "numpy",
-        },
-        expected={str(f): w for f, w in slow.detection_word.items()},
-        actual={str(f): w for f, w in fast.detection_word.items()},
-        message=f"numpy fault propagation disagrees with interpreter on {bad}",
+    return _diverges(
+        "fuzz.fault_sim", circuit, _stimulus_context(circuit, seed, n_patterns)
     )
 
 
 def _check_coverage(
     circuit: Circuit, seed: int, n_patterns: int
 ) -> Optional[_Divergence]:
-    stimulus = _stimulus(circuit, seed, n_patterns)
-    sim = FaultSimulator(circuit, kernel="numpy")
-    exact = sim.run(stimulus, n_patterns)
-    dropped = sim.run_coverage(stimulus, n_patterns, block=16)
-
-    def summary(res):
-        return {
-            "coverage": res.coverage(),
-            "first_detect": {str(f): i for f, i in res.first_detect.items()},
-        }
-
-    fast, slow = summary(dropped), summary(exact)
-    if fast == slow:
-        return None
-    return _Divergence(
-        kind="fuzz.coverage",
-        context={
-            "stimulus": stimulus,
-            "n_patterns": n_patterns,
-            "block": 16,
-            "kernel": "numpy",
-        },
-        expected=slow,
-        actual=fast,
-        message="fault dropping changed coverage/first-detect vs exact run",
+    return _diverges(
+        "fuzz.coverage",
+        circuit,
+        _stimulus_context(circuit, seed, n_patterns, block=16),
     )
 
 
 def _check_cop(circuit: Circuit, seed: int) -> Optional[_Divergence]:
-    def payload(res):
-        return {
-            "probability": res.probability,
-            "observability": res.observability,
-            "branch_observability": res.branch_observability,
-        }
-
-    fast = payload(cop_measures(circuit, kernel="numpy"))
-    slow = payload(cop_measures(circuit, kernel="interp"))
-    if fast == slow:
-        return None
-    return _Divergence(
-        kind="fuzz.cop",
-        context={
-            "input_probabilities": None,
-            "stem_combine": "or",
-            "kernel": "numpy",
-        },
-        expected=slow,
-        actual=fast,
-        message="numpy COP passes disagree with interpreter",
-    )
-
-
-def _check_placement(circuit: Circuit, seed: int) -> Optional[_Divergence]:
-    rng = random.Random(f"fuzz-place:{seed}")
-    problem = TPIProblem.from_test_length(circuit, n_patterns=64)
-    points = _random_points(problem, rng, rng.randint(0, 3))
-    fast = _evaluation_payload(
-        evaluate_placement(problem, points, kernel="numpy")
-    )
-    slow = _evaluation_payload(
-        evaluate_placement(problem, points, kernel="interp")
-    )
-    if fast == slow:
-        return None
-    return _Divergence(
-        kind="fuzz.placement",
-        context={
-            "problem": problem_to_payload(problem),
-            "points": [point_to_payload(p) for p in points],
-            "kernel": "numpy",
-        },
-        expected=slow,
-        actual=fast,
-        message="numpy placement pass disagrees with interpreter",
-    )
+    context = {
+        "input_probabilities": None,
+        "stem_combine": "or",
+        "kernel": "numpy",
+    }
+    return _diverges("fuzz.cop", circuit, context)
 
 
 def _random_points(
@@ -305,55 +224,40 @@ def _random_points(
     return unique
 
 
-def _evaluation_payload(evaluation) -> dict:
-    return {
-        "stem_pre": evaluation.stem_pre,
-        "stem_post": evaluation.stem_post,
-        "wire_obs": evaluation.wire_obs,
-        "branch_pre": evaluation.branch_pre,
-        "branch_post": evaluation.branch_post,
-        "branch_obs": evaluation.branch_obs,
-        "stem_post_obs": evaluation.stem_post_obs,
+def _check_placement(circuit: Circuit, seed: int) -> Optional[_Divergence]:
+    rng = random.Random(f"fuzz-place:{seed}")
+    problem = TPIProblem.from_test_length(circuit, n_patterns=64)
+    points = _random_points(problem, rng, rng.randint(0, 3))
+    context = {
+        "problem": problem_to_payload(problem),
+        "points": [point_to_payload(p) for p in points],
+        "kernel": "numpy",
     }
+    return _diverges("fuzz.placement", circuit, context)
 
 
 def _check_incremental(circuit: Circuit, seed: int) -> Optional[_Divergence]:
+    """An ``evaluate()`` delta, then a round of candidate gains, over one
+    random base; both comparisons force the vectorized engine, which
+    fuzz-sized circuits are too narrow for."""
     rng = random.Random(f"fuzz-inc:{seed}")
     problem = TPIProblem.from_test_length(circuit, n_patterns=64)
     points = _random_points(problem, rng, rng.randint(1, 3))
     base = points[: rng.randint(0, len(points))]
-    # Fuzz-sized circuits are narrower than the vectorized engine's
-    # adaptive cutoff; force it on so the lane actually attacks
-    # PlacementBatch's deltas and gains rather than the interpreted walk.
-    with npsim.forced():
-        inc = IncrementalEvaluator(problem, base, kernel="numpy")
-        fast = _evaluation_payload(inc.evaluate(points))
-    slow = _evaluation_payload(
-        evaluate_placement(problem, points, kernel="interp")
+    context = {
+        "problem": problem_to_payload(problem),
+        "base_points": [point_to_payload(p) for p in base],
+        "kernel": "numpy",
+    }
+    divergence = _diverges(
+        "fuzz.incremental",
+        circuit,
+        {**context, "points": [point_to_payload(p) for p in points]},
     )
-    if fast != slow:
-        return _Divergence(
-            kind="fuzz.incremental",
-            context={
-                "problem": problem_to_payload(problem),
-                "base_points": [point_to_payload(p) for p in base],
-                "points": [point_to_payload(p) for p in points],
-                "kernel": inc.kernel,
-            },
-            expected=slow,
-            actual=fast,
-            message="incremental delta disagrees with from-scratch full pass",
-        )
-    return _check_candidate_gains(inc, rng)
-
-
-def _check_candidate_gains(
-    inc: IncrementalEvaluator, rng: random.Random
-) -> Optional[_Divergence]:
-    """Batched candidate gains vs the interpreted walk, candidate by candidate."""
-    circuit = inc.circuit
-    controlled = {(p.node, p.branch) for p in inc.base_points if p.kind.is_control}
-    kinds = list(inc.problem.allowed_types)
+    if divergence is not None:
+        return divergence
+    controlled = {(p.node, p.branch) for p in base if p.kind.is_control}
+    kinds = list(problem.allowed_types)
     candidates = []
     for name in rng.sample(list(circuit.node_names), min(8, len(circuit.node_names))):
         sinks = circuit.fanouts(name)
@@ -361,19 +265,15 @@ def _check_candidate_gains(
         kind = rng.choice(kinds)
         if not (kind.is_control and (name, branch) in controlled):
             candidates.append(TestPoint(name, kind, branch=branch))
-    with npsim.forced():
-        batched = inc.candidate_gains(candidates)
-    for index, (cand, gain) in enumerate(zip(candidates, batched)):
-        walked = inc._walk_gain(cand)
-        if walked != gain:
-            return _Divergence(
-                kind="incremental.gains",
-                context=inc.gains_bundle_context(candidates, index),
-                expected=walked,
-                actual=gain,
-                message=GAINS_DIVERGENCE,
-            )
-    return None
+    return _diverges(
+        "incremental.gains",
+        circuit,
+        {
+            **context,
+            "candidates": [point_to_payload(c) for c in candidates],
+            "index": None,
+        },
+    )
 
 
 def _check_dp_vs_exhaustive(
@@ -382,72 +282,31 @@ def _check_dp_vs_exhaustive(
     problem = TPIProblem.from_test_length(
         circuit, n_patterns=32, escape_budget=0.05
     )
-    try:
-        dp = solve_tree(problem)
-    except SolverError:
-        return None  # not fanout-free (shrink surgery can introduce stems)
-    if dp.feasible and len(dp.points) > _DP_MAX_SUBSET:
-        return None  # exhaustive oracle cannot reach the DP's optimum
+    context = {
+        "problem": problem_to_payload(problem),
+        "max_subset_size": _DP_MAX_SUBSET,
+    }
     try:
         # The subset search is combinatorial in the candidate count: an
         # unlucky instance can cost more than a whole fuzz campaign, so
         # the oracle gets a slice of wall clock and an over-budget trial
         # is skipped rather than blowing the deadline.
-        exhaustive = solve_exhaustive(
-            problem,
-            feasibility=lambda pts: quantized_tree_check(problem, pts),
-            max_subset_size=_DP_MAX_SUBSET,
+        return _diverges(
+            "fuzz.dp_vs_exhaustive",
+            circuit,
+            context,
             budget=Budget(wall_ms=budget_ms),
         )
+    except SolverError:
+        return None  # not fanout-free (shrink surgery can introduce stems)
     except BudgetExceededError:
         obs.count("fuzz.dp_oracle_skipped")
         return None
-    agree = dp.feasible == exhaustive.feasible and (
-        not dp.feasible or abs(dp.cost - exhaustive.cost) <= _COST_TOLERANCE
-    )
-    if agree:
-        return None
-    return _Divergence(
-        kind="fuzz.dp_vs_exhaustive",
-        context={
-            "problem": problem_to_payload(problem),
-            "max_subset_size": _DP_MAX_SUBSET,
-        },
-        expected={"cost": exhaustive.cost, "feasible": exhaustive.feasible},
-        actual={"cost": dp.cost, "feasible": dp.feasible},
-        message="DP optimum disagrees with exhaustive search "
-        "under the quantized objective",
-    )
 
 
 #: Fault machines per chunk in the chunk-seam lane: small enough that
 #: every fuzz circuit's fault list spans several chunks.
 _SEAM_MACHINES = 3
-
-
-def batch_seam_words(
-    circuit: Circuit, stimulus: Dict[str, int], n_patterns: int,
-    chunk_bytes: int,
-) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Batched vs walked detection words of every collapsed fault.
-
-    The batch runs :func:`~repro.sim.npsim.propagate_batch` directly
-    with ``chunk_bytes`` as its memory budget; the walk is the
-    interpreted arbiter over the same good machine.  Both maps are keyed
-    by ``str(fault)``.
-    """
-    faults = collapse_faults(circuit).representatives
-    state = LogicSimulator(circuit, kernel="numpy").run(stimulus, n_patterns)
-    sim = FaultSimulator(circuit, kernel="numpy")
-    detect, _evals = npsim.propagate_batch(
-        state, sim._batch_sites(faults, state), chunk_bytes=chunk_bytes
-    )
-    arbiter = FaultSimulator(circuit, kernel="interp")
-    batched = dict(zip(map(str, faults), npsim.rows_to_words(detect)))
-    walked = {
-        str(f): arbiter.simulate_fault(f, state, n_patterns) for f in faults
-    }
-    return batched, walked
 
 
 def _check_batch_seams(
@@ -460,58 +319,25 @@ def _check_batch_seams(
     fault-free prefix copies, re-pinned sites, the shared cube buffer —
     is crossed on circuits the default budget runs as one chunk.
     """
-    stimulus = _stimulus(circuit, seed, n_patterns)
     plan = npsim.get_plan(circuit)
     chunk_bytes = _SEAM_MACHINES * (
         8 * (plan.n_rows + npsim.batch_staging_rows(plan))
         * word_count(n_patterns)
     )
-    fast, slow = batch_seam_words(circuit, stimulus, n_patterns, chunk_bytes)
-    if fast == slow:
-        return None
-    return _Divergence(
-        kind="fuzz.batch_seams",
-        context={
-            "stimulus": stimulus,
-            "n_patterns": n_patterns,
-            "chunk_bytes": chunk_bytes,
-            "kernel": "numpy",
-        },
-        expected=slow,
-        actual=fast,
-        message="batched sweep disagrees with interpreter across chunk "
-        "seams",
+    return _diverges(
+        "fuzz.batch_seams",
+        circuit,
+        _stimulus_context(circuit, seed, n_patterns, chunk_bytes=chunk_bytes),
     )
 
 
 def _check_parallel(
     circuit: Circuit, seed: int, n_patterns: int
 ) -> Optional[_Divergence]:
-    from ..sim.parallel import run_parallel
-
-    stimulus = _stimulus(circuit, seed, n_patterns)
-    parallel = run_parallel(
-        circuit, stimulus, n_patterns, jobs=2, kernel="numpy"
-    )
-    serial = FaultSimulator(circuit, kernel="numpy").run(
-        stimulus, n_patterns
-    )
-    fast = {str(f): w for f, w in parallel.detection_word.items()}
-    slow = {str(f): w for f, w in serial.detection_word.items()}
-    if fast == slow:
-        return None
-    return _Divergence(
-        kind="fuzz.parallel",
-        context={
-            "stimulus": stimulus,
-            "n_patterns": n_patterns,
-            "jobs": 2,
-            "mode": "exact",
-            "kernel": "numpy",
-        },
-        expected=slow,
-        actual=fast,
-        message="parallel fan-out disagrees with serial fault simulation",
+    return _diverges(
+        "fuzz.parallel",
+        circuit,
+        _stimulus_context(circuit, seed, n_patterns, jobs=2, mode="exact"),
     )
 
 
@@ -546,10 +372,7 @@ def _rebuild(
             staged.add_gate(name, GateType.BUF, [action[1]])
         else:
             staged.add_gate(name, node.gate_type, list(node.fanins))
-    keep = set()
-    for out in wanted:
-        keep |= staged.fanin_cone(out)
-        keep.add(out)
+    keep = staged.fanin_cone_union(wanted)
     final = Circuit(name=circuit.name)
     for name in staged.topological_order():
         if name not in keep:

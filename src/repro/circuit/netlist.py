@@ -301,23 +301,15 @@ class Circuit:
     # ------------------------------------------------------------------
     def fanin_cone(self, name: str) -> Set[str]:
         """All nodes (inclusive) in the transitive fan-in of ``name``."""
-        seen: Set[str] = set()
-        stack = [name]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self._nodes[cur].fanins)
-        return seen
+        return self.fanin_cone_union((name,))
 
     def fanin_cone_union(self, names: Iterable[str]) -> Set[str]:
         """The union of the fan-in cones of ``names`` in one traversal.
 
         Equivalent to ``set().union(*(self.fanin_cone(n) for n in names))``
         but visits each node at most once, so proposing candidates against
-        hundreds of overlapping failing-fault cones stays linear in circuit
-        size instead of quadratic.
+        hundreds of overlapping failing-fault cones, or collecting every
+        output's cone, stays linear in circuit size instead of quadratic.
         """
         seen: Set[str] = set()
         stack = [name for name in names]

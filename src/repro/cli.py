@@ -24,11 +24,14 @@ Subcommands:
   under ``--max-bytes`` / ``--max-age-days`` caps (leased entries are
   never deleted);
 * ``fuzz`` — time-budgeted differential fuzzer over random circuits,
-  cross-checking interp vs numpy vs parallel vs incremental engines
-  and DP vs exhaustive solvers; failures are shrunk and written as
-  repro bundles;
-* ``replay`` — deterministically re-run a divergence repro bundle and
-  report whether it still reproduces;
+  cross-checking numpy against the interpreter (logic and fault
+  simulation, fault dropping, COP and placement passes, incremental
+  deltas and gains, batch chunk seams), parallel against serial, DP
+  against exhaustive search and, with ``--store``, store round trips;
+  failures are shrunk and written as repro bundles;
+* ``replay`` — deterministically re-run a divergence repro bundle with
+  the same comparison the fuzzer ran and report whether it still
+  reproduces; writes nothing;
 * ``bench-compare <BENCH_PERF.json>`` — regression-gate fresh benchmark
   numbers against the rolling ``benchmarks/history/`` baseline;
 * ``list`` — list built-in benchmark circuits.
@@ -1088,8 +1091,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fuzz",
-        help="differential fuzzer: cross-check interp/numpy/parallel/"
-        "incremental engines and DP vs exhaustive on random circuits",
+        help="differential fuzzer: cross-check numpy logic/fault sim, "
+        "fault dropping, COP/placement passes, incremental deltas and "
+        "gains, batch chunk seams and parallel runs against their "
+        "arbiters, and DP vs exhaustive, on random circuits",
     )
     p.add_argument(
         "--budget-ms", type=float, default=60_000.0, metavar="MS",
@@ -1120,7 +1125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "replay",
-        help="re-run a divergence repro bundle deterministically "
+        help="re-run a divergence repro bundle deterministically with "
+        "the comparison the fuzzer or guard ran; writes nothing "
         "(exit 0: reproduced, 1: not reproduced, 2: unreadable)",
     )
     p.add_argument("bundle", help="bundle directory or its manifest.json")

@@ -52,21 +52,14 @@ from .problem import (
     control_observability_factor,
     control_probability_transform,
 )
-from .virtual import VirtualEvaluation, evaluate_placement, split_placement
-
-__all__ = ["GAINS_DIVERGENCE", "IncrementalEvaluator", "PATCH_FIELDS"]
-
-#: Message of ``incremental.gains`` divergences (guard and fuzzer).
-GAINS_DIVERGENCE = (
-    "batched candidate gain disagrees with the interpreted dirty-cone walk"
+from .virtual import (
+    WIRE_MAPS,
+    VirtualEvaluation,
+    evaluate_placement,
+    split_placement,
 )
 
-#: Names of the seven patch dicts a delta returns, in order (the
-#: :class:`~repro.core.virtual.VirtualEvaluation` fields they patch).
-PATCH_FIELDS = (
-    "stem_pre", "stem_post", "branch_pre", "branch_post",
-    "wire_obs", "branch_obs", "stem_post_obs",
-)
+__all__ = ["IncrementalEvaluator"]
 
 _BranchKey = Tuple[str, str, int]
 #: Per-site point summary: (control kind or None, observed?).
@@ -336,8 +329,8 @@ class IncrementalEvaluator:
             self.stats.update(saved)
         guard.confirm(
             "incremental.delta",
-            expected=dict(zip(PATCH_FIELDS, expected)),
-            actual=dict(zip(PATCH_FIELDS, patches)),
+            expected=dict(zip(WIRE_MAPS, expected)),
+            actual=dict(zip(WIRE_MAPS, patches)),
             circuit=self.circuit,
             context={
                 "problem": problem_to_payload(self.problem),
@@ -599,22 +592,10 @@ class IncrementalEvaluator:
         from ..verify.bundle import point_to_payload, problem_to_payload
 
         arbiter = evaluate_placement(self.problem, points, kernel="interp")
-
-        def payload(ev: VirtualEvaluation) -> dict:
-            return {
-                "stem_pre": ev.stem_pre,
-                "stem_post": ev.stem_post,
-                "wire_obs": ev.wire_obs,
-                "branch_pre": ev.branch_pre,
-                "branch_post": ev.branch_post,
-                "branch_obs": ev.branch_obs,
-                "stem_post_obs": ev.stem_post_obs,
-            }
-
         guard.confirm(
             "incremental.evaluate",
-            expected=payload(arbiter),
-            actual=payload(result),
+            expected=arbiter.wire_maps(),
+            actual=result.wire_maps(),
             circuit=self.circuit,
             context={
                 "problem": problem_to_payload(self.problem),
@@ -787,42 +768,37 @@ class IncrementalEvaluator:
                 self._shadow_gain_check(guard, candidates, i, gain)
         return gains
 
-    def gains_bundle_context(
-        self, candidates: Sequence[TestPoint], index: int
-    ) -> dict:
-        """Replay inputs of an ``incremental.gains`` divergence bundle."""
+    def _shadow_gain_check(
+        self, guard, candidates: Sequence[TestPoint], index: int, gain: int
+    ) -> None:
+        """Compare one batched gain against the interpreted walk."""
         from ..verify.bundle import (
             fault_to_payload,
             point_to_payload,
             problem_to_payload,
         )
 
-        return {
-            "problem": problem_to_payload(self.problem),
-            "base_points": [point_to_payload(p) for p in self.base_points],
-            "faults": [fault_to_payload(f) for f in self._faults],
-            "candidates": [point_to_payload(c) for c in candidates],
-            "index": index,
-            "kernel": self.kernel,
-        }
-
-    def _shadow_gain_check(
-        self, guard, candidates: Sequence[TestPoint], index: int, gain: int
-    ) -> None:
-        """Compare one batched gain against the interpreted walk."""
         expected = self._walk_gain(candidates[index])
+        context = None
+        if expected != gain:  # only a divergence needs the fault-list payload
+            context = {
+                "problem": problem_to_payload(self.problem),
+                "base_points": [point_to_payload(p) for p in self.base_points],
+                "faults": [fault_to_payload(f) for f in self._faults],
+                "candidates": [point_to_payload(c) for c in candidates],
+                "index": index,
+                "kernel": self.kernel,
+            }
         guard.confirm(
             "incremental.gains",
             expected=expected,
             actual=gain,
             circuit=self.circuit,
-            # only a divergence needs the (large) fault-list payload
-            context=(
-                None
-                if expected == gain
-                else self.gains_bundle_context(candidates, index)
+            context=context,
+            message=(
+                "batched candidate gain disagrees with the interpreted "
+                "dirty-cone walk"
             ),
-            message=GAINS_DIVERGENCE,
         )
 
     def commit(self, candidate: TestPoint) -> VirtualEvaluation:

@@ -39,6 +39,7 @@ from .problem import (
 )
 
 __all__ = [
+    "WIRE_MAPS",
     "VirtualEvaluation",
     "evaluate_placement",
     "placement_site_state",
@@ -46,6 +47,13 @@ __all__ = [
 ]
 
 _BranchKey = Tuple[str, str, int]
+
+#: The seven per-wire maps of a :class:`VirtualEvaluation`, in the order
+#: an incremental delta returns its patches.
+WIRE_MAPS = (
+    "stem_pre", "stem_post", "branch_pre", "branch_post",
+    "wire_obs", "branch_obs", "stem_post_obs",
+)
 
 
 def split_placement(
@@ -171,6 +179,11 @@ class VirtualEvaluation:
             obs = self.branch_obs[key]
         excitation = p if fault.value == 0 else (1.0 - p)
         return excitation * obs
+
+    def wire_maps(self) -> Dict[str, dict]:
+        """The seven per-wire maps by name (:data:`WIRE_MAPS`): everything
+        a fast placement pass must reproduce bit for bit."""
+        return {name: getattr(self, name) for name in WIRE_MAPS}
 
     def detection_probabilities(
         self, faults: Optional[Sequence[Fault]] = None

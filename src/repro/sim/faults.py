@@ -150,9 +150,7 @@ def testable_stuck_at_faults(circuit: Circuit) -> List[Fault]:
     as their default objective.  Coverage *measurement* still runs on the
     full collapsed list, keeping reported numbers honest.
     """
-    live: set = set()
-    for po in circuit.outputs:
-        live |= circuit.fanin_cone(po)
+    live = circuit.fanin_cone_union(circuit.outputs)
     return [f for f in all_stuck_at_faults(circuit) if f.node in live]
 
 

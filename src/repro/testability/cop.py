@@ -53,6 +53,15 @@ class COPResult:
         default_factory=dict
     )
 
+    def as_dict(self) -> Dict[str, dict]:
+        """The three maps by field name: what a fast COP pass must
+        reproduce bit for bit."""
+        return {
+            "probability": self.probability,
+            "observability": self.observability,
+            "branch_observability": self.branch_observability,
+        }
+
     def zero_controllability(self, node: str) -> float:
         """P[node = 0] (complement of the stored 1-probability)."""
         return 1.0 - self.probability[node]
@@ -244,18 +253,10 @@ def _shadow_check_cop(
         stem_combine=stem_combine,
         kernel="interp",
     )
-
-    def payload(res: COPResult) -> dict:
-        return {
-            "probability": res.probability,
-            "observability": res.observability,
-            "branch_observability": res.branch_observability,
-        }
-
     g.confirm(
         "cop.measures",
-        expected=payload(arbiter),
-        actual=payload(result),
+        expected=arbiter.as_dict(),
+        actual=result.as_dict(),
         circuit=circuit,
         context={
             "input_probabilities": (

@@ -28,7 +28,7 @@ re-derived verdicts) is written and :class:`DivergenceError` raised.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .. import obs
 from ..core.problem import TPIProblem, TPISolution
@@ -36,54 +36,104 @@ from ..sim.faults import Fault
 from .bundle import problem_to_payload, solution_to_payload, write_bundle
 from .guard import DEFAULT_BUNDLE_DIR, Guard, active_guard
 
-__all__ = ["certify_solution", "maybe_certify"]
+__all__ = ["Violation", "certify_solution", "find_violation", "maybe_certify"]
 
 #: Slack for the cost comparison: covers float summation order, nothing
 #: else — an off-by-one in any cost unit is 5 orders of magnitude larger.
-_COST_TOLERANCE = 1e-9
+COST_TOLERANCE = 1e-9
 
 
-def _fail(
-    kind: str,
-    message: str,
+class Violation(NamedTuple):
+    """The first claim of a solution that re-derivation rejects."""
+
+    kind: str
+    message: str
+    expected: object
+    actual: object
+
+
+def find_violation(
     problem: TPIProblem,
     solution: TPISolution,
-    expected,
-    actual,
-    context: dict,
-    guard: Optional[Guard],
-) -> None:
-    obs.count("guard.divergences")
-    if guard is not None:
-        guard.divergences += 1
-    bundle_dir = guard.bundle_dir if guard is not None else DEFAULT_BUNDLE_DIR
-    context = dict(context)
-    context["problem"] = problem_to_payload(problem)
-    context["solution"] = solution_to_payload(solution)
-    from ..errors import DivergenceError
+    *,
+    faults: Optional[Sequence[Fault]] = None,
+    dp_check: Optional[Callable[[Sequence], bool]] = None,
+) -> Optional[Violation]:
+    """The first of ``solution``'s claims that fails re-derivation.
 
-    bundle_path: Optional[str] = None
+    Runs the checks :func:`certify_solution` runs, in its order, and
+    returns ``None`` when every claim holds.  Writes nothing and raises
+    nothing: ``repro-tpi replay`` takes its verdict from here.
+    ``faults`` and ``dp_check`` are as for :func:`certify_solution`.
+    """
+    # Lazy core imports: verify must stay importable from inside the
+    # solvers without a cycle.
+    from ..circuit.analysis import is_fanout_free
+    from ..core.virtual import evaluate_placement, split_placement
+    from ..sim.faults import testable_stuck_at_faults
+
+    circuit = problem.circuit
+
+    # 1. Placement validity: no wire carries two control points.
     try:
-        bundle_path = str(
-            write_bundle(
-                kind,
-                circuit=problem.circuit,
-                context=context,
-                expected=expected,
-                actual=actual,
-                message=message,
-                bundle_dir=bundle_dir,
+        split_placement(solution.points)
+    except ValueError as exc:
+        return Violation(
+            "solver.placement",
+            f"invalid placement from {solution.method!r}: {exc}",
+            expected="at most one control point per wire",
+            actual=str(exc),
+        )
+
+    # 2. Cost: the claimed objective must equal the cost model's answer.
+    if solution.cost != float("inf"):
+        recomputed = problem.costs.total(solution.points)
+        if abs(recomputed - solution.cost) > COST_TOLERANCE:
+            return Violation(
+                "solver.cost",
+                f"{solution.method!r} claims cost {solution.cost:g} but the "
+                f"placement re-prices to {recomputed:g}",
+                expected=recomputed,
+                actual=solution.cost,
             )
+
+    # 3. "Optimal" from the DP requires the fanout-free precondition.
+    if solution.method == "dp" and not is_fanout_free(circuit):
+        return Violation(
+            "solver.dp_precondition",
+            "method='dp' (exact/optimal) claimed on a circuit with fanout; "
+            "the optimality theorem only covers fanout-free circuits",
+            expected="fanout-free circuit",
+            actual="circuit has fanout stems",
         )
-    except Exception as exc:
-        obs.event(
-            "guard.bundle_write_failed",
-            kind=kind,
-            error=type(exc).__name__,
-            detail=str(exc)[:200],
-        )
-    obs.event("guard.divergence", kind=kind, bundle=bundle_path)
-    raise DivergenceError(kind, message, bundle_path)
+
+    # 4. Feasibility, re-derived from scratch.
+    if solution.feasible:
+        if solution.method == "dp":
+            if dp_check is not None:
+                ok = bool(dp_check(solution.points))
+            else:
+                from ..core.dp import quantized_tree_check
+
+                ok = quantized_tree_check(problem, solution.points)
+            arbiter = "quantized_tree_check"
+        else:
+            if faults is None:
+                faults = testable_stuck_at_faults(circuit)
+            evaluation = evaluate_placement(
+                problem, solution.points, kernel="interp"
+            )
+            ok = evaluation.is_feasible(faults)
+            arbiter = "evaluate_placement[interp]"
+        if not ok:
+            return Violation(
+                "solver.feasible",
+                f"{solution.method!r} claims a feasible placement but "
+                f"{arbiter} rejects it",
+                expected={"feasible": True},
+                actual={"feasible": False, "arbiter": arbiter},
+            )
+    return None
 
 
 def certify_solution(
@@ -118,95 +168,50 @@ def certify_solution(
         can rebuild the same arbiter.
 
     Returns the (unmodified) solution on success so call sites can wrap
-    returns; raises :class:`~repro.errors.DivergenceError` otherwise.
+    returns; raises :class:`~repro.errors.DivergenceError`, after writing
+    the repro bundle, on the first :func:`find_violation`.
     """
-    # Lazy core imports: verify must stay importable from inside the
-    # solvers without a cycle.
-    from ..circuit.analysis import is_fanout_free
-    from ..core.virtual import evaluate_placement, split_placement
-    from ..sim.faults import testable_stuck_at_faults
-
     guard = active_guard(guard)
     obs.count("guard.certifications")
-    circuit = problem.circuit
-    base_context = {} if dp_context is None else {"dp": dp_context}
+    violation = find_violation(
+        problem, solution, faults=faults, dp_check=dp_check
+    )
+    if violation is None:
+        return solution
+    kind = violation.kind
+    obs.count("guard.divergences")
+    if guard is not None:
+        guard.divergences += 1
+    context = {} if dp_context is None else {"dp": dp_context}
+    context["problem"] = problem_to_payload(problem)
+    context["solution"] = solution_to_payload(solution)
+    from ..errors import DivergenceError
 
-    # 1. Placement validity: no wire carries two control points.
+    bundle_path: Optional[str] = None
     try:
-        split_placement(solution.points)
-    except ValueError as exc:
-        _fail(
-            "solver.placement",
-            f"invalid placement from {solution.method!r}: {exc}",
-            problem,
-            solution,
-            expected="at most one control point per wire",
-            actual=str(exc),
-            context=base_context,
-            guard=guard,
+        bundle_path = str(
+            write_bundle(
+                kind,
+                circuit=problem.circuit,
+                context=context,
+                expected=violation.expected,
+                actual=violation.actual,
+                message=violation.message,
+                bundle_dir=(
+                    guard.bundle_dir if guard is not None
+                    else DEFAULT_BUNDLE_DIR
+                ),
+            )
         )
-
-    # 2. Cost: the claimed objective must equal the cost model's answer.
-    if solution.cost != float("inf"):
-        recomputed = problem.costs.total(solution.points)
-        if abs(recomputed - solution.cost) > _COST_TOLERANCE:
-            _fail(
-                "solver.cost",
-                f"{solution.method!r} claims cost {solution.cost:g} but the "
-                f"placement re-prices to {recomputed:g}",
-                problem,
-                solution,
-                expected=recomputed,
-                actual=solution.cost,
-                context=base_context,
-                guard=guard,
-            )
-
-    # 3. "Optimal" from the DP requires the fanout-free precondition.
-    if solution.method == "dp" and not is_fanout_free(circuit):
-        _fail(
-            "solver.dp_precondition",
-            "method='dp' (exact/optimal) claimed on a circuit with fanout; "
-            "the optimality theorem only covers fanout-free circuits",
-            problem,
-            solution,
-            expected="fanout-free circuit",
-            actual="circuit has fanout stems",
-            context=base_context,
-            guard=guard,
+    except Exception as exc:
+        obs.event(
+            "guard.bundle_write_failed",
+            kind=kind,
+            error=type(exc).__name__,
+            detail=str(exc)[:200],
         )
-
-    # 4. Feasibility, re-derived from scratch.
-    if solution.feasible:
-        if solution.method == "dp":
-            if dp_check is not None:
-                ok = bool(dp_check(solution.points))
-            else:
-                from ..core.dp import quantized_tree_check
-
-                ok = quantized_tree_check(problem, solution.points)
-            arbiter = "quantized_tree_check"
-        else:
-            if faults is None:
-                faults = testable_stuck_at_faults(circuit)
-            evaluation = evaluate_placement(
-                problem, solution.points, kernel="interp"
-            )
-            ok = evaluation.is_feasible(faults)
-            arbiter = "evaluate_placement[interp]"
-        if not ok:
-            _fail(
-                "solver.feasible",
-                f"{solution.method!r} claims a feasible placement but "
-                f"{arbiter} rejects it",
-                problem,
-                solution,
-                expected={"feasible": True},
-                actual={"feasible": False, "arbiter": arbiter},
-                context=base_context,
-                guard=guard,
-            )
-    return solution
+    obs.event("guard.divergence", kind=kind, bundle=bundle_path)
+    raise DivergenceError(kind, violation.message, bundle_path)
 
 
 def maybe_certify(

@@ -6,6 +6,15 @@ recorded results.  :func:`replay_bundle` re-runs the recorded comparison
 from those inputs on the current engine and reports whether the
 divergence reproduces.
 
+Each replayable kind has exactly one comparison in :data:`COMPARISONS`,
+a function ``(circuit, context) -> (fast, slow, detail)``.  The
+differential fuzzer (:mod:`repro.analysis.fuzz`) calls the same
+function on the context it is about to bundle, and both decide with
+:func:`diverged`, so a fuzz bundle means to ``replay`` exactly what it
+meant to the fuzzer.  Replay writes nothing: ``solver.*`` bundles take
+their verdict from :func:`~repro.verify.certify.find_violation`, not
+from the certification's bundle-writing failure path.
+
 Exit-code contract of the CLI command: ``0`` when the divergence
 reproduces (the bundle is a confirmed, actionable failure), ``1`` when
 it does not (stale bundle / environment-dependent flake), ``2`` for an
@@ -20,15 +29,21 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
-from ..core.incremental import PATCH_FIELDS, IncrementalEvaluator
+from ..circuit.netlist import Circuit
+from ..core.dp import quantized_tree_check, solve_tree
+from ..core.exhaustive import solve_exhaustive
+from ..core.incremental import IncrementalEvaluator
 from ..core.problem import TestPointType
-from ..core.virtual import evaluate_placement
+from ..core.virtual import WIRE_MAPS, evaluate_placement
+from ..resilience import Budget
+from ..sim import npsim
 from ..sim.compile import DEFAULT_KERNEL
 from ..sim.fault_sim import FaultSimulator
+from ..sim.faults import collapse_faults
 from ..sim.logic_sim import LogicSimulator
-from ..sim.npsim import forced
+from ..sim.parallel import run_parallel
 from ..testability.cop import cop_measures
 from .bundle import (
     fault_from_payload,
@@ -38,9 +53,9 @@ from .bundle import (
     problem_from_payload,
     solution_from_payload,
 )
-from .certify import certify_solution
+from .certify import COST_TOLERANCE, find_violation
 
-__all__ = ["ReplayResult", "replay_bundle"]
+__all__ = ["COMPARISONS", "ReplayResult", "diverged", "replay_bundle"]
 
 
 @dataclass
@@ -57,6 +72,13 @@ class ReplayResult:
         return f"{self.kind}: {verdict} — {self.detail} ({self.bundle})"
 
 
+def diverged(fast, slow) -> bool:
+    """Whether a comparison's two sides differ: neither equal as values
+    nor in their canonical bundle encoding
+    (:func:`~repro.verify.bundle.jsonable`)."""
+    return fast != slow and jsonable(fast) != jsonable(slow)
+
+
 def _words(context, key) -> dict:
     return {name: int(word) for name, word in context[key].items()}
 
@@ -68,6 +90,10 @@ def _fast_kernel(context) -> str:
     engine bugs (not transient state) reproduce.
     """
     return context.get("kernel") or DEFAULT_KERNEL
+
+
+def _detection_words(result) -> dict:
+    return {f.describe(): w for f, w in result.detection_word.items()}
 
 
 def _refuse_removed_paths(manifest) -> None:
@@ -93,8 +119,14 @@ def _refuse_removed_paths(manifest) -> None:
         )
 
 
-def _replay_fault_sim(manifest, circuit) -> tuple:
-    context = manifest["context"]
+# ---------------------------------------------------------------------------
+# Comparisons: one per replayable kind, ``(circuit, context) -> (fast,
+# slow, detail)``.  The fuzzer calls these too.
+# ---------------------------------------------------------------------------
+
+
+def _compare_fault_cone(circuit: Circuit, context) -> tuple:
+    """``fault_sim.cone``: one guard-sampled fault of a batched block."""
     fault = fault_from_payload(context["fault"])
     n_patterns = int(context["n_patterns"])
     kernel = _fast_kernel(context)
@@ -108,7 +140,7 @@ def _replay_fault_sim(manifest, circuit) -> tuple:
     )
     # The recorded word came from the batched sweep, whatever the batch
     # rule says about a one-fault list on this (often minimized) circuit.
-    with forced():
+    with npsim.forced():
         fast = FaultSimulator(circuit, kernel=kernel).run(
             {}, n_patterns, faults=[fault], good_values=good_values
         ).detection_word[fault]
@@ -118,33 +150,67 @@ def _replay_fault_sim(manifest, circuit) -> tuple:
     return fast, slow, f"fault {fault} over {n_patterns} patterns"
 
 
-def _replay_batch_seams(manifest, circuit) -> tuple:
-    from ..analysis.fuzz import batch_seam_words
-
-    context = manifest["context"]
+def _compare_fault_list(circuit: Circuit, context) -> tuple:
+    """``fuzz.fault_sim``: every collapsed fault, batched vs walked."""
     stimulus = _words(context, "stimulus")
     n_patterns = int(context["n_patterns"])
-    chunk_bytes = int(context["chunk_bytes"])
-    fast, slow = batch_seam_words(circuit, stimulus, n_patterns, chunk_bytes)
-    return fast, slow, (
-        f"batched sweep in {chunk_bytes}-byte chunks over "
-        f"{n_patterns} patterns"
+    # One batch of the whole list, whatever the batch rule says about a
+    # fuzz-sized list: a bug may need several machines in one cube.
+    with npsim.forced():
+        fast = FaultSimulator(circuit, kernel=_fast_kernel(context)).run(
+            stimulus, n_patterns
+        )
+    slow = FaultSimulator(circuit, kernel="interp").run(stimulus, n_patterns)
+    return (
+        _detection_words(fast),
+        _detection_words(slow),
+        f"batched fault list over {n_patterns} patterns vs the "
+        "interpreted walk",
     )
 
 
-def _replay_logic_sim(manifest, circuit) -> tuple:
-    context = manifest["context"]
+def _compare_batch_seams(circuit: Circuit, context) -> tuple:
+    """``fuzz.batch_seams``: :func:`~repro.sim.npsim.propagate_batch`
+    with ``chunk_bytes`` as its memory budget vs the interpreted walk over
+    the same good machine, for every collapsed fault."""
+    stimulus = _words(context, "stimulus")
+    n_patterns = int(context["n_patterns"])
+    chunk_bytes = int(context["chunk_bytes"])
+    faults = collapse_faults(circuit).representatives
+    state = LogicSimulator(circuit, kernel="numpy").run(stimulus, n_patterns)
+    detect, _evals = npsim.propagate_batch(
+        state,
+        FaultSimulator(circuit, kernel="numpy")._batch_sites(faults, state),
+        chunk_bytes=chunk_bytes,
+    )
+    arbiter = FaultSimulator(circuit, kernel="interp")
+    names = [f.describe() for f in faults]
+    fast = dict(zip(names, npsim.rows_to_words(detect)))
+    slow = {
+        name: arbiter.simulate_fault(f, state, n_patterns)
+        for name, f in zip(names, faults)
+    }
+    return fast, slow, (
+        f"batched sweep in {chunk_bytes}-byte chunks over "
+        f"{n_patterns} patterns vs the interpreted walk"
+    )
+
+
+def _compare_logic_sim(circuit: Circuit, context) -> tuple:
     stimulus = _words(context, "stimulus")
     n_patterns = int(context["n_patterns"])
     fast = LogicSimulator(circuit, kernel=_fast_kernel(context)).run(
         stimulus, n_patterns
     )
     slow = LogicSimulator(circuit, kernel="interp").run(stimulus, n_patterns)
-    return dict(fast), dict(slow), f"logic sim over {n_patterns} patterns"
+    return (
+        dict(fast),
+        dict(slow),
+        f"logic sim over {n_patterns} patterns vs the interpreter",
+    )
 
 
-def _replay_coverage(manifest, circuit) -> tuple:
-    context = manifest["context"]
+def _compare_coverage(circuit: Circuit, context) -> tuple:
     stimulus = _words(context, "stimulus")
     n_patterns = int(context["n_patterns"])
     block = int(context.get("block", 64))
@@ -155,83 +221,62 @@ def _replay_coverage(manifest, circuit) -> tuple:
     def summary(res):
         return {
             "coverage": res.coverage(),
-            "first_detect": {str(f): i for f, i in res.first_detect.items()},
+            "first_detect": {
+                f.describe(): i for f, i in res.first_detect.items()
+            },
         }
 
     return (
         summary(dropped),
         summary(exact),
-        f"fault dropping (block={block}) vs exact run",
+        f"fault dropping (block={block}) vs the exact run",
     )
 
 
-def _replay_cop(manifest, circuit) -> tuple:
-    context = manifest["context"]
+def _compare_cop(circuit: Circuit, context) -> tuple:
     input_probabilities = context.get("input_probabilities") or None
     stem_combine = context.get("stem_combine", "or")
-
-    def result_payload(res):
-        return {
-            "probability": res.probability,
-            "observability": res.observability,
-            "branch_observability": res.branch_observability,
-        }
-
-    fast = result_payload(
+    fast, slow = (
         cop_measures(
             circuit, input_probabilities, stem_combine=stem_combine,
-            kernel=_fast_kernel(context),
-        )
+            kernel=kernel,
+        ).as_dict()
+        for kernel in (_fast_kernel(context), "interp")
     )
-    slow = result_payload(
-        cop_measures(
-            circuit, input_probabilities, stem_combine=stem_combine,
-            kernel="interp",
-        )
+    return fast, slow, (
+        f"COP measures (stem_combine={stem_combine}) vs the interpreter"
     )
-    return fast, slow, f"COP measures (stem_combine={stem_combine})"
 
 
-def _evaluation_payload(evaluation) -> dict:
-    return {
-        "stem_pre": evaluation.stem_pre,
-        "stem_post": evaluation.stem_post,
-        "wire_obs": evaluation.wire_obs,
-        "branch_pre": evaluation.branch_pre,
-        "branch_post": evaluation.branch_post,
-        "branch_obs": evaluation.branch_obs,
-        "stem_post_obs": evaluation.stem_post_obs,
-    }
-
-
-def _replay_placement(manifest, circuit) -> tuple:
-    context = manifest["context"]
+def _compare_placement(circuit: Circuit, context) -> tuple:
     problem = problem_from_payload(circuit, context["problem"])
     points = [point_from_payload(p) for p in context["points"]]
-    fast = _evaluation_payload(
-        evaluate_placement(problem, points, kernel=_fast_kernel(context))
+    fast, slow = (
+        evaluate_placement(problem, points, kernel=kernel).wire_maps()
+        for kernel in (_fast_kernel(context), "interp")
     )
-    slow = _evaluation_payload(
-        evaluate_placement(problem, points, kernel="interp")
+    return fast, slow, (
+        f"placement pass of {len(points)} point(s) vs the interpreter"
     )
-    return fast, slow, f"virtual placement of {len(points)} point(s)"
 
 
-def _replay_incremental(manifest, circuit) -> tuple:
-    context = manifest["context"]
+def _compare_incremental(circuit: Circuit, context) -> tuple:
+    """``incremental.evaluate`` / ``fuzz.incremental``: ``evaluate()``
+    over a base vs a from-scratch interpreted pass."""
     problem = problem_from_payload(circuit, context["problem"])
     base_points = [point_from_payload(p) for p in context["base_points"]]
     points = [point_from_payload(p) for p in context["points"]]
-    inc = IncrementalEvaluator(
-        problem, base_points, kernel=_fast_kernel(context)
-    )
-    fast = _evaluation_payload(inc.evaluate(points))
-    slow = _evaluation_payload(
-        evaluate_placement(problem, points, kernel="interp")
-    )
+    # Forced, so a delta runs on PlacementBatch on a circuit (often a
+    # minimized one) that the dispatch rule would walk.
+    with npsim.forced():
+        inc = IncrementalEvaluator(
+            problem, base_points, kernel=_fast_kernel(context)
+        )
+        fast = inc.evaluate(points).wire_maps()
+    slow = evaluate_placement(problem, points, kernel="interp").wire_maps()
     detail = (
         f"incremental delta over base of {len(base_points)} point(s) "
-        f"-> {len(points)} point(s)"
+        f"-> {len(points)} point(s) vs a from-scratch pass"
     )
     return fast, slow, detail
 
@@ -241,8 +286,7 @@ def _site_state(payload) -> tuple:
     return (TestPointType[kind] if kind else None, bool(observed))
 
 
-def _replay_incremental_delta(manifest, circuit) -> tuple:
-    context = manifest["context"]
+def _compare_incremental_delta(circuit: Circuit, context) -> tuple:
     problem = problem_from_payload(circuit, context["problem"])
     base_points = [point_from_payload(p) for p in context["base_points"]]
     stem_diff = {
@@ -255,49 +299,133 @@ def _replay_incremental_delta(manifest, circuit) -> tuple:
     # The recorded delta ran on the vectorized engine, whatever the
     # dispatch rule says about this (often minimized) circuit; the rule
     # runs per call, so the delta itself must run forced.
-    with forced():
+    with npsim.forced():
         inc = IncrementalEvaluator(
             problem, base_points, kernel=_fast_kernel(context)
         )
-        fast = dict(zip(PATCH_FIELDS, inc._delta(stem_diff, branch_diff)))
-    slow = dict(zip(PATCH_FIELDS, inc._delta_interp(stem_diff, branch_diff)))
+        fast = dict(zip(WIRE_MAPS, inc._delta(stem_diff, branch_diff)))
+    slow = dict(zip(WIRE_MAPS, inc._delta_interp(stem_diff, branch_diff)))
     detail = (
         f"vectorized delta of {len(stem_diff) + len(branch_diff)} site(s) "
-        f"over base of {len(base_points)} point(s)"
+        f"over base of {len(base_points)} point(s) vs the walk"
     )
     return fast, slow, detail
 
 
-def _replay_incremental_gains(manifest, circuit) -> tuple:
-    context = manifest["context"]
+def _compare_incremental_gains(circuit: Circuit, context) -> tuple:
+    """``incremental.gains``: batched candidate gains vs the walk, for
+    the candidate at ``index`` or, when it is ``None``, for every one.
+    Without ``faults`` the evaluator scores its default fault list."""
     problem = problem_from_payload(circuit, context["problem"])
     base_points = [point_from_payload(p) for p in context["base_points"]]
-    faults = [fault_from_payload(f) for f in context["faults"]]
+    faults = context.get("faults")
+    if faults is not None:
+        faults = [fault_from_payload(f) for f in faults]
     candidates = [point_from_payload(p) for p in context["candidates"]]
-    index = int(context["index"])
-    with forced():
+    index = context["index"]
+    picked = range(len(candidates)) if index is None else [int(index)]
+    with npsim.forced():
         inc = IncrementalEvaluator(
             problem, base_points, faults=faults, kernel=_fast_kernel(context)
         )
-        fast = inc.candidate_gains(candidates)[index]
-    slow = inc._walk_gain(candidates[index])
+        gains = inc.candidate_gains(candidates)
+    fast = [gains[i] for i in picked]
+    slow = [inc._walk_gain(candidates[i]) for i in picked]
     detail = (
-        f"batched gain of candidate {index} of {len(candidates)} over base "
-        f"of {len(base_points)} point(s)"
+        f"batched gains of {len(picked)} of {len(candidates)} candidate(s) "
+        f"over base of {len(base_points)} point(s) vs the walk"
     )
     return fast, slow, detail
 
 
-def _replay_solver(manifest, circuit) -> ReplayResult:
-    from ..errors import DivergenceError
+def _compare_dp_vs_exhaustive(
+    circuit: Circuit, context, budget: Optional[Budget] = None
+) -> tuple:
+    """``fuzz.dp_vs_exhaustive``: the DP's optimum vs exhaustive search
+    under the quantized objective.
 
-    context = manifest["context"]
+    :func:`~repro.core.dp.solve_tree` raises
+    :class:`~repro.errors.SolverError` on a circuit with fanout, and
+    ``budget`` (the fuzzer's wall-clock slice for the oracle) raises
+    :class:`~repro.errors.BudgetExceededError`.
+    """
+    problem = problem_from_payload(circuit, context["problem"])
+    cap = int(context.get("max_subset_size", 4))
+    dp = solve_tree(problem)
+    if dp.feasible and len(dp.points) > cap:
+        return None, None, (
+            f"DP optimum of {len(dp.points)} points lies beyond the "
+            f"exhaustive oracle's cap of {cap}"
+        )
+    exhaustive = solve_exhaustive(
+        problem,
+        feasibility=lambda pts: quantized_tree_check(problem, pts),
+        max_subset_size=cap,
+        budget=budget,
+    )
+
+    def claim(solution) -> dict:
+        return {
+            "feasible": solution.feasible,
+            "cost": solution.cost if solution.feasible else None,
+        }
+
+    fast, slow = claim(dp), claim(exhaustive)
+    if (
+        dp.feasible and exhaustive.feasible
+        and abs(dp.cost - exhaustive.cost) <= COST_TOLERANCE
+    ):
+        slow["cost"] = dp.cost  # float summation order only
+    return fast, slow, "DP vs exhaustive under the quantized objective"
+
+
+def _compare_parallel(circuit: Circuit, context) -> tuple:
+    stimulus = _words(context, "stimulus")
+    n_patterns = int(context["n_patterns"])
+    jobs = int(context.get("jobs", 2))
+    mode = context.get("mode", "exact")
+    kernel = _fast_kernel(context)
+    parallel = run_parallel(
+        circuit, stimulus, n_patterns, jobs=jobs, mode=mode, kernel=kernel
+    )
+    serial = FaultSimulator(circuit, kernel=kernel).run(
+        stimulus, n_patterns
+    )
+    return (
+        _detection_words(parallel),
+        _detection_words(serial),
+        f"parallel jobs={jobs} vs serial",
+    )
+
+
+#: kind → its comparison.  ``solver.*`` kinds are not here: they replay
+#: through :func:`~repro.verify.certify.find_violation`.
+COMPARISONS: Dict[str, Callable[..., Tuple[object, object, str]]] = {
+    "fault_sim.cone": _compare_fault_cone,
+    "fuzz.fault_sim": _compare_fault_list,
+    "fuzz.logic_sim": _compare_logic_sim,
+    "fuzz.coverage": _compare_coverage,
+    "fuzz.batch_seams": _compare_batch_seams,
+    "fuzz.tiled_batch": _compare_batch_seams,
+    "cop.measures": _compare_cop,
+    "fuzz.cop": _compare_cop,
+    "fuzz.placement": _compare_placement,
+    "incremental.evaluate": _compare_incremental,
+    "fuzz.incremental": _compare_incremental,
+    "incremental.delta": _compare_incremental_delta,
+    "incremental.gains": _compare_incremental_gains,
+    "fuzz.dp_vs_exhaustive": _compare_dp_vs_exhaustive,
+    "fuzz.parallel": _compare_parallel,
+}
+
+
+def _replay_solver(kind: str, circuit: Circuit, context) -> Tuple[bool, str]:
+    """Re-certify a recorded solver solution: ``(reproduced, detail)``."""
     problem = problem_from_payload(circuit, context["problem"])
     solution = solution_from_payload(context["solution"])
     dp_check = None
     dp_context = context.get("dp")
     if dp_context is not None:
-        from ..core.dp import quantized_tree_check
         from ..core.quantize import ProbabilityGrid
 
         grid_values = dp_context.get("grid_values")
@@ -322,97 +450,28 @@ def _replay_solver(manifest, circuit) -> ReplayResult:
                 margin=dp_context.get("margin", 1.0),
             )
 
-    try:
-        certify_solution(problem, solution, dp_check=dp_check)
-    except DivergenceError as exc:
-        return ReplayResult(
-            kind=manifest["kind"],
-            reproduced=exc.kind == manifest["kind"],
-            detail=f"re-certification raised {exc.kind}: {exc._raw_message()}",
-            bundle="",
-        )
-    return ReplayResult(
-        kind=manifest["kind"],
-        reproduced=False,
-        detail="re-certification accepted the recorded solution",
-        bundle="",
+    violation = find_violation(problem, solution, dp_check=dp_check)
+    if violation is None:
+        return False, "re-certification accepted the recorded solution"
+    return violation.kind == kind, (
+        f"re-certification found {violation.kind}: {violation.message}"
     )
-
-
-def _replay_dp_vs_exhaustive(manifest, circuit) -> tuple:
-    from ..core.dp import quantized_tree_check, solve_tree
-    from ..core.exhaustive import solve_exhaustive
-
-    context = manifest["context"]
-    problem = problem_from_payload(circuit, context["problem"])
-    dp = solve_tree(problem)
-    exhaustive = solve_exhaustive(
-        problem,
-        feasibility=lambda pts: quantized_tree_check(problem, pts),
-        max_subset_size=int(context.get("max_subset_size", 4)),
-    )
-    fast = {"cost": dp.cost, "feasible": dp.feasible}
-    slow = {"cost": exhaustive.cost, "feasible": exhaustive.feasible}
-    return fast, slow, "DP vs exhaustive under the quantized objective"
-
-
-def _replay_parallel(manifest, circuit) -> tuple:
-    from ..sim.parallel import run_parallel
-
-    context = manifest["context"]
-    stimulus = _words(context, "stimulus")
-    n_patterns = int(context["n_patterns"])
-    jobs = int(context.get("jobs", 2))
-    mode = context.get("mode", "exact")
-    kernel = _fast_kernel(context)
-    parallel = run_parallel(
-        circuit, stimulus, n_patterns, jobs=jobs, mode=mode, kernel=kernel
-    )
-    serial = FaultSimulator(circuit, kernel=kernel).run(
-        stimulus, n_patterns
-    )
-    fast = {str(f): w for f, w in parallel.detection_word.items()}
-    slow = {str(f): w for f, w in serial.detection_word.items()}
-    return fast, slow, f"parallel jobs={jobs} vs serial"
-
-
-#: kind (or "prefix.") → replayer.  Two-result replayers return
-#: ``(fast, slow, detail)``; ``solver.`` handles its own verdict.
-_REPLAYERS = {
-    "fault_sim.cone": _replay_fault_sim,
-    "fuzz.fault_sim": _replay_fault_sim,
-    "fuzz.logic_sim": _replay_logic_sim,
-    "fuzz.coverage": _replay_coverage,
-    "fuzz.batch_seams": _replay_batch_seams,
-    "fuzz.tiled_batch": _replay_batch_seams,
-    "cop.measures": _replay_cop,
-    "fuzz.cop": _replay_cop,
-    "fuzz.placement": _replay_placement,
-    "incremental.evaluate": _replay_incremental,
-    "fuzz.incremental": _replay_incremental,
-    "incremental.delta": _replay_incremental_delta,
-    "incremental.gains": _replay_incremental_gains,
-    "fuzz.dp_vs_exhaustive": _replay_dp_vs_exhaustive,
-    "fuzz.parallel": _replay_parallel,
-}
 
 
 def replay_bundle(path: Union[str, Path]) -> ReplayResult:
     """Re-run the comparison recorded in the bundle at ``path``."""
     manifest, circuit = load_bundle(path)
     kind = manifest["kind"]
-    replayer = _REPLAYERS.get(kind)
-    if replayer is None and not kind.startswith("solver."):
+    compare = COMPARISONS.get(kind)
+    if compare is None and not kind.startswith("solver."):
         raise ValueError(f"no replayer for bundle kind {kind!r}")
     _refuse_removed_paths(manifest)
-    if replayer is None:
-        result = _replay_solver(manifest, circuit)
-        result.bundle = str(path)
-        return result
-    fast, slow, detail = replayer(manifest, circuit)
+    context = manifest["context"]
+    if compare is None:
+        reproduced, detail = _replay_solver(kind, circuit, context)
+    else:
+        fast, slow, detail = compare(circuit, context)
+        reproduced = diverged(fast, slow)
     return ReplayResult(
-        kind=kind,
-        reproduced=jsonable(fast) != jsonable(slow),
-        detail=detail,
-        bundle=str(path),
+        kind=kind, reproduced=reproduced, detail=detail, bundle=str(path)
     )

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
+import numpy as np
 import pytest
 
+from repro.analysis import fuzz
 from repro.analysis.fuzz import FuzzReport, run_fuzz, shrink_circuit
 from repro.circuit import GateType, generators
 from repro.verify import load_bundle, replay_bundle
@@ -255,6 +260,197 @@ class TestIncrementalGainsLane:
         assert replay_bundle(path).reproduced
         monkeypatch.setattr(npsim.PlacementBatch, "_chunk", real)
         assert not replay_bundle(path).reproduced
+
+
+# ---------------------------------------------------------------------------
+# Planted bugs for the per-lane replay test.  Each takes ``(monkeypatch,
+# engine_bug)``, plants its bug and returns a callable that lifts it.
+# ---------------------------------------------------------------------------
+
+_TEST_PID = os.getpid()
+
+
+def _batch_plant(corrupt):
+    """Corrupt ``propagate_batch``'s detection matrix in place with
+    ``corrupt(detect, state, n_machines)``."""
+
+    def plant(monkeypatch, _engine_bug):
+        from repro.sim import npsim
+
+        real = npsim.propagate_batch
+
+        def planted(state, sites, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
+            detect, evals = real(state, sites, chunk_bytes)
+            corrupt(detect, state, len(sites))
+            return detect, evals
+
+        monkeypatch.setattr(npsim, "propagate_batch", planted)
+        return lambda: monkeypatch.setattr(npsim, "propagate_batch", real)
+
+    return plant
+
+
+def _flip_bit_zero(detect, _state, _n):
+    detect[:, 0] ^= np.uint64(1)
+
+
+def _flip_second_machine(detect, _state, n):
+    # Needs two fault machines in one cube: a one-fault run never sees it.
+    if n > 1:
+        detect[1, 0] ^= np.uint64(1)
+
+
+def _unmask_top_word(detect, state, _n):
+    # Sets the bits above a partial last word: the dropping run's narrow
+    # blocks see them, the exact run's full word has none.
+    detect[:, -1] |= ~state.mask[-1]
+
+
+def _flip_in_workers(detect, _state, _n):
+    # Forked pool workers inherit the plant; the parent's serial run is
+    # spared.
+    if os.getpid() != _TEST_PID:
+        detect[:, 0] ^= np.uint64(1)
+
+
+def _method_plant(owner, name, wrap):
+    """Replace ``owner.name`` with ``wrap(real)``."""
+
+    def plant(monkeypatch, _engine_bug):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, wrap(real))
+        return lambda: monkeypatch.setattr(owner, name, real)
+
+    return plant
+
+
+def _without_base_fixes(real):
+    # A delta-only bug: the swept levels lose the base's control fixes.
+    def delta(self, *args):
+        saved, self._fixes = self._fixes, ({}, {})
+        try:
+            return real(self, *args)
+        finally:
+            self._fixes = saved
+
+    return delta
+
+
+def _gain_off_by_one(real):
+    def chunk(self, sites, cpt, theta):
+        gains, nodes = real(self, sites, cpt, theta)
+        return [g + 1 for g in gains], nodes
+
+    return chunk
+
+
+def _free_observation_points(real):
+    # The DP prices observation points at zero, so its optimum is not.
+    def decision_cost(self, decision):
+        return real(self, (False, decision[1]))
+
+    return decision_cost
+
+
+def _lane_cases():
+    from repro.core.dp import DPSolver
+    from repro.sim import npsim
+
+    def dag():
+        return generators.random_dag(5, 24, seed=2)
+
+    words = lambda _mp, bug: bug(GateType.AND, GateType.OR)  # noqa: E731
+    floats = lambda _mp, bug: bug(  # noqa: E731
+        GateType.AND, GateType.OR, folds="floats"
+    )
+    # id: (lane, kind it bundles, circuit, plant, shrink probes)
+    return {
+        "logic_sim": (
+            lambda c: fuzz._check_logic_sim(c, 0, 64), "fuzz.logic_sim",
+            dag, words, 60,
+        ),
+        "fault_sim": (
+            lambda c: fuzz._check_fault_sim(c, 0, 64), "fuzz.fault_sim",
+            dag, _batch_plant(_flip_bit_zero), 60,
+        ),
+        "fault_sim-two-machines": (
+            lambda c: fuzz._check_fault_sim(c, 0, 64), "fuzz.fault_sim",
+            dag, _batch_plant(_flip_second_machine), 60,
+        ),
+        "coverage": (
+            lambda c: fuzz._check_coverage(c, 0, 64), "fuzz.coverage",
+            dag, _batch_plant(_unmask_top_word), 60,
+        ),
+        "cop": (lambda c: fuzz._check_cop(c, 0), "fuzz.cop", dag, floats, 60),
+        "placement": (
+            lambda c: fuzz._check_placement(c, 0), "fuzz.placement",
+            dag, floats, 60,
+        ),
+        "incremental": (
+            lambda c: fuzz._check_incremental(c, 11), "fuzz.incremental",
+            dag, _method_plant(
+                npsim.PlacementBatch, "delta", _without_base_fixes
+            ), 60,
+        ),
+        "incremental-gains": (
+            lambda c: fuzz._check_incremental(c, 0), "incremental.gains",
+            dag, _method_plant(
+                npsim.PlacementBatch, "_chunk", _gain_off_by_one
+            ), 60,
+        ),
+        "batch_seams": (
+            lambda c: fuzz._check_batch_seams(c, 0, 130), "fuzz.batch_seams",
+            dag, _batch_plant(_flip_bit_zero), 60,
+        ),
+        "dp_vs_exhaustive": (
+            lambda c: fuzz._check_dp_vs_exhaustive(c, 0),
+            "fuzz.dp_vs_exhaustive",
+            lambda: generators.random_tree(6, seed=4),
+            _method_plant(DPSolver, "_decision_cost", _free_observation_points),
+            60,
+        ),
+        # every probe would start a process pool: bundled unshrunk
+        "parallel": (
+            lambda c: fuzz._check_parallel(c, 0, 64), "fuzz.parallel",
+            dag, _batch_plant(_flip_in_workers), 0,
+        ),
+    }
+
+
+class TestLaneBundlesReplay:
+    """Every lane's shrunk bundle replays: exit 0 while its planted bug
+    is live, exit 1 once it is lifted."""
+
+    @pytest.mark.parametrize("case", sorted(_lane_cases()))
+    def test_planted_bug_bundle_replays(
+        self, case, tmp_path, monkeypatch, engine_bug
+    ):
+        from repro.cli import main
+        from repro.verify import write_bundle
+
+        lane, kind, build, plant, probes = _lane_cases()[case]
+        if case == "parallel" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the plant reaches pool workers only through fork")
+        circuit = build()
+        lift = plant(monkeypatch, engine_bug)
+        assert lane(circuit) is not None, "the lane missed the planted bug"
+        small = shrink_circuit(
+            circuit, lambda c: lane(c) is not None, max_probes=probes
+        )
+        divergence = lane(small)
+        assert divergence.kind == kind
+        path = write_bundle(
+            divergence.kind,
+            circuit=small,
+            context=divergence.context,
+            expected=divergence.expected,
+            actual=divergence.actual,
+            message=divergence.message,
+            bundle_dir=tmp_path,
+        )
+        assert main(["replay", str(path)]) == 0
+        lift()
+        assert main(["replay", str(path)]) == 1
 
 
 class TestShrinker:

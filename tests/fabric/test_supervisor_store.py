@@ -126,10 +126,13 @@ class TestShadowVerification:
         assert ctrs.value("fabric.store.hits") == len(bench_paths)
 
     def test_poisoned_entry_with_forged_envelope_is_caught(
-        self, tmp_path, bench_paths
+        self, tmp_path, bench_paths, monkeypatch
     ):
         # Forge a payload *and* recompute its digest: the envelope
-        # verifies, so only shadow re-execution can catch it.
+        # verifies, so only shadow re-execution can catch it.  The
+        # supervisor's guard writes to the default bundle directory,
+        # relative to the working directory: keep it inside tmp_path.
+        monkeypatch.chdir(tmp_path)
         store_dir = tmp_path / "store"
         _fabric(bench_paths, tmp_path / "run1.journal", store=store_dir)
         store = ResultStore(store_dir)
@@ -138,13 +141,15 @@ class TestShadowVerification:
         record["result"]["cost"] = record["result"].get("cost", 0) + 97
         record["payload_sha256"] = payload_digest(record["result"])
         entry.path.write_text(json.dumps(record), encoding="utf-8")
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError) as info:
             _fabric(
                 bench_paths,
                 tmp_path / "run2.journal",
                 store=store_dir,
                 store_verify_fraction=1.0,
             )
+        assert info.value.bundle_path.startswith("repro_bundles")
+        assert (tmp_path / info.value.bundle_path).is_dir()
 
     def test_fraction_zero_never_verifies(
         self, tmp_path, bench_paths, counters

@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuit import CircuitBuilder, GateType, generators
 from repro.sim import Fault, all_stuck_at_faults, collapse_faults
+from repro.sim.faults import testable_stuck_at_faults
 
 
 class TestFault:
@@ -48,6 +49,46 @@ class TestEnumeration:
         faults = all_stuck_at_faults(b.build())
         z_faults = [f for f in faults if f.node == "z"]
         assert z_faults == [Fault("z", 1)]
+
+
+def _dead_input_circuit():
+    """Two outputs and a primary input that reaches neither."""
+    b = CircuitBuilder("dead_input")
+    a, c, d, _unused = b.inputs("a", "b", "c", "unused")
+    s = b.and_(a, c, name="s")
+    b.output(b.or_(s, d, name="y1"))
+    b.output(b.not_(s, name="y2"))
+    return b.build()
+
+
+class TestTestableFaults:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            generators.c17,
+            _dead_input_circuit,
+            lambda: generators.random_dag(6, 40, seed=3),
+            lambda: generators.random_dag(12, 200, seed=7, fanin_span=20),
+        ],
+        ids=["c17", "dead_input", "rdag40", "rdag200"],
+    )
+    def test_equals_the_per_output_cone_union(self, build):
+        circuit = build()
+        assert len(circuit.outputs) > 1
+        live = set()
+        for po in circuit.outputs:  # reference: one DFS per output
+            stack = [po]
+            while stack:
+                name = stack.pop()
+                if name not in live:
+                    live.add(name)
+                    stack.extend(circuit.node(name).fanins)
+        expected = [f for f in all_stuck_at_faults(circuit) if f.node in live]
+        assert testable_stuck_at_faults(circuit) == expected
+
+    def test_dead_wires_are_dropped(self):
+        faults = testable_stuck_at_faults(_dead_input_circuit())
+        assert faults and not any(f.node == "unused" for f in faults)
 
 
 class TestCollapsing:

@@ -93,6 +93,60 @@ class TestPlantedSolverBugs:
         assert info.value.kind == "solver.placement"
 
 
+def _lie(kind):
+    """A problem and a solution whose first false claim is ``kind``."""
+    if kind == "solver.dp_precondition":
+        circuit = random_dag(n_inputs=4, n_gates=15, seed=9)
+        problem = TPIProblem.from_test_length(circuit, n_patterns=256)
+        return problem, TPISolution(
+            points=[], cost=0.0, feasible=False, method="dp"
+        )
+    problem = _tree_problem()
+    if kind == "solver.cost":
+        honest = solve_tree(problem)
+        return problem, dataclasses.replace(honest, cost=honest.cost + 0.5)
+    if kind == "solver.feasible":
+        return problem, TPISolution(
+            points=[], cost=0.0, feasible=True, method="greedy"
+        )
+    site = problem.circuit.gates[0].name
+    points = [
+        TestPoint(node=site, kind=TestPointType.CONTROL_AND),
+        TestPoint(node=site, kind=TestPointType.CONTROL_OR),
+    ]
+    return problem, TPISolution(
+        points=points, cost=problem.costs.total(()), feasible=False,
+        method="greedy",
+    )
+
+
+class TestReplayWritesNothing:
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "solver.cost",
+            "solver.dp_precondition",
+            "solver.feasible",
+            "solver.placement",
+        ],
+    )
+    def test_replay_from_an_empty_directory_creates_nothing(
+        self, kind, tmp_path, monkeypatch
+    ):
+        from repro.cli import main
+
+        problem, lying = _lie(kind)
+        guard = Guard(bundle_dir=tmp_path / "bundles")
+        with pytest.raises(DivergenceError) as info:
+            certify_solution(problem, lying, guard=guard)
+        assert info.value.kind == kind
+        empty = tmp_path / "cwd"
+        empty.mkdir()
+        monkeypatch.chdir(empty)
+        assert main(["replay", info.value.bundle_path]) == 0
+        assert list(empty.iterdir()) == []
+
+
 class TestMaybeCertify:
     def test_noop_without_session(self):
         from repro.verify import maybe_certify
