@@ -12,7 +12,7 @@ its arbiter —
 * numpy fault simulation of the whole fault list, forced onto one
   batched sweep, vs the interpreter;
 * fault dropping (:meth:`run_coverage`) vs the exact run it must match;
-* numpy COP and placement passes vs the interpreted passes;
+* the numpy placement pass vs the interpreted pass;
 * :class:`IncrementalEvaluator` deltas vs a from-scratch full pass, and
   its batched candidate gains vs the interpreted walk, both forced onto
   the vectorized engine;
@@ -187,15 +187,6 @@ def _check_coverage(
         circuit,
         _stimulus_context(circuit, seed, n_patterns, block=16),
     )
-
-
-def _check_cop(circuit: Circuit, seed: int) -> Optional[_Divergence]:
-    context = {
-        "input_probabilities": None,
-        "stem_combine": "or",
-        "kernel": "numpy",
-    }
-    return _diverges("fuzz.cop", circuit, context)
 
 
 def _random_points(
@@ -596,7 +587,6 @@ def run_fuzz(
                     lambda c: _check_logic_sim(c, stim_seed, n_patterns),
                     lambda c: _check_fault_sim(c, stim_seed, n_patterns),
                     lambda c: _check_coverage(c, stim_seed, n_patterns),
-                    lambda c: _check_cop(c, stim_seed),
                     lambda c: _check_placement(c, stim_seed),
                     lambda c: _check_incremental(c, stim_seed),
                     lambda c: _check_batch_seams(c, stim_seed, n_patterns),

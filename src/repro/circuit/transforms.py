@@ -77,9 +77,7 @@ def sweep_dead_logic(circuit: Circuit) -> Circuit:
     Primary inputs are always retained (removing a PI changes the test
     interface even if the input is unused).
     """
-    live = set()
-    for po in circuit.outputs:
-        live |= circuit.fanin_cone(po)
+    live = circuit.fanin_cone_union(circuit.outputs)
     out = Circuit(circuit.name)
     for pi in circuit.inputs:
         out.add_input(pi)

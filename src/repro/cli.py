@@ -25,8 +25,8 @@ Subcommands:
   never deleted);
 * ``fuzz`` — time-budgeted differential fuzzer over random circuits,
   cross-checking numpy against the interpreter (logic and fault
-  simulation, fault dropping, COP and placement passes, incremental
-  deltas and gains, batch chunk seams), parallel against serial, DP
+  simulation, fault dropping, placement passes, incremental deltas
+  and gains, batch chunk seams), parallel against serial, DP
   against exhaustive search and, with ``--store``, store round trips;
   failures are shrunk and written as repro bundles;
 * ``replay`` — deterministically re-run a divergence repro bundle with
@@ -86,7 +86,7 @@ from .circuit.verilog_io import parse_verilog_file
 from .circuit.library import BENCHMARKS, benchmark, benchmark_names
 from .circuit.netlist import Circuit, CircuitError
 from .core.cascade import DEFAULT_CASCADE, SOLVER_CASCADE, solve_with_fallback
-from .core.evaluate import evaluate_solution
+from .core.evaluate import evaluate_solution, measure_coverage
 from .core.prepare import prepare_for_tpi
 from .core.greedy import solve_greedy
 from .core.heuristic import solve_dp_heuristic
@@ -95,9 +95,7 @@ from .errors import BudgetExceededError, ParseError, ReproError, SweepInterrupte
 from .resilience import Budget
 from .resilience.interrupt import GracefulInterrupt
 from .sim.compile import DEFAULT_KERNEL, KERNEL_MODES
-from .sim.fault_sim import FaultSimulator
 from .sim.faults import collapse_faults
-from .sim.parallel import run_parallel
 from .sim.patterns import UniformRandomSource
 from .verify import GuardedSession, maybe_certify, replay_bundle
 
@@ -125,6 +123,22 @@ def _usage_exit(message: str) -> SystemExit:
     """A usage error: one stderr line, exit code 2 (argparse's convention)."""
     print(f"repro-tpi: {message}", file=sys.stderr)
     return SystemExit(EXIT_USAGE)
+
+
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Exit 2 on a ``--patterns`` or ``--escape`` value no command can use.
+
+    Runs before the command does, so a bad value never reaches a solver,
+    a simulator or a campaign journal.
+    """
+    patterns = getattr(args, "patterns", None)
+    if patterns is not None and patterns < 1:
+        raise _usage_exit(f"--patterns must be at least 1, got {patterns}")
+    escape = getattr(args, "escape", None)
+    if escape is not None and not 0.0 < escape < 1.0:
+        raise _usage_exit(
+            f"--escape must lie strictly between 0 and 1, got {escape}"
+        )
 
 
 def _load_circuit(spec: str) -> Circuit:
@@ -270,18 +284,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     for key, value in stats.items():
         print(f"{key:10s} {value}")
     print(f"{'faults':10s} {collapsed.size()} (collapsed)")
-    stim = UniformRandomSource(seed=args.seed).generate(
-        circuit.inputs, args.patterns
+    res = measure_coverage(
+        circuit,
+        args.patterns,
+        UniformRandomSource(seed=args.seed),
+        faults=collapsed.representatives,
+        jobs=args.jobs,
+        mode="coverage" if args.drop else "exact",
+        kernel=args.kernel,
     )
-    jobs = getattr(args, "jobs", 1)
-    mode = "coverage" if getattr(args, "drop", False) else "exact"
-    kernel = getattr(args, "kernel", None)
-    if jobs > 1 or mode != "exact":
-        res = run_parallel(
-            circuit, stim, args.patterns, jobs=jobs, mode=mode, kernel=kernel
-        )
-    else:
-        res = FaultSimulator(circuit, kernel=kernel).run(stim, args.patterns)
     print(f"{'coverage':10s} {100 * res.coverage():.2f}% @ {args.patterns} patterns")
     return 0
 
@@ -1092,7 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fuzz",
         help="differential fuzzer: cross-check numpy logic/fault sim, "
-        "fault dropping, COP/placement passes, incremental deltas and "
+        "fault dropping, placement passes, incremental deltas and "
         "gains, batch chunk seams and parallel runs against their "
         "arbiters, and DP vs exhaustive, on random circuits",
     )
@@ -1143,6 +1154,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     resumable, 4 anything else.
     """
     args = build_parser().parse_args(argv)
+    _check_ranges(args)
     try:
         with _observability(args), _profiled(args), _guarded(args):
             return args.fn(args)

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..circuit.netlist import Circuit
-from ..sim.fault_sim import FaultSimulator
 from ..sim.faults import Fault, collapse_faults
 from ..sim.parallel import run_parallel
 from ..sim.patterns import PatternSource, UniformRandomSource
@@ -93,13 +92,10 @@ def measure_coverage(
     """
     source = source or UniformRandomSource(seed=1)
     stimulus = source.generate(circuit.inputs, n_patterns)
-    if jobs > 1 or mode != "exact":
-        return run_parallel(
-            circuit, stimulus, n_patterns, faults=faults, jobs=jobs,
-            mode=mode, kernel=kernel,
-        )
-    sim = FaultSimulator(circuit, kernel=kernel)
-    return sim.run(stimulus, n_patterns, faults=faults)
+    return run_parallel(
+        circuit, stimulus, n_patterns, faults=faults, jobs=jobs, mode=mode,
+        kernel=kernel,
+    )
 
 
 def evaluate_solution(
@@ -138,19 +134,10 @@ def evaluate_solution(
     ]
     live = [m for _o, m in mapped_pairs if m is not None]
     stimulus = source.generate(insertion.circuit.inputs, n_patterns)
-    if jobs > 1 or mode != "exact":
-        modified = run_parallel(
-            insertion.circuit,
-            stimulus,
-            n_patterns,
-            faults=live,
-            jobs=jobs,
-            mode=mode,
-            kernel=kernel,
-        )
-    else:
-        sim = FaultSimulator(insertion.circuit, kernel=kernel)
-        modified = sim.run(stimulus, n_patterns, faults=live)
+    modified = run_parallel(
+        insertion.circuit, stimulus, n_patterns, faults=live, jobs=jobs,
+        mode=mode, kernel=kernel,
+    )
 
     # Coverage over the original reference list: faults whose injection
     # site vanished (random re-drives) count as undetected.

@@ -60,10 +60,6 @@ class InsertionResult:
     test_inputs: List[str] = field(default_factory=list)
     enable_of: Dict[TestPoint, str] = field(default_factory=dict)
 
-    def mapped_faults(self) -> List[Tuple[Fault, Optional[Fault]]]:
-        """The (original, mapped) fault pairs in deterministic order."""
-        return sorted(self.fault_map.items(), key=lambda kv: kv[0].sort_key())
-
 
 def apply_test_points(
     circuit: Circuit, points: Sequence[TestPoint]

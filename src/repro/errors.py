@@ -239,7 +239,7 @@ class DivergenceError(ReproError, RuntimeError):
     Attributes
     ----------
     kind:
-        Which check diverged (``"fault_sim.cone"``, ``"cop.measures"``,
+        Which check diverged (``"fault_sim.cone"``,
         ``"incremental.evaluate"``, ``"solver.cost"``, ...).
     bundle_path:
         Directory of the self-contained repro bundle written for the

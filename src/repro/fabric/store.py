@@ -50,7 +50,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple, Union
 
 from .. import __version__, ioutil, obs
 from ..errors import ArtifactWriteError
@@ -502,8 +502,3 @@ class ResultStore:
             "kept_bytes": total - freed,
             "protected": protected,
         }
-
-
-def list_store_results(store: ResultStore) -> List[str]:
-    """Job ids with an on-disk entry (unverified; for status displays)."""
-    return sorted(entry.job_id for entry in store.entries())

@@ -2,15 +2,12 @@
 
 :class:`LogicSimulator` levelizes a circuit once and then evaluates any
 number of stimulus sets; each signal's values under every pattern live in a
-single packed integer word (see :mod:`repro.sim.bitops`).  The simulator
-also supports *forced values* — overriding a node or a specific fan-in
-connection with an arbitrary word — which is the primitive both fault
-injection and control-point what-if analysis are built on.
+single packed integer word (see :mod:`repro.sim.bitops`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from ..circuit.gates import evaluate_gate
 from ..circuit.netlist import Circuit
@@ -20,9 +17,6 @@ from .bitops import ones_mask
 from .compile import resolve_kernel
 
 __all__ = ["LogicSimulator", "simulate", "signal_probabilities_by_simulation"]
-
-#: A connection override key: (sink_gate, pin_index).
-Connection = Tuple[str, int]
 
 
 class LogicSimulator:
@@ -34,10 +28,10 @@ class LogicSimulator:
     :class:`~repro.errors.SimulationError` instead of returning stale
     values.
 
-    ``kernel`` picks the simulation backend for force-free runs:
-    ``"numpy"`` (the default) uses the word-parallel array engine of
-    :mod:`repro.sim.npsim`, ``"interp"`` the interpreted gate walk, which
-    remains the ground-truth arbiter.  Forced-value runs always interpret.
+    ``kernel`` picks the simulation backend: ``"numpy"`` (the default)
+    uses the word-parallel array engine of :mod:`repro.sim.npsim`,
+    ``"interp"`` the interpreted gate walk, which remains the
+    ground-truth arbiter.
     """
 
     def __init__(self, circuit: Circuit, kernel: Optional[str] = None) -> None:
@@ -61,11 +55,7 @@ class LogicSimulator:
             )
 
     def run(
-        self,
-        stimulus: Mapping[str, int],
-        n_patterns: int,
-        node_forces: Optional[Mapping[str, int]] = None,
-        connection_forces: Optional[Mapping[Connection, int]] = None,
+        self, stimulus: Mapping[str, int], n_patterns: int
     ) -> Mapping[str, int]:
         """Simulate and return the packed value word of every node.
 
@@ -81,51 +71,22 @@ class LogicSimulator:
             to constant 0.
         n_patterns:
             Number of valid pattern bits.
-        node_forces:
-            Map node name → packed word; the node's computed value is
-            replaced by the word (stuck-at faults use a constant word).
-        connection_forces:
-            Map ``(sink, pin)`` → packed word; only that fan-in connection
-            sees the forced word (fanout-branch faults).
         """
         self._check_revision()
-        if not node_forces and not connection_forces and self.kernel == "numpy":
+        if self.kernel == "numpy":
             if self._plan is None:
                 self._plan = npsim.get_plan(self.circuit)
             return self._plan.run_state(stimulus, n_patterns)
         mask = ones_mask(n_patterns)
         values: Dict[str, int] = {}
-        node_forces = node_forces or {}
-        connection_forces = connection_forces or {}
         for pi in self._inputs:
-            word = stimulus.get(pi, 0) & mask
-            if pi in node_forces:
-                word = node_forces[pi] & mask
-            values[pi] = word
+            values[pi] = stimulus.get(pi, 0) & mask
         for name in self._order:
             node = self.circuit.node(name)
-            if connection_forces:
-                fanin_words = [
-                    connection_forces.get((name, pin), values[fi]) & mask
-                    for pin, fi in enumerate(node.fanins)
-                ]
-            else:
-                fanin_words = [values[fi] for fi in node.fanins]
-            word = evaluate_gate(node.gate_type, fanin_words, mask)
-            if name in node_forces:
-                word = node_forces[name] & mask
-            values[name] = word
+            values[name] = evaluate_gate(
+                node.gate_type, [values[fi] for fi in node.fanins], mask
+            )
         return values
-
-    def run_outputs(
-        self,
-        stimulus: Mapping[str, int],
-        n_patterns: int,
-        **kwargs,
-    ) -> Dict[str, int]:
-        """Like :meth:`run` but return only the primary-output words."""
-        values = self.run(stimulus, n_patterns, **kwargs)
-        return {po: values[po] for po in self.circuit.outputs}
 
 
 def simulate(

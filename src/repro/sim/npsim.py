@@ -19,14 +19,12 @@ the value matrix.  Plans live in a process-wide LRU registry keyed by
 can never be served stale index arrays), and are cheap enough to rebuild
 in parallel workers (no pickled payload needed).
 
-Four passes share the plan:
+Three passes share the plan:
 
 * **logic** — fault-free simulation of all gates (uint64 bitwise folds);
 * **fault** — the fault-parallel batched sweep (:func:`propagate_batch`)
   for fault blocks that :func:`fault_batch_declined` accepts; every
   other block walks on the interpreter;
-* **cop forward / backward** — the COP probability passes as float64
-  array sweeps, including the ``stem_combine`` escape folds;
 * **placement** — the placement-aware forward+backward pass of
   :func:`repro.core.virtual.evaluate_placement`, with the (few) control/
   observe-site fixups applied as scalar patches between level sweeps.
@@ -41,7 +39,7 @@ produces.
 
 The float folds mirror :func:`~repro.circuit.gates.output_probability`,
 :func:`~repro.circuit.gates.side_input_sensitization_probability` and the
-COP stem combine *operation for operation, in the same order*.  The only
+COP stem escape fold *operation for operation, in the same order*.  The only
 algebraic simplifications are dropping a leading ``1.0 *`` factor
 (IEEE-exact for every float) and the first XOR fold from ``0.0`` (exact up
 to the sign of zero, which compares equal and cannot change any
@@ -210,8 +208,8 @@ def _eval_word_rows(gate_type, rows, out, mask) -> None:
 def _eval_prob_group(gate_type, arity, cols, out) -> None:
     """``out[g]`` = P[gate g = 1] from the gathered fan-in columns.
 
-    ``cols`` is ``(n_gates, arity)`` float64 (already gathered from node
-    probabilities or branch-post values — the caller picks the source).
+    ``cols`` is ``(n_gates, arity)`` float64, gathered from the branch-post
+    values of the gates' in-edges.
     """
     if gate_type is GateType.CONST0:
         out[:] = 0.0
@@ -654,15 +652,14 @@ def propagate_batch(
 class _EdgeGroup:
     """One (sens-kind, side-arity) batch of fanout edges at a level."""
 
-    __slots__ = ("kind", "lo", "hi", "sink_rows", "side_rows", "side_edges")
+    __slots__ = ("kind", "lo", "hi", "sink_rows", "side_edges")
 
-    def __init__(self, kind, lo, hi, sink_rows, side_rows, side_edges):
+    def __init__(self, kind, lo, hi, sink_rows, side_edges):
         self.kind = kind
         self.lo = lo
         self.hi = hi
         self.sink_rows = sink_rows
-        self.side_rows = side_rows  # node rows (plain COP backward)
-        self.side_edges = side_edges  # in-edge ids (placement backward)
+        self.side_edges = side_edges  # in-edge ids of the sink's other pins
 
 
 class _StemGroup:
@@ -677,7 +674,7 @@ class _StemGroup:
 
 
 class _Level:
-    """Per-level slices for the backward passes (and placement forward)."""
+    """Per-level slices for the placement and delta sweeps."""
 
     __slots__ = (
         "level", "node_lo", "node_hi", "edge_lo", "edge_hi",
@@ -878,7 +875,6 @@ class CircuitPlan:
             ):
                 n_e = hi - lo
                 sink_rows = np.empty(n_e, dtype=np.intp)
-                side_rows = np.empty((n_e, n_side), dtype=np.intp)
                 side_edges = np.empty((n_e, n_side), dtype=np.intp)
                 for e, (driver, sink, pin) in enumerate(members):
                     sink_rows[e] = row[sink]
@@ -887,11 +883,10 @@ class CircuitPlan:
                         if p == pin:
                             continue
                         if j < n_side:
-                            side_rows[e, j] = row[fi]
                             side_edges[e, j] = self.edge_id[(fi, sink, p)]
                         j += 1
                 entry.edge_groups.append(
-                    _EdgeGroup(kind, lo, hi, sink_rows, side_rows, side_edges)
+                    _EdgeGroup(kind, lo, hi, sink_rows, side_edges)
                 )
             # stem groups: (is_output, n_branches) batches of this level
             stems: "OrderedDict[Tuple[bool, int], List[str]]" = OrderedDict()
@@ -997,12 +992,6 @@ class CircuitPlan:
             self, self.run_matrix(stimulus, n_patterns), n_patterns
         )
 
-    def logic_values(
-        self, stimulus: Mapping[str, int], n_patterns: int
-    ) -> Dict[str, int]:
-        """``LogicSimulator.run``-compatible node → int-word dict."""
-        return self.run_state(stimulus, n_patterns).int_map()
-
     def state_from_values(
         self, good_values: Mapping[str, int], n_patterns: int
     ) -> PackedState:
@@ -1015,79 +1004,6 @@ class CircuitPlan:
         if isinstance(good_values, dict):
             state._ints = good_values  # already materialized; share it
         return state
-
-    # ------------------------------------------------------------------
-    # COP forward pass
-    # ------------------------------------------------------------------
-    def cop_forward(self, pget) -> Dict[str, float]:
-        """Forward COP pass; matches ``signal_probabilities`` exactly.
-
-        ``pget`` is ``input_probabilities.get``.
-        """
-        P = np.empty(self.n_rows, dtype=np.float64)
-        for i, name in enumerate(self.inputs):
-            P[i] = float(pget(name, 0.5))
-        for gate_type, arity, lo, hi, fanin_rows in self.logic_groups:
-            _eval_prob_group(gate_type, arity, P[fanin_rows], P[lo:hi])
-        row = self.row
-        return {name: float(P[row[name]]) for name in self.topo}
-
-    # ------------------------------------------------------------------
-    # COP backward pass
-    # ------------------------------------------------------------------
-    def float_rows(self, values: Mapping[str, float]):
-        """Gather a node → float mapping into row order."""
-        P = np.empty(self.n_rows, dtype=np.float64)
-        for name, r in self.row.items():
-            P[r] = values[name]
-        return P
-
-    def cop_backward(
-        self, probability: Mapping[str, float], stem_combine: str
-    ) -> Tuple[Dict[str, float], Dict[Tuple[str, str, int], float]]:
-        """Backward COP pass; matches ``observabilities`` exactly."""
-        P = self.float_rows(probability)
-        NO = np.empty(self.n_rows, dtype=np.float64)
-        BO = np.empty(self.n_edges, dtype=np.float64)
-        use_max = stem_combine == "max"
-        for entry in self.levels:  # descending driver level
-            for grp in entry.edge_groups:
-                sunk = NO[grp.sink_rows]
-                if grp.kind == "one":
-                    BO[grp.lo : grp.hi] = sunk * 1.0
-                else:
-                    BO[grp.lo : grp.hi] = sunk * _sens_fold(
-                        grp.kind, P[grp.side_rows]
-                    )
-            for grp in entry.stem_groups:
-                n_br = grp.contribs.shape[1]
-                if use_max:
-                    if grp.is_out:
-                        m = np.ones(len(grp.node_rows), dtype=np.float64)
-                    elif n_br == 0:
-                        NO[grp.node_rows] = 0.0
-                        continue
-                    else:
-                        m = BO[grp.contribs[:, 0]].copy()
-                    start_j = 0 if grp.is_out else 1
-                    for j in range(start_j, n_br):
-                        np.maximum(m, BO[grp.contribs[:, j]], out=m)
-                    NO[grp.node_rows] = m
-                    continue
-                esc = np.ones(len(grp.node_rows), dtype=np.float64)
-                if grp.is_out:
-                    esc *= 1.0 - 1.0
-                for j in range(n_br):
-                    esc *= 1.0 - BO[grp.contribs[:, j]]
-                NO[grp.node_rows] = 1.0 - esc
-        row = self.row
-        node_obs = {
-            name: float(NO[row[name]]) for name in reversed(self.topo)
-        }
-        branch_obs = {
-            key: float(BO[i]) for i, key in enumerate(self.edge_keys)
-        }
-        return node_obs, branch_obs
 
     # ------------------------------------------------------------------
     # Placement-aware pass (evaluate_placement)
@@ -1479,14 +1395,15 @@ class PlacementBatch:
             self.aux.entry_of_row[plan.edge_driver_rows[i] if is_branch else i]
         )
 
-    def _sweep(self, m, fwd, bwd, fixes, overrides, cpt) -> int:
+    def _sweep(self, m, fwd, bwd, fixes, own_fixes, cpt) -> int:
         """Recompute the dirty levels of the first ``m`` work columns.
 
         ``fwd`` / ``bwd`` flag the seed levels of the forward and backward
         sweeps and end up flagging every level each recomputed.
         ``fixes`` holds, for stems and for edges, the control fixes of a
-        level that replace the base's there; ``overrides`` the
-        ``(site, column, factor, zero_multiplier)`` overrides per level.
+        level that replace the base's there; ``own_fixes`` the
+        ``(site, column, factor, zero_multiplier)`` backward fixes of each
+        column's own sites per level.
         Returns the rows of the recomputed levels.
         """
         plan, aux = self.plan, self.aux
@@ -1517,7 +1434,7 @@ class PlacementBatch:
         if changed:
             bwd[aux.sink_fanin_entries(np.concatenate(changed))] = True
         folds = plan.stem_folds()
-        s_ovr, e_ovr = overrides
+        s_ovr, e_ovr = own_fixes
         for j in range(len(levels)):  # descending level
             if not bwd[j]:
                 continue
@@ -1575,7 +1492,7 @@ class PlacementBatch:
         self._reserve(1)
         fwd = np.zeros(len(plan.levels), dtype=bool)
         bwd = np.zeros(len(plan.levels), dtype=bool)
-        overrides: Tuple[Dict[int, list], Dict[int, list]] = ({}, {})
+        own_fixes: Tuple[Dict[int, list], Dict[int, list]] = ({}, {})
         changes: Tuple[Dict[int, dict], Dict[int, dict]] = ({}, {})
         for is_branch, diff, ids in (
             (False, stem_diff, plan.row), (True, branch_diff, plan.edge_id)
@@ -1584,7 +1501,7 @@ class PlacementBatch:
                 i = ids[site]
                 j = self._entry(is_branch, i)
                 bwd[j] = True
-                overrides[is_branch].setdefault(j, []).append((
+                own_fixes[is_branch].setdefault(j, []).append((
                     i, 0,
                     cof(ctrl) if ctrl is not None else 1.0,
                     1.0 - 1.0 if observed else 1.0,
@@ -1604,7 +1521,7 @@ class PlacementBatch:
             }
             for base, level_changes in zip(self._fixes, changes)
         )
-        recomputed = self._sweep(1, fwd, bwd, fixes, overrides, cpt)
+        recomputed = self._sweep(1, fwd, bwd, fixes, own_fixes, cpt)
         Q, S, T, WO, PO, OB = (w[:, 0] for w in self.work)
         Qb, Sb, Tb, WOb, POb, OBb = (a[:, 0] for a in self._base)
         names, keys = self.aux.row_names, self.aux.edge_keys
@@ -1673,11 +1590,11 @@ class PlacementBatch:
         fwd = np.zeros(len(plan.levels), dtype=bool)
         bwd = np.zeros(len(plan.levels), dtype=bool)
         fixes: Tuple[Dict[int, list], Dict[int, list]] = ({}, {})
-        overrides: Tuple[Dict[int, list], Dict[int, list]] = ({}, {})
+        own_fixes: Tuple[Dict[int, list], Dict[int, list]] = ({}, {})
         for k, (is_branch, i, ctl, f, zm) in enumerate(sites):
             j = self._entry(is_branch, i)
             bwd[j] = True
-            overrides[is_branch].setdefault(j, []).append((i, k, f, zm))
+            own_fixes[is_branch].setdefault(j, []).append((i, k, f, zm))
             if ctl is not None:
                 fwd[j] = True
                 level = fixes[is_branch].get(j)
@@ -1686,7 +1603,7 @@ class PlacementBatch:
                         self._fixes[is_branch].get(j, ())
                     )
                 level.append((i, (i, k), ctl))
-        nodes = self._sweep(m, fwd, bwd, fixes, overrides, cpt)
+        nodes = self._sweep(m, fwd, bwd, fixes, own_fixes, cpt)
 
         # -- fault stage per run of touched levels; PO and T serve as
         # scratch, then every touched slice is restored

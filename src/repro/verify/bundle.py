@@ -14,7 +14,7 @@ Manifest schema (``repro-bundle/1``)::
 
     {
       "schema":  "repro-bundle/1",
-      "kind":    "fault_sim.cone" | "cop.measures" | ... ,
+      "kind":    "fault_sim.cone" | "incremental.delta" | ... ,
       "message": one-line human summary,
       "circuit": "circuit.bench"    (file in the bundle directory),
       "context": replay inputs (kind-specific; JSON-safe),

@@ -12,8 +12,7 @@ replayable repro bundle — on the first mismatch.
 Two ways to turn it on:
 
 * explicitly: ``FaultSimulator(circuit, guard=Guard(fraction=0.05))``
-  (also ``cop_measures(..., guard=...)``,
-  ``IncrementalEvaluator(..., guard=...)``);
+  (also ``IncrementalEvaluator(..., guard=...)``);
 * ambiently: ``with GuardedSession(fraction=0.05): ...`` guards every
   component in the dynamic scope that was not given an explicit guard,
   and additionally certifies every solver result produced inside it.

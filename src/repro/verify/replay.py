@@ -20,8 +20,9 @@ reproduces (the bundle is a confirmed, actionable failure), ``1`` when
 it does not (stale bundle / environment-dependent flake), ``2`` for an
 unreadable or unsupported bundle — including every bundle of the removed
 ``compiled`` backend, whose recorded kernel sources no longer have an
-engine to run on, and the per-output ``diffs`` bundles of the removed
-numpy cone walk.
+engine to run on, the per-output ``diffs`` bundles of the removed
+numpy cone walk, and the ``cop.measures`` / ``fuzz.cop`` bundles of the
+removed numpy COP sweeps.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from ..sim.fault_sim import FaultSimulator
 from ..sim.faults import collapse_faults
 from ..sim.logic_sim import LogicSimulator
 from ..sim.parallel import run_parallel
-from ..testability.cop import cop_measures
 from .bundle import (
     fault_from_payload,
     jsonable,
@@ -100,10 +100,16 @@ def _refuse_removed_paths(manifest) -> None:
     """Reject bundles of removed fast paths.
 
     A ``compiled``-backend bundle recorded a generated kernel's source,
-    and a ``diffs`` bundle recorded the per-output words of the numpy
-    cone walk; neither engine exists any more, so replaying them would
-    print a misleading "not reproduced".
+    a ``diffs`` bundle recorded the per-output words of the numpy cone
+    walk, and a COP bundle compared the numpy COP sweeps with the
+    interpreted passes; none of those engines exists any more, so
+    replaying them would print a misleading "not reproduced".
     """
+    if manifest.get("kind") in ("cop.measures", "fuzz.cop"):
+        raise ValueError(
+            "bundle was written by the numpy COP sweeps, which were "
+            "removed; COP has one engine, so there is nothing to compare"
+        )
     context = manifest.get("context") or {}
     if manifest.get("sources") or context.get("kernel") == "compiled":
         raise ValueError(
@@ -230,21 +236,6 @@ def _compare_coverage(circuit: Circuit, context) -> tuple:
         summary(dropped),
         summary(exact),
         f"fault dropping (block={block}) vs the exact run",
-    )
-
-
-def _compare_cop(circuit: Circuit, context) -> tuple:
-    input_probabilities = context.get("input_probabilities") or None
-    stem_combine = context.get("stem_combine", "or")
-    fast, slow = (
-        cop_measures(
-            circuit, input_probabilities, stem_combine=stem_combine,
-            kernel=kernel,
-        ).as_dict()
-        for kernel in (_fast_kernel(context), "interp")
-    )
-    return fast, slow, (
-        f"COP measures (stem_combine={stem_combine}) vs the interpreter"
     )
 
 
@@ -407,8 +398,6 @@ COMPARISONS: Dict[str, Callable[..., Tuple[object, object, str]]] = {
     "fuzz.coverage": _compare_coverage,
     "fuzz.batch_seams": _compare_batch_seams,
     "fuzz.tiled_batch": _compare_batch_seams,
-    "cop.measures": _compare_cop,
-    "fuzz.cop": _compare_cop,
     "fuzz.placement": _compare_placement,
     "incremental.evaluate": _compare_incremental,
     "fuzz.incremental": _compare_incremental,
@@ -461,11 +450,11 @@ def _replay_solver(kind: str, circuit: Circuit, context) -> Tuple[bool, str]:
 def replay_bundle(path: Union[str, Path]) -> ReplayResult:
     """Re-run the comparison recorded in the bundle at ``path``."""
     manifest, circuit = load_bundle(path)
+    _refuse_removed_paths(manifest)
     kind = manifest["kind"]
     compare = COMPARISONS.get(kind)
     if compare is None and not kind.startswith("solver."):
         raise ValueError(f"no replayer for bundle kind {kind!r}")
-    _refuse_removed_paths(manifest)
     context = manifest["context"]
     if compare is None:
         reproduced, detail = _replay_solver(kind, circuit, context)

@@ -381,7 +381,6 @@ def _lane_cases():
             lambda c: fuzz._check_coverage(c, 0, 64), "fuzz.coverage",
             dag, _batch_plant(_unmask_top_word), 60,
         ),
-        "cop": (lambda c: fuzz._check_cop(c, 0), "fuzz.cop", dag, floats, 60),
         "placement": (
             lambda c: fuzz._check_placement(c, 0), "fuzz.placement",
             dag, floats, 60,

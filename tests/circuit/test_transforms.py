@@ -1,5 +1,7 @@
 """Unit tests for structural transforms: function preservation is the law."""
 
+import random
+
 import pytest
 
 from repro.circuit import (
@@ -77,6 +79,20 @@ class TestSweep:
         swept = sweep_dead_logic(c)
         assert swept.stats() == c.stats()
         assert outputs_equal(c, swept)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_live_set_is_the_union_of_output_cones(self, seed):
+        circuit = generators.random_dag(8, 60, seed=seed, n_outputs=12)
+        rng = random.Random(seed)
+        drivers = list(circuit.node_names)
+        for i in range(10):  # floating logic, partly chained
+            circuit.add_gate(f"float{i}", GateType.AND, rng.sample(drivers, 2))
+            drivers.append(f"float{i}")
+        cones = set().union(*(circuit.fanin_cone(po) for po in circuit.outputs))
+        assert len(circuit.outputs) >= 12 and "float9" not in cones
+        swept = sweep_dead_logic(circuit)
+        assert set(swept.node_names) == cones | set(circuit.inputs)
+        assert swept.outputs == circuit.outputs
 
 
 class TestCollapseBuffers:

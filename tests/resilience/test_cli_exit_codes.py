@@ -50,6 +50,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "budget exceeded" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        ["stats", "insert", "coverage", "report", "sweep"],
+    )
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--patterns", "0"),
+            ("--patterns", "-5"),
+            ("--escape", "0"),
+            ("--escape", "1"),
+            ("--escape", "1.5"),
+        ],
+    )
+    def test_out_of_range_patterns_or_escape_is_exit_2(
+        self, command, flag, value, circuit_dir, tmp_path, capsys
+    ):
+        journal = tmp_path / "r.journal"
+        argv = (
+            ["sweep", str(circuit_dir), "--results", str(journal)]
+            if command == "sweep"
+            else [command, "c17"]
+        )
+        with pytest.raises(SystemExit) as ei:
+            main(argv + [flag, value])
+        assert ei.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err
+        assert not journal.exists()  # rejected before any journal write
+
     def test_generous_budget_still_succeeds(self, capsys):
         rc = main(
             ["insert", "c17", "--patterns", "64", "--budget-ms", "60000"]

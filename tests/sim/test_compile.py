@@ -4,8 +4,8 @@
 default.  Whatever ``kernel=None`` resolves to must be indistinguishable
 from the interpreted ground truth (``kernel="interp"``) at every
 simulation entry point — exact word equality for simulation, exact float
-equality for the COP passes, and identical insertion orders for every
-node-keyed dict (branch-keyed dicts are compared by value: the numpy
+equality for the placement passes, and identical insertion orders for
+every node-keyed dict (branch-keyed dicts are compared by value: the numpy
 passes emit their edges in driver order, the interpreter's backward pass
 in reverse).  These property tests pin that on random circuits, random
 stimuli, and random placements, and additionally cover the per-structure
@@ -35,7 +35,6 @@ from repro.sim.compile import (
 from repro.sim.faults import all_stuck_at_faults
 from repro.sim.npsim import get_plan, plan_registry_size
 from repro.sim.patterns import UniformRandomSource
-from repro.testability.cop import cop_measures
 
 N_PATTERNS = 256
 
@@ -72,20 +71,6 @@ def test_logic_sim_sparse_stimulus_defaults_missing_inputs_to_zero():
     interp = LogicSimulator(circuit, kernel="interp").run(sparse, N_PATTERNS)
     default = LogicSimulator(circuit).run(sparse, N_PATTERNS)
     assert default == interp
-
-
-def test_forced_runs_fall_back_to_interp_and_stay_correct():
-    circuit = random_dag(6, 25, seed=11)
-    stim = _stimulus(circuit)
-    gate = next(
-        n for n in circuit.topological_order() if circuit.node(n).is_gate
-    )
-    for sim in (
-        LogicSimulator(circuit),
-        LogicSimulator(circuit, kernel="interp"),
-    ):
-        forced = sim.run(stim, N_PATTERNS, node_forces={gate: 0})
-        assert forced[gate] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +136,8 @@ def test_run_parallel_kernel_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: COP passes and placement evaluation
+# Bit-identity: placement evaluation
 # ---------------------------------------------------------------------------
-
-
-def test_cop_measures_match_interp_exactly():
-    rng = random.Random(17)
-    for circuit in _circuits():
-        probs = {pi: rng.random() for pi in circuit.inputs}
-        for stem_combine in ("or", "max"):
-            ri = cop_measures(
-                circuit, probs, stem_combine=stem_combine, kernel="interp"
-            )
-            rd = cop_measures(circuit, probs, stem_combine=stem_combine)
-            assert rd.probability == ri.probability
-            assert rd.observability == ri.observability
-            assert rd.branch_observability == ri.branch_observability
-            assert list(rd.probability) == list(ri.probability)
-            assert list(rd.observability) == list(ri.observability)
 
 
 def _random_placement(circuit, rng):

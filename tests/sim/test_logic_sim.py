@@ -10,7 +10,6 @@ from repro.circuit import CircuitBuilder, GateType, generators
 from repro.circuit.gates import gate_function
 from repro.sim import (
     ExhaustiveSource,
-    LogicSimulator,
     UniformRandomSource,
     signal_probabilities_by_simulation,
     simulate,
@@ -33,35 +32,6 @@ class TestBasicSimulation:
     def test_missing_inputs_default_zero(self, and2):
         values = simulate(and2, {"a": 0b11}, 2)
         assert values["y"] == 0
-
-    def test_run_outputs_subset(self, c17):
-        sim = LogicSimulator(c17)
-        stim = UniformRandomSource(seed=0).generate(c17.inputs, 16)
-        outs = sim.run_outputs(stim, 16)
-        assert set(outs) == set(c17.outputs)
-
-
-class TestForces:
-    def test_node_force_overrides_gate(self, chain3):
-        sim = LogicSimulator(chain3)
-        stim = {"a": 0b1111, "b": 0b0000, "c": 0b0000}
-        values = sim.run(stim, 4, node_forces={"o1": 0b1111})
-        assert values["o1"] == 0b1111
-        assert values["a1"] == 0b1111
-
-    def test_input_force(self, and2):
-        sim = LogicSimulator(and2)
-        values = sim.run({"a": 0, "b": 0b11}, 2, node_forces={"a": 0b11})
-        assert values["y"] == 0b11
-
-    def test_connection_force_hits_single_pin(self, diamond):
-        sim = LogicSimulator(diamond)
-        stim = {"a": 0b11, "b": 0b11}
-        base = sim.run(stim, 2)
-        # Force only the branch into q; p still sees the true s.
-        forced = sim.run(stim, 2, connection_forces={("q", 0): 0b00})
-        assert forced["q"] == 0
-        assert forced["p"] == base["p"]
 
 
 class TestAgainstScalarEvaluation:

@@ -2,7 +2,7 @@
 
 The numpy engine promises *bit-identical* results to the interpreted
 arbiter on every pass — logic, fault propagation (with and without fault
-dropping), both COP sweeps, and virtual placement evaluation.  These
+dropping), and virtual placement evaluation.  These
 tests hold it to that promise with exact ``==`` comparisons (no float
 tolerance anywhere), exercise the packed-state Mapping semantics and the
 plan registry, and verify the Guard shadow machinery catches a planted
@@ -33,7 +33,6 @@ from repro.sim.npsim import (
     get_plan,
     plan_registry_size,
 )
-from repro.testability.cop import cop_measures
 from repro.verify.guard import Guard
 
 BACKENDS = ("interp", "numpy")
@@ -137,21 +136,6 @@ class TestLogicEquality:
             )
             got = LogicSimulator(circuit, kernel="numpy").run(stim, n_patterns)
             assert dict(got) == dict(ref), circuit.name
-
-    def test_forces_fall_back_to_interp(self):
-        # Node forces take the interpreted path regardless of backend;
-        # results must still agree with an explicit interp run.
-        circuit = generators.c17()
-        stim = _stim(circuit, 64)
-        node = circuit.node_names[-1]
-        forces = {node: 0}
-        got = LogicSimulator(circuit, kernel="numpy").run(
-            stim, 64, node_forces=forces
-        )
-        ref = LogicSimulator(circuit, kernel="interp").run(
-            stim, 64, node_forces=forces
-        )
-        assert dict(got) == dict(ref)
 
 
 class TestFaultSimEquality:
@@ -520,32 +504,6 @@ class TestDispatchCounters:
         assert counters["dispatch.fault_sim.walk.few_faults"] == 1
 
 
-class TestCopEquality:
-    @pytest.mark.parametrize("stem_combine", ["or", "max"])
-    def test_measures_bit_identical(self, stem_combine):
-        for circuit in _circuits():
-            ref = cop_measures(
-                circuit, kernel="interp", stem_combine=stem_combine
-            )
-            got = cop_measures(
-                circuit, kernel="numpy", stem_combine=stem_combine
-            )
-            assert got.probability == ref.probability
-            assert got.observability == ref.observability
-            assert got.branch_observability == ref.branch_observability
-
-    def test_overrides_fall_back_to_interp(self):
-        circuit = generators.c17()
-        node = circuit.node_names[-1]
-        ref = cop_measures(
-            circuit, kernel="interp", probability_overrides={node: 0.25}
-        )
-        got = cop_measures(
-            circuit, kernel="numpy", probability_overrides={node: 0.25}
-        )
-        assert got.probability == ref.probability
-
-
 def _random_points(circuit, seed, max_points=3):
     rng = random.Random(seed)
     points = []
@@ -668,13 +626,6 @@ class TestGuardOnNumpy:
         assert info.value.kind == "fault_sim.cone"
         assert guard.divergences == 1
 
-    def test_cop_shadow_records_numpy_kernel(self, tmp_path):
-        circuit = generators.random_dag(4, 12, seed=5)
-        guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
-        cop_measures(circuit, kernel="numpy", guard=guard)
-        assert guard.checks >= 1
-        assert guard.divergences == 0
-
 
 class TestBackendProperties:
     """Hypothesis sweep: numpy agrees with the interpreter on every measure."""
@@ -727,15 +678,11 @@ class TestBackendProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 5000))
-    def test_cop_and_placement(self, seed):
+    def test_placement(self, seed):
         circuit = generators.random_dag(4, 25, seed=seed)
-        ref_cop = cop_measures(circuit, kernel="interp")
         problem = TPIProblem.from_test_length(circuit, n_patterns=64)
         points = _random_points(circuit, seed ^ 0xBEEF)
         ref_ev = evaluate_placement(problem, points, kernel="interp")
-        got_cop = cop_measures(circuit, kernel="numpy")
-        assert got_cop.probability == ref_cop.probability
-        assert got_cop.observability == ref_cop.observability
         got_ev = evaluate_placement(problem, points, kernel="numpy")
         assert _placement_payload(got_ev) == _placement_payload(ref_ev)
 

@@ -388,3 +388,28 @@ class TestRemovedCompiledKernel:
         bundle = self._bundle(tmp_path, {"kernel": "numpy"})
         assert main(["replay", str(bundle)]) == 1  # healthy engine
         assert "not reproduced" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["cop.measures", "fuzz.cop"])
+def test_replay_refuses_removed_cop_bundles(kind, tmp_path, capsys):
+    # COP has one engine: a bundle comparing the removed numpy COP sweeps
+    # with the interpreted passes is unsupported (exit 2, one line).
+    from repro.circuit.generators import c17
+    from repro.verify import write_bundle
+
+    circuit = c17()
+    maps = {"probability": {}, "observability": {}, "branch_observability": {}}
+    bundle = write_bundle(
+        kind,
+        circuit=circuit,
+        context={"input_probabilities": None, "stem_combine": "or",
+                 "kernel": "numpy"},
+        expected=maps,
+        actual=maps,
+        message="numpy COP passes disagree with the interpreted passes",
+        bundle_dir=tmp_path,
+    )
+    assert main(["replay", str(bundle)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "numpy COP sweeps" in err and "removed" in err

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.circuit import CircuitBuilder, generators
 from repro.sim import ExhaustiveSource, FaultSimulator, UniformRandomSource, simulate
-from repro.testability import cop_measures, observabilities, signal_probabilities
+from repro.testability import cop_measures, signal_probabilities
 
 
 class TestSignalProbabilities:
@@ -19,11 +19,6 @@ class TestSignalProbabilities:
     def test_custom_input_probabilities(self, and2):
         probs = signal_probabilities(and2, {"a": 1.0, "b": 0.25})
         assert probs["y"] == pytest.approx(0.25)
-
-    def test_overrides_propagate(self, chain3):
-        probs = signal_probabilities(chain3, overrides={"o1": 1.0})
-        assert probs["o1"] == 1.0
-        assert probs["a1"] == pytest.approx(0.5)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 5000))
@@ -73,24 +68,6 @@ class TestObservabilities:
         b.output(b.xor(a, c, name="y"))
         cop = cop_measures(b.build())
         assert cop.observability["a"] == 1.0
-
-    def test_stem_combination_modes(self, diamond):
-        probs = signal_probabilities(diamond)
-        or_obs, _ = observabilities(diamond, probs, stem_combine="or")
-        max_obs, _ = observabilities(diamond, probs, stem_combine="max")
-        assert max_obs["s"] <= or_obs["s"] + 1e-12
-
-    def test_invalid_mode(self, diamond):
-        probs = signal_probabilities(diamond)
-        with pytest.raises(ValueError):
-            observabilities(diamond, probs, stem_combine="bogus")
-
-    def test_observed_injection(self, chain3):
-        probs = signal_probabilities(chain3)
-        base, _ = observabilities(chain3, probs)
-        boosted, _ = observabilities(chain3, probs, observed={"o1": 1.0})
-        assert boosted["o1"] == 1.0
-        assert boosted["b"] > base["b"]
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 5000))

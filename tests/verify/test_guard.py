@@ -13,7 +13,6 @@ from repro.sim.fault_sim import FaultSimulator
 from repro.sim.faults import all_stuck_at_faults
 from repro.sim.logic_sim import LogicSimulator
 from repro.sim.patterns import UniformRandomSource
-from repro.testability.cop import cop_measures
 from repro.verify import (
     Guard,
     GuardedSession,
@@ -158,28 +157,6 @@ class TestFaultSimGuard:
 
 
 class TestCopAndIncrementalGuards:
-    def test_cop_clean_under_full_shadowing(self, tmp_path):
-        circuit = random_dag(n_inputs=4, n_gates=12, seed=5)
-        guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
-        cop_measures(circuit, kernel="numpy", guard=guard)
-        assert guard.checks >= 1
-        assert guard.divergences == 0
-
-    def test_cop_empty_override_maps_still_shadow_checked(self, tmp_path):
-        # Empty (falsy) override/observed maps take the fast-backend
-        # path exactly like None, so they must be guarded like None.
-        circuit = random_dag(n_inputs=4, n_gates=12, seed=5)
-        guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
-        cop_measures(
-            circuit,
-            probability_overrides={},
-            observed={},
-            kernel="numpy",
-            guard=guard,
-        )
-        assert guard.checks >= 1
-        assert guard.divergences == 0
-
     def test_incremental_clean_under_ambient_session(self, tmp_path):
         from repro.core.incremental import IncrementalEvaluator
         from repro.core.problem import TPIProblem
