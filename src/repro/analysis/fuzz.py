@@ -8,7 +8,6 @@ it deliberately: a time-budgeted loop draws seeded random circuits from
 :mod:`repro.circuit.generators` and cross-checks every fast path against
 its arbiter —
 
-* numpy logic simulation vs the interpreter (full node-word map);
 * numpy fault simulation of the whole fault list, forced onto one
   batched sweep, vs the interpreter;
 * fault dropping (:meth:`run_coverage`) vs the exact run it must match;
@@ -161,14 +160,6 @@ def _stimulus_context(
         "kernel": "numpy",
         **extra,
     }
-
-
-def _check_logic_sim(
-    circuit: Circuit, seed: int, n_patterns: int
-) -> Optional[_Divergence]:
-    return _diverges(
-        "fuzz.logic_sim", circuit, _stimulus_context(circuit, seed, n_patterns)
-    )
 
 
 def _check_fault_sim(
@@ -584,7 +575,6 @@ def run_fuzz(
                 circuit = _build_circuit(trial, seed, max_gates)
                 stim_seed = trial * 7919 + seed
                 checks: List[Callable[[Circuit], Optional[_Divergence]]] = [
-                    lambda c: _check_logic_sim(c, stim_seed, n_patterns),
                     lambda c: _check_fault_sim(c, stim_seed, n_patterns),
                     lambda c: _check_coverage(c, stim_seed, n_patterns),
                     lambda c: _check_placement(c, stim_seed),

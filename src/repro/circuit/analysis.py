@@ -44,27 +44,34 @@ def reconvergent_stems(circuit: Circuit) -> List[str]:
     """Return stems whose fanout branches reconverge.
 
     A stem ``s`` is reconvergent when two *distinct* immediate fanout
-    branches reach a common node downstream.  Detection walks the fanout
-    cone of each branch and intersects the reach sets — quadratic in the
-    worst case but fast on benchmark-scale circuits.
+    branches reach a common node downstream (a stem that drives two pins
+    of one gate reconverges at that gate).  Detection walks each stem's
+    fanout cone once, tagging every node with the first branch that
+    reaches it, and stops at the first node a second branch reaches.
     """
+    order = circuit.topological_order()
+    sinks = {
+        name: [sink for sink, _pin in circuit.fanouts(name)] for name in order
+    }
     result: List[str] = []
-    for name in circuit.topological_order():
-        sinks = circuit.fanouts(name)
-        if len(sinks) <= 1:
+    for name in order:
+        if len(sinks[name]) <= 1:
             continue
-        reaches: List[Set[str]] = []
-        reconverges = False
-        seen_union: Set[str] = set()
-        for sink, _pin in sinks:
-            reach = circuit.fanout_cone(sink)
-            if reach & seen_union:
-                reconverges = True
+        branch_of: Dict[str, int] = {}
+        meets = False
+        for branch, sink in enumerate(sinks[name]):
+            stack = [sink]
+            while stack and not meets:
+                cur = stack.pop()
+                seen = branch_of.get(cur)
+                if seen is None:
+                    branch_of[cur] = branch
+                    stack.extend(sinks[cur])
+                else:
+                    meets = seen != branch
+            if meets:
+                result.append(name)
                 break
-            seen_union |= reach
-            reaches.append(reach)
-        if reconverges:
-            result.append(name)
     return result
 
 

@@ -1102,7 +1102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fuzz",
-        help="differential fuzzer: cross-check numpy logic/fault sim, "
+        help="differential fuzzer: cross-check numpy fault sim, "
         "fault dropping, placement passes, incremental deltas and "
         "gains, batch chunk seams and parallel runs against their "
         "arbiters, and DP vs exhaustive, on random circuits",

@@ -139,8 +139,8 @@ def solve_dp_heuristic(
         for ridx in targets:
             if budget is not None:
                 budget.tick("heuristic.region")
-            old = points_by_region.get(ridx, [])
-            base = [p for p in points if p not in set(old)]
+            old = set(points_by_region.get(ridx, ()))
+            base = [p for p in points if p not in old]
             base_eval = inc.evaluate(base)
             sub = extract_region_subproblem(
                 problem, regions[ridx], base_eval, budget=budget
@@ -165,7 +165,7 @@ def solve_dp_heuristic(
             if not solution.feasible:
                 continue
             mapped = [sub.map_point(p) for p in solution.points]
-            if set(mapped) != set(old):
+            if set(mapped) != old:
                 progress = True
             points = _merge_points(base, mapped)
             points_by_region[ridx] = mapped

@@ -19,7 +19,6 @@ from .bitops import (
     unpack_patterns,
     weighted_random_word,
     word_count,
-    word_to_ndarray,
 )
 from .compile import (
     DEFAULT_KERNEL,
@@ -59,7 +58,6 @@ __all__ = [
     "clear_registry",
     "ones_mask",
     "word_count",
-    "word_to_ndarray",
     "ndarray_to_word",
     "bit_get",
     "bit_set",

@@ -28,11 +28,7 @@ __all__ = [
     "unpack_patterns",
     "split_word_blocks",
     "word_count",
-    "word_to_ndarray",
     "ndarray_to_word",
-    "pack_bits_ndarray",
-    "unpack_bits_ndarray",
-    "pack_patterns_ndarray",
 ]
 
 
@@ -202,8 +198,8 @@ def unpack_patterns(words: List[int], n_patterns: int) -> List[List[int]]:
 # uint64 vector: pattern ``i`` lives in bit ``i % 64`` of element ``i // 64``,
 # so ``word == sum(arr[k] << (64 * k))``.  Both layouts export the same byte
 # string (CPython bignums and ``<u8`` arrays are little-endian over bytes),
-# which makes the conversions below byte-copies at worst and zero-copy views
-# where the buffer protocol allows it.
+# so a conversion is a byte copy (:func:`repro.sim.npsim.words_to_rows`
+# packs many words at once).
 # ---------------------------------------------------------------------------
 
 
@@ -212,19 +208,6 @@ def word_count(n_patterns: int) -> int:
     if n_patterns < 0:
         raise ValueError("pattern count cannot be negative")
     return (n_patterns + 63) >> 6
-
-
-def word_to_ndarray(word: int, n_patterns: int):
-    """Expand an int word into a read-only little-endian uint64 ndarray.
-
-    The result is a zero-copy :func:`numpy.frombuffer` view over the
-    bignum's single byte export (``int.to_bytes``); bits above
-    ``n_patterns`` are masked off so the array round-trips exactly through
-    :func:`ndarray_to_word`.  Copy the array before mutating it.
-    """
-    n_words = word_count(n_patterns)
-    buf = (word & ones_mask(n_patterns)).to_bytes(n_words * 8, "little")
-    return np.frombuffer(buf, dtype="<u8")
 
 
 def ndarray_to_word(arr) -> int:
@@ -236,56 +219,3 @@ def ndarray_to_word(arr) -> int:
     """
     arr = np.ascontiguousarray(arr, dtype="<u8")
     return int.from_bytes(arr.data, "little")
-
-
-def pack_bits_ndarray(bits: Iterable[int]):
-    """Pack an iterable of 0/1 values into a uint64 ndarray (bit 0 first).
-
-    Equivalent to ``word_to_ndarray(pack_bits(bits), len(bits))`` but built
-    with :func:`numpy.packbits` — no intermediate bignum.
-    """
-    arr = np.asarray(list(bits) if not hasattr(bits, "__len__") else bits,
-                     dtype=np.uint8)
-    packed = np.packbits(arr, bitorder="little")
-    pad = (-packed.size) % 8
-    if pad:
-        packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-    if packed.size == 0:
-        return np.zeros(0, dtype="<u8")
-    return packed.view("<u8")
-
-
-def unpack_bits_ndarray(arr, n_patterns: int) -> List[int]:
-    """Expand a uint64 ndarray into a list of 0/1 ints (bit 0 first).
-
-    Exact inverse of :func:`pack_bits_ndarray`; matches
-    :func:`unpack_bits` applied to :func:`ndarray_to_word`.
-    """
-    if n_patterns <= 0:
-        return []
-    arr = np.ascontiguousarray(arr, dtype="<u8")
-    bits = np.unpackbits(arr.view(np.uint8), count=n_patterns, bitorder="little")
-    return bits.tolist()
-
-
-def pack_patterns_ndarray(patterns: List[List[int]], n_signals: int):
-    """Transpose a pattern-major 0/1 matrix into a signal-major uint64 array.
-
-    ndarray analogue of :func:`pack_patterns`: the result has shape
-    ``(n_signals, word_count(len(patterns)))`` and row ``s`` equals
-    ``word_to_ndarray(pack_patterns(patterns, n_signals)[s], len(patterns))``.
-    """
-    n_patterns = len(patterns)
-    for p, pattern in enumerate(patterns):
-        if len(pattern) != n_signals:
-            raise ValueError(
-                f"pattern {p} has {len(pattern)} values; expected {n_signals}"
-            )
-    n_words = word_count(n_patterns)
-    if n_patterns == 0:
-        return np.zeros((n_signals, n_words), dtype="<u8")
-    matrix = np.asarray(patterns, dtype=np.uint8)  # (n_patterns, n_signals)
-    packed = np.packbits(matrix.T, axis=1, bitorder="little")
-    out = np.zeros((n_signals, n_words * 8), dtype=np.uint8)
-    out[:, : packed.shape[1]] = packed
-    return out.view("<u8")

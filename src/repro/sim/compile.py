@@ -1,4 +1,4 @@
-"""Kernel-mode selection shared by every simulation entry point.
+"""Kernel-mode selection for fault simulation and the placement passes.
 
 Two kernel modes exist.  ``"numpy"`` (the default) runs the word-parallel
 array engine of :mod:`repro.sim.npsim`; ``"interp"`` runs the interpreted

@@ -8,7 +8,10 @@ parallel, the PPSFP-style organization classic fault simulators use.
 On the numpy kernel a block of faults may instead run through one
 fault-parallel sweep (:func:`repro.sim.npsim.propagate_batch`);
 :func:`repro.sim.npsim.fault_batch_declined` picks between the two paths
-per block, and every block it declines walks on the interpreter.
+per block, and every block it declines walks on the interpreter.  Both
+paths start from the same good machine: the interpreted
+:class:`~repro.sim.logic_sim.LogicSimulator`'s int words, which a
+batched block packs into its matrix.
 
 Key outputs:
 
@@ -184,14 +187,10 @@ class FaultSimulator:
 
         self._active_guard = active_guard
         self._revision = circuit.revision
-        self._logic = LogicSimulator(circuit, kernel=self.kernel)
+        self._logic = LogicSimulator(circuit)
         self._np_plan = (
             npsim.get_plan(circuit) if self.kernel == "numpy" else None
         )
-        # Single-slot identity cache: the packed-array form of the last
-        # good-values mapping seen (parallel workers and dropping blocks
-        # reuse one mapping across thousands of faults).
-        self._np_state_cache: Optional[Tuple[object, int, object]] = None
         self._level = circuit.levels()
         self._out_set = set(circuit.outputs)
         # Flat per-node lookups for the propagation hot loop (the Circuit
@@ -306,8 +305,6 @@ class FaultSimulator:
         """
         self._check_revision()
         mask = self._mask(n_patterns)
-        if isinstance(good_values, npsim.PackedState):
-            good_values = good_values.int_map()
         stuck_word = mask if fault.value else 0
 
         if fault.branch is None:
@@ -338,26 +335,6 @@ class FaultSimulator:
                 f"{self._revision} -> {self.circuit.revision}); "
                 "create a new simulator"
             )
-
-    def _np_state(
-        self, good_values: Mapping[str, int], n_patterns: int
-    ) -> "npsim.PackedState":
-        """Packed-array form of ``good_values`` (identity-cached)."""
-        if (
-            isinstance(good_values, npsim.PackedState)
-            and good_values.plan is self._np_plan
-        ):
-            return good_values
-        cached = self._np_state_cache
-        if (
-            cached is not None
-            and cached[0] is good_values
-            and cached[1] == n_patterns
-        ):
-            return cached[2]
-        state = self._np_plan.state_from_values(good_values, n_patterns)
-        self._np_state_cache = (good_values, n_patterns, state)
-        return state
 
     def _block_words(
         self,
@@ -409,7 +386,7 @@ class FaultSimulator:
         """
         self._check_revision()
         mask = self._mask(n_patterns)
-        state = self._np_state(good_values, n_patterns)
+        state = npsim.PackedState(self._np_plan, good_values, n_patterns)
         sites = self._batch_sites(faults, state)
         detect, evals = npsim.propagate_batch(state, sites)
         self.gate_evals += evals
@@ -423,8 +400,8 @@ class FaultSimulator:
                     fault.node if fault.branch is None else fault.branch[0]
                 )
                 self._shadow_check(
-                    guard, fault, start, ndarray_to_word(forced), state,
-                    n_patterns, mask, word,
+                    guard, fault, start, ndarray_to_word(forced),
+                    good_values, n_patterns, mask, word,
                 )
         return words
 
@@ -516,7 +493,7 @@ class FaultSimulator:
         fault: Fault,
         start: str,
         injected: int,
-        state: "npsim.PackedState",
+        good_values: Mapping[str, int],
         n_patterns: int,
         mask: int,
         detect: int,
@@ -529,7 +506,7 @@ class FaultSimulator:
         saved_evals = self.gate_evals
         try:
             expected = self._interp_propagate(
-                start, injected, state.int_map(), mask, None
+                start, injected, good_values, mask, None
             )
         finally:
             self.gate_evals = saved_evals
@@ -547,7 +524,7 @@ class FaultSimulator:
             context={
                 "fault": fault_to_payload(fault),
                 "n_patterns": n_patterns,
-                "good_values": dict(state),
+                "good_values": dict(good_values),
                 "variant": "detect",
                 "start": start,
                 "kernel": self.kernel,

@@ -7,14 +7,12 @@ single packed integer word (see :mod:`repro.sim.bitops`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from ..circuit.gates import evaluate_gate
 from ..circuit.netlist import Circuit
 from ..errors import SimulationError
-from . import npsim
 from .bitops import ones_mask
-from .compile import resolve_kernel
 
 __all__ = ["LogicSimulator", "simulate", "signal_probabilities_by_simulation"]
 
@@ -28,22 +26,19 @@ class LogicSimulator:
     :class:`~repro.errors.SimulationError` instead of returning stale
     values.
 
-    ``kernel`` picks the simulation backend: ``"numpy"`` (the default)
-    uses the word-parallel array engine of :mod:`repro.sim.npsim`,
-    ``"interp"`` the interpreted gate walk, which remains the
-    ground-truth arbiter.
+    The walk is the only good-machine engine: fault simulation starts
+    from its words on every kernel (a numpy fault batch packs them into
+    its matrix, see :class:`repro.sim.npsim.PackedState`).
     """
 
-    def __init__(self, circuit: Circuit, kernel: Optional[str] = None) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         circuit.validate()
         self.circuit = circuit
-        self.kernel = resolve_kernel(kernel)
         self._revision = circuit.revision
         self._order: List[str] = [
             name for name in circuit.topological_order() if circuit.node(name).is_gate
         ]
         self._inputs = circuit.inputs
-        self._plan: Optional[npsim.CircuitPlan] = None
 
     def _check_revision(self) -> None:
         if self.circuit.revision != self._revision:
@@ -56,13 +51,11 @@ class LogicSimulator:
 
     def run(
         self, stimulus: Mapping[str, int], n_patterns: int
-    ) -> Mapping[str, int]:
+    ) -> Dict[str, int]:
         """Simulate and return the packed value word of every node.
 
-        The result maps node name → packed word.  The numpy backend
-        returns a :class:`~repro.sim.npsim.PackedState` — a mapping that
-        compares equal to the plain dict of the interpreted walk while
-        keeping the packed arrays available to the fault simulator.
+        The result maps node name → packed word, inputs first, then the
+        gates in topological order.
 
         Parameters
         ----------
@@ -73,10 +66,6 @@ class LogicSimulator:
             Number of valid pattern bits.
         """
         self._check_revision()
-        if self.kernel == "numpy":
-            if self._plan is None:
-                self._plan = npsim.get_plan(self.circuit)
-            return self._plan.run_state(stimulus, n_patterns)
         mask = ones_mask(n_patterns)
         values: Dict[str, int] = {}
         for pi in self._inputs:

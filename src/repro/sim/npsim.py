@@ -4,9 +4,9 @@ The interpreted simulator packs all patterns of one signal into a Python
 bignum, whose limbs are 30-bit CPython digits, and dispatches on the gate
 type at every visited gate.  This module packs each signal into a
 little-endian ``(n_words,)`` ``uint64`` ndarray instead (see
-:func:`repro.sim.bitops.word_to_ndarray` for the layout) and evaluates
-each *group* of same-shaped gates as a handful of vectorized ufunc calls
-— 64-bit limbs, SIMD inner loops, no per-gate allocation.
+:func:`words_to_rows` for the layout) and evaluates each *group* of
+same-shaped gates as a handful of vectorized ufunc calls — 64-bit
+limbs, SIMD inner loops, no per-gate allocation.
 
 Plans
 -----
@@ -19,12 +19,13 @@ the value matrix.  Plans live in a process-wide LRU registry keyed by
 can never be served stale index arrays), and are cheap enough to rebuild
 in parallel workers (no pickled payload needed).
 
-Three passes share the plan:
+Two passes share the plan:
 
-* **logic** — fault-free simulation of all gates (uint64 bitwise folds);
 * **fault** — the fault-parallel batched sweep (:func:`propagate_batch`)
   for fault blocks that :func:`fault_batch_declined` accepts; every
-  other block walks on the interpreter;
+  other block walks on the interpreter.  Its good machine is the
+  interpreted :class:`~repro.sim.logic_sim.LogicSimulator`'s int words,
+  packed into a :class:`PackedState` in one bulk conversion;
 * **placement** — the placement-aware forward+backward pass of
   :func:`repro.core.virtual.evaluate_placement`, with the (few) control/
   observe-site fixups applied as scalar patches between level sweeps.
@@ -61,7 +62,7 @@ import numpy as np
 from .. import obs
 from ..circuit.gates import GateType
 from ..circuit.netlist import Circuit
-from .bitops import word_count, word_to_ndarray
+from .bitops import ones_mask, word_count
 
 __all__ = [
     "BATCH_CHUNK_BYTES",
@@ -84,6 +85,7 @@ __all__ = [
     "mask_array",
     "propagate_batch",
     "rows_to_words",
+    "words_to_rows",
 ]
 
 
@@ -358,63 +360,25 @@ def _backward_level(
 # ---------------------------------------------------------------------------
 
 
-class PackedState(Mapping):
-    """Good-machine values as a ``(n_rows, n_words)`` uint64 matrix.
+class PackedState:
+    """The fault batch's good machine as a ``(n_rows, n_words)`` matrix.
 
-    Behaves as the usual node → int-word mapping (so it can stand in for
-    ``LogicSimulator.run`` results anywhere), but keeps the array form
-    primary: fault propagation reads rows directly, and the int view is
-    materialized lazily only when something (the Guard arbiter, a repro
-    bundle, a caller iterating items) actually asks for it.
+    Packs the interpreted walk's node → int-word mapping into plan row
+    order in one bulk conversion (:func:`words_to_rows`); the matrix is
+    read-only, and :func:`propagate_batch` reads its rows directly.
     """
 
-    def __init__(self, plan: "CircuitPlan", values, n_patterns: int) -> None:
+    def __init__(
+        self, plan: "CircuitPlan", good_values: Mapping[str, int],
+        n_patterns: int,
+    ) -> None:
         self.plan = plan
-        self.values = values
-        self.n_patterns = n_patterns
+        self.values = words_to_rows(
+            [good_values[name] for name in plan._row_names], n_patterns
+        )
         self.mask = mask_array(n_patterns)
-        self._ints: Optional[Dict[str, int]] = None
         self._zeros = None
         self._inject = None
-
-    # -- Mapping interface (int-word view) ------------------------------
-    def int_map(self) -> Dict[str, int]:
-        """The node → packed-int-word dict (built once, cached)."""
-        if self._ints is None:
-            # One bulk ``tobytes`` of the whole matrix beats a per-row
-            # ndarray round trip; the first Guard shadow check of a run
-            # pays this build, so it sits on the measured overhead path.
-            words = rows_to_words(self.values)
-            self._ints = {
-                name: words[r] for name, r in self.plan.entry_rows
-            }
-        return self._ints
-
-    def __getitem__(self, name: str) -> int:
-        return self.int_map()[name]
-
-    def __iter__(self):
-        return iter(self.int_map())
-
-    def __len__(self) -> int:
-        return self.plan.n_rows
-
-    # Mapping from collections.abc does not supply value equality; the
-    # test suites compare backend results with ``==`` against plain dicts.
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PackedState):
-            return self.int_map() == other.int_map()
-        if isinstance(other, Mapping):
-            return self.int_map() == dict(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PackedState({self.plan.name!r}, nodes={self.plan.n_rows}, "
-            f"n_patterns={self.n_patterns})"
-        )
 
     # -- propagation buffers --------------------------------------------
     def stuck_row(self, value: int):
@@ -509,6 +473,21 @@ def rows_to_words(matrix) -> List[int]:
         int.from_bytes(raw[i * stride : (i + 1) * stride], "little")
         for i in range(n_rows)
     ]
+
+
+def words_to_rows(words: Sequence[int], n_patterns: int):
+    """Read-only ``(len(words), n_words)`` uint64 matrix of int words.
+
+    The inverse of :func:`rows_to_words`: one ``to_bytes`` per word
+    (masked to ``n_patterns`` bits), one join, one ``frombuffer``.  Row
+    ``i`` holds pattern ``p`` of ``words[i]`` in bit ``p % 64`` of
+    element ``p // 64``; ints and ``uint64`` arrays are both
+    little-endian over bytes, so the conversion is a byte copy.
+    """
+    mask = ones_mask(n_patterns)
+    n_words = word_count(n_patterns)
+    raw = b"".join((w & mask).to_bytes(8 * n_words, "little") for w in words)
+    return np.frombuffer(raw, dtype=np.uint64).reshape(len(words), n_words)
 
 
 def propagate_batch(
@@ -794,10 +773,6 @@ class CircuitPlan:
                     fanin_rows[g, k] = row[fi]
             self.logic_groups.append((gate_type, arity, lo, hi, fanin_rows))
 
-        # -- dict insertion order of the interpreted simulator
-        self.entry_rows: List[Tuple[str, int]] = [
-            (name, row[name]) for name in self.inputs
-        ] + [(name, row[name]) for name in gate_names]
         self.output_rows: List[Tuple[str, int]] = [
             (name, row[name]) for name in self.outputs
         ]
@@ -969,41 +944,6 @@ class CircuitPlan:
                     aux = _DeltaAux(self)
                     self._delta_aux = aux
         return aux
-
-    # ------------------------------------------------------------------
-    # Logic pass
-    # ------------------------------------------------------------------
-    def run_matrix(self, stimulus: Mapping[str, int], n_patterns: int):
-        """Fault-free simulation into a fresh ``(n_rows, n_words)`` matrix."""
-        n_words = word_count(n_patterns)
-        V = np.empty((self.n_rows, n_words), dtype=np.uint64)
-        mask = mask_array(n_patterns)
-        for i, name in enumerate(self.inputs):
-            V[i] = word_to_ndarray(stimulus.get(name, 0), n_patterns)
-        for gate_type, arity, lo, hi, fanin_rows in self.logic_groups:
-            _eval_word_group(gate_type, arity, fanin_rows, V, V[lo:hi], mask)
-        return V
-
-    def run_state(
-        self, stimulus: Mapping[str, int], n_patterns: int
-    ) -> PackedState:
-        """Fault-free simulation as a :class:`PackedState`."""
-        return PackedState(
-            self, self.run_matrix(stimulus, n_patterns), n_patterns
-        )
-
-    def state_from_values(
-        self, good_values: Mapping[str, int], n_patterns: int
-    ) -> PackedState:
-        """Pack an existing int-word mapping into array form."""
-        n_words = word_count(n_patterns)
-        V = np.empty((self.n_rows, n_words), dtype=np.uint64)
-        for name, r in self.row.items():
-            V[r] = word_to_ndarray(good_values[name], n_patterns)
-        state = PackedState(self, V, n_patterns)
-        if isinstance(good_values, dict):
-            state._ints = good_values  # already materialized; share it
-        return state
 
     # ------------------------------------------------------------------
     # Placement-aware pass (evaluate_placement)

@@ -12,12 +12,12 @@ so callers never observe the parallelism.
 
 Design notes:
 
-* workers are primed once (per pool) with the circuit, the stimulus, and —
-  in exact mode — the parent's good-circuit words, so each worker replays
-  the same fault-free state instead of re-deriving it per chunk; under the
-  numpy kernel the words ship as the parent's packed ``(n_rows, n_words)``
-  matrices and each contiguous fault chunk becomes a B-axis shard of the
-  batched fault cube, propagated straight off the shared arrays;
+* workers are primed once (per pool) with the circuit, the stimulus and
+  the parent's good-circuit int words (one map in exact mode, one per
+  dropping block in coverage mode), so each worker replays the same
+  fault-free state instead of re-deriving it per chunk; a numpy worker's
+  batched blocks pack those words into their matrices as a serial run
+  does;
 * cooperative budgets are honored *inside* workers: each chunk gets a
   fresh-clock budget whose ``max_patterns`` share is proportional to its
   chunk size.  :class:`~repro.errors.BudgetExceededError` does not survive
@@ -51,7 +51,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .. import obs
 from ..errors import BudgetExceededError, SimulationError
 from ..resilience import Budget
-from . import npsim
 from .compile import resolve_kernel
 from .fault_sim import FaultSimResult, FaultSimulator
 from .faults import Fault
@@ -80,42 +79,19 @@ def _init_worker(
     good_blocks: Optional[List[Tuple[int, Mapping[str, int]]]],
     kernel: str = "interp",
     run_id: Optional[str] = None,
-    good_matrix=None,
-    good_block_matrices: Optional[List[Tuple[int, object]]] = None,
 ) -> None:
     """Prime one worker process with the shared simulation state.
 
     ``run_id`` is the parent recorder's run identifier — it rides back in
     every chunk's telemetry so worker-side activity can be attributed to
     the parent trace.
-
-    ``good_matrix`` / ``good_block_matrices`` are the numpy kernel's
-    cube-shard priming: the parent's packed good matrix (its
-    ``(n_rows, n_words)`` uint64 array — plans themselves hold locks and
-    don't pickle) or its per-dropping-block equivalents.  The worker
-    wraps them in :class:`~repro.sim.npsim.PackedState` against its
-    locally-rebuilt plan, so every fault chunk — one B-axis shard of the
-    batched fault cube — propagates straight off the shared arrays with
-    no per-worker int-word repacking.
     """
     global _WORKER_STATE
     # The parent's recorder (file handles, span stacks) must not be
     # inherited into forked workers — concurrent writes would interleave.
     obs.set_recorder(None)
-    # numpy plans are cheap index arrays: each worker rebuilds its own
-    # (they hold locks and don't pickle) instead of receiving the
-    # parent's; interp needs nothing.
-    if kernel == "numpy":
-        npsim.get_plan(circuit)
-    if good_matrix is not None:
-        plan = npsim.get_plan(circuit)
-        good_values = npsim.PackedState(plan, good_matrix, n_patterns)
-    if good_block_matrices is not None:
-        plan = npsim.get_plan(circuit)
-        good_blocks = [
-            (blk_n, npsim.PackedState(plan, matrix, blk_n))
-            for blk_n, matrix in good_block_matrices
-        ]
+    # A numpy simulator builds its worker's own plan (plans are cheap
+    # index arrays; they hold locks and don't pickle).
     _WORKER_STATE = {
         "sim": FaultSimulator(circuit, kernel=kernel),
         "stimulus": stimulus,
@@ -348,9 +324,7 @@ def run_parallel(
         order wins, for determinism).
     kernel:
         ``"numpy"`` or ``"interp"``; forwarded to every worker's
-        simulator.  numpy workers receive the parent's packed good
-        matrices (cube-shard priming — each fault chunk is a B-axis shard
-        of the batched fault cube over the shared arrays).
+        simulator.
 
     Failure handling never changes the result, only the wall clock: if
     the pool cannot start, a worker dies or raises, or a chunk payload
@@ -378,29 +352,12 @@ def run_parallel(
     chunks = split_chunks(faults, jobs)
     specs = _chunk_budget_specs(budget, chunks)
     # The good machine is simulated once, in the parent; workers replay
-    # the shared words (free under fork, one pickle under spawn).  The
-    # numpy kernel ships its packed matrices instead of int-word dicts:
-    # each worker wraps the raw arrays against its own plan (see
-    # ``_init_worker``) and its fault chunks run as B-axis shards of the
-    # batched fault cube, skipping the per-worker repacking the dict
-    # round-trip used to cost.
-    good_values = good_blocks = good_matrix = good_block_matrices = None
+    # the shared words (free under fork, one pickle under spawn).
+    good_values = good_blocks = None
     if mode == "exact":
-        good = sim._logic.run(stimulus, n_patterns)
-        if kernel == "numpy" and isinstance(good, npsim.PackedState):
-            good_matrix = good.values
-        else:
-            good_values = dict(good)
+        good_values = sim._logic.run(stimulus, n_patterns)
     else:
-        blocks = list(sim.coverage_blocks(stimulus, n_patterns, block))
-        if kernel == "numpy" and all(
-            isinstance(gv, npsim.PackedState) for _n, gv in blocks
-        ):
-            good_block_matrices = [
-                (blk_n, gv.values) for blk_n, gv in blocks
-            ]
-        else:
-            good_blocks = [(blk_n, dict(gv)) for blk_n, gv in blocks]
+        good_blocks = list(sim.coverage_blocks(stimulus, n_patterns, block))
     parent_recorder = obs.get_recorder()
     run_id = parent_recorder.run_id if parent_recorder is not None else None
     with obs.span(
@@ -441,8 +398,6 @@ def run_parallel(
                     good_blocks,
                     kernel,
                     run_id,
-                    good_matrix,
-                    good_block_matrices,
                 ),
             )
             try:

@@ -199,11 +199,11 @@ class TestSaboteurSelfTest:
         )
         assert report.failures, "fuzzer missed the planted engine bug"
         failure = report.failures[0]
-        assert failure.kind == "fuzz.logic_sim"
+        assert failure.kind == "fuzz.fault_sim"
         assert failure.gates_shrunk <= 10
         assert failure.gates_shrunk <= failure.gates_found
         manifest, circuit = load_bundle(failure.bundle)
-        assert manifest["kind"] == "fuzz.logic_sim"
+        assert manifest["kind"] == "fuzz.fault_sim"
         assert manifest["context"]["kernel"] == "numpy"
         assert circuit.gate_count() == failure.gates_shrunk
         assert any(g.gate_type is GateType.AND for g in circuit.gates)
@@ -359,16 +359,11 @@ def _lane_cases():
     def dag():
         return generators.random_dag(5, 24, seed=2)
 
-    words = lambda _mp, bug: bug(GateType.AND, GateType.OR)  # noqa: E731
     floats = lambda _mp, bug: bug(  # noqa: E731
         GateType.AND, GateType.OR, folds="floats"
     )
     # id: (lane, kind it bundles, circuit, plant, shrink probes)
     return {
-        "logic_sim": (
-            lambda c: fuzz._check_logic_sim(c, 0, 64), "fuzz.logic_sim",
-            dag, words, 60,
-        ),
         "fault_sim": (
             lambda c: fuzz._check_fault_sim(c, 0, 64), "fuzz.fault_sim",
             dag, _batch_plant(_flip_bit_zero), 60,

@@ -52,6 +52,46 @@ class TestReconvergence:
         assert "G11" in stems or "G16" in stems  # known c17 structure
 
 
+def _per_branch_reconvergent_stems(circuit):
+    """The definition: some node lies in the fanout cones of two
+    distinct branches of the stem."""
+    stems = []
+    for name in circuit.topological_order():
+        cones = [circuit.fanout_cone(sink) for sink, _ in circuit.fanouts(name)]
+        if any(
+            cones[i] & cones[j]
+            for i in range(len(cones))
+            for j in range(i + 1, len(cones))
+        ):
+            stems.append(name)
+    return stems
+
+
+class TestReconvergenceMatchesDefinition:
+    def test_c17(self, c17):
+        assert reconvergent_stems(c17) == _per_branch_reconvergent_stems(c17)
+
+    def test_stem_driving_two_pins_of_one_gate(self):
+        b = CircuitBuilder("pins")
+        a, c = b.inputs("a", "b")
+        s = b.not_(a, name="s")
+        y = b.and_(s, s, name="y")
+        z = b.or_(c, y, name="z")
+        b.output(z)
+        circuit = b.build()
+        assert reconvergent_stems(circuit) == ["s"]
+        assert reconvergent_stems(circuit) == (
+            _per_branch_reconvergent_stems(circuit)
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_dags(self, seed):
+        circuit = generators.random_dag(8, 120, seed=seed, fanin_span=20)
+        assert reconvergent_stems(circuit) == (
+            _per_branch_reconvergent_stems(circuit)
+        )
+
+
 class TestFFRDecomposition:
     def test_partition_property(self):
         """Every gate belongs to exactly one region."""

@@ -78,74 +78,41 @@ class TestNdarrayBridge:
 
     import numpy as np
 
-    @given(st.integers(0, (1 << 200) - 1), st.integers(0, 200))
-    def test_word_roundtrip(self, word, n_patterns):
-        from repro.sim import ndarray_to_word, ones_mask, word_to_ndarray
+    @given(
+        st.lists(st.integers(0, (1 << 200) - 1), max_size=4),
+        st.integers(0, 200),
+    )
+    def test_word_roundtrip(self, words, n_patterns):
+        from repro.sim import ndarray_to_word, ones_mask
+        from repro.sim.npsim import rows_to_words, words_to_rows
 
-        arr = word_to_ndarray(word, n_patterns)
-        assert ndarray_to_word(arr) == word & ones_mask(n_patterns)
+        rows = words_to_rows(words, n_patterns)
+        masked = [word & ones_mask(n_patterns) for word in words]
+        assert [ndarray_to_word(row) for row in rows] == masked
+        assert rows_to_words(rows) == masked
 
     @pytest.mark.parametrize("n_patterns", [0, 1, 63, 64, 65, 128, 129])
     def test_word_count_and_shape(self, n_patterns):
-        from repro.sim import word_count, word_to_ndarray
+        from repro.sim import word_count
+        from repro.sim.npsim import words_to_rows
 
-        arr = word_to_ndarray(0, n_patterns)
-        assert arr.shape == (word_count(n_patterns),)
-        assert arr.dtype == self.np.dtype("<u8")
+        rows = words_to_rows([0, 1], n_patterns)
+        assert rows.shape == (2, word_count(n_patterns))
+        assert rows.dtype == self.np.dtype("<u8")
 
     def test_view_is_read_only(self):
-        from repro.sim import word_to_ndarray
+        from repro.sim.npsim import words_to_rows
 
-        arr = word_to_ndarray(0b1011, 64)
+        rows = words_to_rows([0b1011], 64)
         with pytest.raises((ValueError, RuntimeError)):
-            arr[0] = 1
+            rows[0, 0] = 1
 
     def test_high_bits_masked(self):
-        from repro.sim import ndarray_to_word, word_to_ndarray
+        from repro.sim import ndarray_to_word
+        from repro.sim.npsim import words_to_rows
 
         # Bits above n_patterns never leak into the array.
-        assert ndarray_to_word(word_to_ndarray(0b111, 2)) == 0b11
-
-    @given(st.lists(st.integers(0, 1), max_size=130))
-    def test_pack_bits_ndarray_matches_bignum(self, bits):
-        from repro.sim.bitops import (
-            ndarray_to_word,
-            pack_bits,
-            pack_bits_ndarray,
-            unpack_bits,
-            unpack_bits_ndarray,
-        )
-
-        arr = pack_bits_ndarray(bits)
-        assert ndarray_to_word(arr) == pack_bits(bits)
-        assert unpack_bits_ndarray(arr, len(bits)) == bits
-        assert unpack_bits(pack_bits(bits), len(bits)) == bits
-
-    @given(
-        st.lists(
-            st.lists(st.integers(0, 1), min_size=3, max_size=3),
-            max_size=70,
-        )
-    )
-    def test_pack_patterns_ndarray_matches_bignum(self, patterns):
-        from repro.sim.bitops import (
-            ndarray_to_word,
-            pack_patterns,
-            pack_patterns_ndarray,
-            word_count,
-        )
-
-        mat = pack_patterns_ndarray(patterns, 3)
-        words = pack_patterns(patterns, 3)
-        assert mat.shape == (3, word_count(len(patterns)))
-        for s in range(3):
-            assert ndarray_to_word(mat[s]) == words[s]
-
-    def test_pack_patterns_ndarray_shape_check(self):
-        from repro.sim.bitops import pack_patterns_ndarray
-
-        with pytest.raises(ValueError):
-            pack_patterns_ndarray([[1, 0], [1]], 2)
+        assert ndarray_to_word(words_to_rows([0b111], 2)[0]) == 0b11
 
 
 class TestRandomWords:

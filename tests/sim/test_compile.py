@@ -51,29 +51,6 @@ def _stimulus(circuit, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: logic simulation
-# ---------------------------------------------------------------------------
-
-
-def test_logic_sim_matches_interp_exactly():
-    for circuit in _circuits():
-        stim = _stimulus(circuit)
-        interp = LogicSimulator(circuit, kernel="interp").run(stim, N_PATTERNS)
-        default = LogicSimulator(circuit).run(stim, N_PATTERNS)
-        assert default == interp
-        assert list(default) == list(interp)  # same insertion order
-
-
-def test_logic_sim_sparse_stimulus_defaults_missing_inputs_to_zero():
-    circuit = random_dag(8, 30, seed=9)
-    stim = _stimulus(circuit, seed=2)
-    sparse = {pi: w for pi, w in list(stim.items())[::2]}
-    interp = LogicSimulator(circuit, kernel="interp").run(sparse, N_PATTERNS)
-    default = LogicSimulator(circuit).run(sparse, N_PATTERNS)
-    assert default == interp
-
-
-# ---------------------------------------------------------------------------
 # Bit-identity: fault simulation
 # ---------------------------------------------------------------------------
 
@@ -84,7 +61,7 @@ def test_fault_sim_matches_interp_exactly():
         interp = FaultSimulator(circuit, kernel="interp")
         default = FaultSimulator(circuit)
         faults = all_stuck_at_faults(circuit)
-        good = LogicSimulator(circuit, kernel="interp").run(stim, N_PATTERNS)
+        good = LogicSimulator(circuit).run(stim, N_PATTERNS)
         for fault in faults:
             assert default.simulate_fault(
                 fault, good, N_PATTERNS
@@ -100,7 +77,7 @@ def test_fault_responses_match_interp_exactly():
     stim = _stimulus(circuit, seed=3)
     interp = FaultSimulator(circuit, kernel="interp")
     default = FaultSimulator(circuit)
-    good = LogicSimulator(circuit, kernel="interp").run(stim, N_PATTERNS)
+    good = LogicSimulator(circuit).run(stim, N_PATTERNS)
     for fault in all_stuck_at_faults(circuit):
         di = interp.simulate_fault_responses(fault, good, N_PATTERNS)
         dd = default.simulate_fault_responses(fault, good, N_PATTERNS)
@@ -229,7 +206,7 @@ def test_resolve_kernel_rejects_unknown_modes():
 def test_simulators_raise_on_mutated_circuit(kernel):
     circuit = random_tree(15, seed=8)
     stim = _stimulus(circuit)
-    logic = LogicSimulator(circuit, kernel=kernel)
+    logic = LogicSimulator(circuit)
     fsim = FaultSimulator(circuit, kernel=kernel)
     good = logic.run(stim, N_PATTERNS)
     fault = all_stuck_at_faults(circuit)[0]
@@ -249,8 +226,6 @@ def test_simulators_raise_on_mutated_circuit(kernel):
 def test_mutated_circuit_gets_fresh_registry_entry():
     clear_registry()
     circuit = random_tree(12, seed=2)
-    stim = _stimulus(circuit)
-    LogicSimulator(circuit).run(stim, N_PATTERNS)
     first = get_plan(circuit)
     circuit.add_input("extra")
     second = get_plan(circuit)
@@ -262,7 +237,7 @@ def test_clear_registry_evicts_every_plan():
     clear_registry()
     for seed in (1, 2):
         circuit = random_tree(10, seed=seed)
-        LogicSimulator(circuit).run(_stimulus(circuit), N_PATTERNS)
+        FaultSimulator(circuit, kernel="numpy")
     assert plan_registry_size() == 2
     clear_registry()
     assert plan_registry_size() == 0
@@ -272,22 +247,20 @@ def test_structurally_identical_circuits_share_kernels():
     clear_registry()
     a = random_dag(5, 15, seed=30)
     b = random_dag(5, 15, seed=30)
-    stim = _stimulus(a)
-    LogicSimulator(a).run(stim, N_PATTERNS)
-    LogicSimulator(b).run(stim, N_PATTERNS)
+    FaultSimulator(a, kernel="numpy")
+    FaultSimulator(b, kernel="numpy")
     assert plan_registry_size() == 1
 
 
 def test_plan_obs_counters_record_builds_and_cache_hits():
     clear_registry()
     circuit = random_tree(10, seed=19)
-    stim = _stimulus(circuit)
     recorder = RunRecorder(None)
     previous = obs.set_recorder(recorder)
     try:
-        LogicSimulator(circuit).run(stim, N_PATTERNS)
+        FaultSimulator(circuit, kernel="numpy")
         # Second simulator on the same structure: registry hit, no build.
-        LogicSimulator(circuit).run(stim, N_PATTERNS)
+        FaultSimulator(circuit, kernel="numpy")
         counters = recorder.metrics.snapshot()["counters"]
     finally:
         obs.set_recorder(previous)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 
 from repro.circuit import generators
-from repro.sim import FaultSimulator, LogicSimulator, UniformRandomSource
+from repro.sim import FaultSimulator, UniformRandomSource
 from repro.sim.compile import clear_registry
 from repro.sim.npsim import get_plan, plan_registry_size
 
@@ -51,17 +51,19 @@ class TestRegistryConcurrency:
         assert plan_registry_size() == 1
         clear_registry()
 
-    def test_concurrent_logic_sim_identical_results(self):
+    def test_concurrent_fault_sim_shares_one_plan(self):
         clear_registry()
         circuit = generators.random_dag(5, 40, seed=8)
         n = 128
         stimulus = UniformRandomSource(seed=1).generate(circuit.inputs, n)
-        reference = LogicSimulator(circuit, kernel="interp").run(stimulus, n)
+        reference = FaultSimulator(circuit, kernel="interp").run(
+            stimulus, n
+        ).detection_word
         results = [None] * 12
 
         def work(i):
-            sim = LogicSimulator(circuit, kernel="numpy")
-            results[i] = sim.run(stimulus, n)
+            sim = FaultSimulator(circuit, kernel="numpy")
+            results[i] = sim.run(stimulus, n).detection_word
 
         _run_threads(12, work)
         assert all(r == reference for r in results)
@@ -94,7 +96,9 @@ class TestRegistryConcurrency:
         clear_registry()
         circuit = generators.c17()
         stimulus = UniformRandomSource(seed=2).generate(circuit.inputs, 64)
-        reference = LogicSimulator(circuit, kernel="interp").run(stimulus, 64)
+        reference = FaultSimulator(circuit, kernel="interp").run(
+            stimulus, 64
+        ).detection_word
 
         def work(i):
             for _ in range(50):
@@ -103,7 +107,8 @@ class TestRegistryConcurrency:
                 elif i % 3 == 1:
                     get_plan(circuit)
                 else:
-                    got = LogicSimulator(circuit).run(stimulus, 64)
+                    sim = FaultSimulator(circuit, kernel="numpy")
+                    got = sim.run(stimulus, 64).detection_word
                     assert got == reference
 
         _run_threads(9, work)

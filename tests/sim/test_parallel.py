@@ -148,7 +148,8 @@ class TestParallelEquivalence:
 
 
 class TestCubeShardedNumpy:
-    """The numpy kernel's B-axis cube sharding across worker processes."""
+    """The numpy kernel across worker processes: each fault chunk is a
+    shard of the batched cube, packed from the parent's good words."""
 
     @pytest.mark.parametrize("mode", ["exact", "coverage"])
     def test_bit_identical_to_interp_serial(self, mode):
@@ -161,30 +162,6 @@ class TestCubeShardedNumpy:
         assert list(parallel.detection_word) == list(serial.detection_word)
         if mode == "exact":
             assert parallel.detection_word == serial.detection_word
-
-    def test_worker_priming_wraps_shipped_matrices(self):
-        from repro.sim import npsim
-        from repro.sim import parallel as par_mod
-        from repro.sim.parallel import _init_worker
-
-        circuit, stimulus, n = _workload(9)
-        sim = FaultSimulator(circuit, kernel="numpy")
-        state = sim._logic.run(stimulus, n)
-        assert isinstance(state, npsim.PackedState)
-        saved = par_mod._WORKER_STATE
-        try:
-            _init_worker(
-                circuit, stimulus, n, "exact", 64, None, None,
-                kernel="numpy", good_matrix=state.values,
-            )
-            primed = par_mod._WORKER_STATE["good_values"]
-            # The worker wraps the shipped array directly — same buffer,
-            # no int-word repacking.
-            assert isinstance(primed, npsim.PackedState)
-            assert primed.values is state.values
-            assert primed.plan is npsim.get_plan(circuit)
-        finally:
-            par_mod._WORKER_STATE = saved
 
     def test_chaos_churn_keeps_result_identical(self, chunk_failure):
         # A worker dying mid-shard sends the whole call to the serial

@@ -87,7 +87,7 @@ class TestFaultSimGuard:
         stim = _stim(circuit)
         engine_bug(GateType.NAND, GateType.AND)
         guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
-        good = LogicSimulator(circuit, kernel="interp").run(stim, 64)
+        good = LogicSimulator(circuit).run(stim, 64)
         faults = all_stuck_at_faults(circuit)[:4]
         result = FaultSimulator(circuit, kernel="numpy", guard=guard).run(
             stim, 64, faults=faults, good_values=good
@@ -107,7 +107,7 @@ class TestFaultSimGuard:
         from repro.verify.bundle import fault_to_payload
 
         circuit = c17()
-        good = LogicSimulator(circuit, kernel="interp").run(_stim(circuit), 64)
+        good = LogicSimulator(circuit).run(_stim(circuit), 64)
         fault = all_stuck_at_faults(circuit)[0]
         context = {
             "fault": fault_to_payload(fault),
@@ -244,14 +244,23 @@ class TestGuardedSession:
 
 class TestPlanting:
     def test_planted_logic_bug_changes_simulation(self, engine_bug):
+        # The word-fold plant reaches the fault batch, the numpy
+        # kernel's one uint64 pass.
+        from repro.sim import npsim
+
         circuit = c17()
         stim = _stim(circuit)
-        reference = LogicSimulator(circuit, kernel="interp").run(stim, 64)
+        reference = FaultSimulator(circuit, kernel="interp").run(stim, 64)
+
+        def batched():
+            with npsim.forced():
+                sim = FaultSimulator(circuit, kernel="numpy")
+                return sim.run(stim, 64).detection_word
+
         lift = engine_bug(GateType.NAND, GateType.AND)
-        corrupted = LogicSimulator(circuit, kernel="numpy").run(stim, 64)
-        assert corrupted != reference
+        assert batched() != reference.detection_word
         lift()
-        assert LogicSimulator(circuit, kernel="numpy").run(stim, 64) == reference
+        assert batched() == reference.detection_word
 
 
 class TestBundleFormat:
@@ -260,7 +269,7 @@ class TestBundleFormat:
 
         circuit = c17()
         path1 = write_bundle(
-            "fuzz.logic_sim",
+            "fuzz.fault_sim",
             circuit=circuit,
             context={"n_patterns": 8, "stimulus": {}},
             expected={"a": 1},
@@ -269,7 +278,7 @@ class TestBundleFormat:
             bundle_dir=tmp_path,
         )
         path2 = write_bundle(
-            "fuzz.logic_sim",
+            "fuzz.fault_sim",
             circuit=circuit,
             context={"n_patterns": 8, "stimulus": {}},
             expected={"a": 1},
