@@ -372,7 +372,7 @@ def bench_numpy_fault_sim(repeats: int, quick: bool) -> Dict[str, object]:
 
 
 #: Pattern budget for the wide-coverage bench, far past the batch's
-#: 16-word cap (:data:`repro.sim.npsim.BATCH_MAX_WORDS`).
+#: width cap (:data:`repro.sim.npsim.BATCH_MAX_WORDS`).
 NUMPY_WIDE_PATTERNS = 65536
 NUMPY_WIDE_PATTERNS_QUICK = 16384
 

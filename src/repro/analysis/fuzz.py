@@ -8,14 +8,15 @@ it deliberately: a time-budgeted loop draws seeded random circuits from
 :mod:`repro.circuit.generators` and cross-checks every fast path against
 its arbiter —
 
-* numpy fault simulation of the whole fault list, forced onto one
-  batched sweep, vs the interpreter;
+* numpy fault simulation of the whole fault list (region-factored, its
+  root machines forced onto one batched sweep) vs the interpreter's
+  per-fault walk;
 * fault dropping (:meth:`run_coverage`) vs the exact run it must match;
 * the numpy placement pass vs the interpreted pass;
 * :class:`IncrementalEvaluator` deltas vs a from-scratch full pass, and
   its batched candidate gains vs the interpreted walk, both forced onto
   the vectorized engine;
-* the batched fault sweep forced across chunk seams;
+* the batched root-machine sweep forced across chunk seams;
 * the DP's claimed optimum vs exhaustive search under the quantized
   objective, on small fanout-free instances (the paper's exactness
   regime);
@@ -286,19 +287,19 @@ def _check_dp_vs_exhaustive(
         return None
 
 
-#: Fault machines per chunk in the chunk-seam lane: small enough that
-#: every fuzz circuit's fault list spans several chunks.
+#: Root machines per chunk in the chunk-seam lane: small enough that
+#: most fuzz circuits' live roots span several chunks.
 _SEAM_MACHINES = 3
 
 
 def _check_batch_seams(
     circuit: Circuit, seed: int, n_patterns: int
 ) -> Optional[_Divergence]:
-    """The batched sweep split into many chunks, against the walk.
+    """The batched root machines split into many chunks, against the walk.
 
-    A tiny memory budget makes ``propagate_batch`` run a few fault
-    machines per chunk, so every chunk seam — site-sorted chunk order,
-    fault-free prefix copies, re-pinned sites, the shared cube buffer —
+    A tiny memory budget makes ``propagate_batch`` run a few root
+    machines per chunk, so every chunk seam — row-sorted chunk order,
+    unchanged-prefix copies, re-pinned flips, the shared cube buffer —
     is crossed on circuits the default budget runs as one chunk.
     """
     plan = npsim.get_plan(circuit)

@@ -9,6 +9,7 @@ fault map (test hardware is assumed fault-free).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -149,17 +150,20 @@ def evaluate_solution(
     modified_coverage = detected / len(reference) if reference else 1.0
 
     def mapped_curve() -> List[Tuple[int, float]]:
-        curve = []
-        for n, _cov in modified.coverage_curve():
-            hit = sum(
-                1
-                for _orig, m in mapped_pairs
+        # Sorted once; each checkpoint is one bisect, as in
+        # FaultSimResult.coverage_at.
+        firsts = sorted(
+            fd
+            for fd in (
+                modified.first_detect[m] for _o, m in mapped_pairs
                 if m is not None
-                and modified.first_detect[m] is not None
-                and modified.first_detect[m] < n
             )
-            curve.append((n, hit / len(reference) if reference else 1.0))
-        return curve
+            if fd is not None
+        )
+        return [
+            (n, bisect_left(firsts, n) / len(reference) if reference else 1.0)
+            for n, _cov in modified.coverage_curve()
+        ]
 
     return CoverageReport(
         circuit_name=circuit.name,

@@ -8,7 +8,6 @@ so a full stimulus set is simulated in one pass over the levelized netlist.
 from .bitops import (
     bit_get,
     bit_set,
-    ndarray_to_word,
     ones_mask,
     pack_bits,
     pack_patterns,
@@ -58,7 +57,6 @@ __all__ = [
     "clear_registry",
     "ones_mask",
     "word_count",
-    "ndarray_to_word",
     "bit_get",
     "bit_set",
     "popcount",

@@ -13,8 +13,6 @@ from __future__ import annotations
 import random
 from typing import Iterable, List
 
-import numpy as np
-
 __all__ = [
     "ones_mask",
     "bit_get",
@@ -28,7 +26,6 @@ __all__ = [
     "unpack_patterns",
     "split_word_blocks",
     "word_count",
-    "ndarray_to_word",
 ]
 
 
@@ -208,14 +205,3 @@ def word_count(n_patterns: int) -> int:
     if n_patterns < 0:
         raise ValueError("pattern count cannot be negative")
     return (n_patterns + 63) >> 6
-
-
-def ndarray_to_word(arr) -> int:
-    """Collapse a little-endian uint64 ndarray back into an int word.
-
-    Reads the array's buffer directly (no per-element Python loop); a
-    contiguous native little-endian array converts without copying the
-    payload more than once.
-    """
-    arr = np.ascontiguousarray(arr, dtype="<u8")
-    return int.from_bytes(arr.data, "little")

@@ -197,7 +197,7 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             # Deterministic: smaller fault becomes the root.
-            if rb < ra:
+            if rb.sort_key() < ra.sort_key():
                 ra, rb = rb, ra
             self._parent[rb] = ra
 
@@ -269,5 +269,5 @@ def collapse_faults(
                 maybe_union(in1, out0)
 
     class_of: Dict[Fault, Fault] = {f: uf.find(f) for f in faults}
-    representatives = sorted(set(class_of.values()))
+    representatives = sorted(set(class_of.values()), key=Fault.sort_key)
     return CollapsedFaultSet(representatives=representatives, class_of=class_of)

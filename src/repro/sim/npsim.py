@@ -21,9 +21,11 @@ in parallel workers (no pickled payload needed).
 
 Two passes share the plan:
 
-* **fault** — the fault-parallel batched sweep (:func:`propagate_batch`)
-  for fault blocks that :func:`fault_batch_declined` accepts; every
-  other block walks on the interpreter.  Its good machine is the
+* **fault** — the batched sweep of flip machines
+  (:func:`propagate_batch`): one machine per live fanout-free region
+  root of a fault block, for blocks whose machines
+  :func:`fault_batch_declined` accepts; every other block walks its
+  root machines on the interpreter.  Its good machine is the
   interpreted :class:`~repro.sim.logic_sim.LogicSimulator`'s int words,
   packed into a :class:`PackedState` in one bulk conversion;
 * **placement** — the placement-aware forward+backward pass of
@@ -377,38 +379,6 @@ class PackedState:
             [good_values[name] for name in plan._row_names], n_patterns
         )
         self.mask = mask_array(n_patterns)
-        self._zeros = None
-        self._inject = None
-
-    # -- propagation buffers --------------------------------------------
-    def stuck_row(self, value: int):
-        """The injection row for a stuck-at-``value`` fault."""
-        if value:
-            return self.mask
-        if self._zeros is None:
-            zeros = np.zeros(self.values.shape[1], dtype=np.uint64)
-            zeros.setflags(write=False)
-            self._zeros = zeros
-        return self._zeros
-
-    def inject_branch(self, site: str, pin: int, stuck):
-        """Faulty output row of a fanout-branch fault's sink gate.
-
-        Re-evaluates ``site`` with fan-in ``pin`` replaced by the stuck
-        row (one word-parallel gate evaluation, same as the interpreted
-        injection).  Returns a per-state scratch row — consume before the
-        next injection.
-        """
-        plan = self.plan
-        V = self.values
-        rows = [
-            stuck if p == pin else V[plan.row[fi]]
-            for p, fi in enumerate(plan.fanins[site])
-        ]
-        if self._inject is None:
-            self._inject = np.empty(V.shape[1], dtype=np.uint64)
-        _eval_word_rows(plan.gate_types[site], rows, self._inject, self.mask)
-        return self._inject
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +393,16 @@ class PackedState:
 #: process's peak RSS.
 BATCH_CHUNK_BYTES = 6 << 20
 
-#: Fewest faults a block needs for the batch: below it the sweep's fixed
-#: cost (one grouped full-circuit pass) is not worth amortizing.
+#: Fewest root machines a block needs for the batch: below it the
+#: sweep's fixed cost (one grouped full-circuit pass) is not worth
+#: amortizing.
 BATCH_MIN_FAULTS = 16
 
 #: Widest block (64-pattern words) the batch takes.  The sweep
-#: re-evaluates every gate below a chunk's first site for every fault
+#: re-evaluates every gate below a chunk's first flipped row for every
 #: machine and every word, so its edge over the interpreted walk shrinks
 #: as words grow (DESIGN.md §14 has the measured regimes).
-BATCH_MAX_WORDS = 16
+BATCH_MAX_WORDS = 64
 
 
 def batch_staging_rows(plan: "CircuitPlan") -> int:
@@ -492,39 +463,41 @@ def words_to_rows(words: Sequence[int], n_patterns: int):
 
 def propagate_batch(
     state: PackedState,
-    sites: Sequence[Tuple[int, "np.ndarray"]],
+    roots: Sequence[int],
     chunk_bytes: int = BATCH_CHUNK_BYTES,
 ) -> Tuple["np.ndarray", int]:
-    """Propagate many injected faults through the whole circuit at once.
+    """Flip many nodes through the whole circuit at once.
 
-    ``sites`` lists one ``(row, forced_row)`` pair per fault: the plan row
-    of the injection site and the faulty value row to pin there (a stuck
-    row for stem faults, the re-evaluated sink output for branch faults).
+    ``roots`` lists the plan rows of the flip machines: machine ``i``
+    pins row ``roots[i]`` to its good value complemented at every
+    pattern, which is how :class:`~repro.sim.fault_sim.FaultSimulator`
+    observes a fanout-free region's root (a fault inside the region
+    reaches the rest of the circuit only by flipping that root).
 
-    Where the interpreted walk visits one fault's cone gate by gate, this
-    pass stacks ``B`` fault machines into a ``(n_rows, B, n_words)`` cube
-    and re-runs the *grouped* full-circuit sweep on it, so each ufunc call
-    covers ``group × B`` gate evaluations.  Every gate outside a fault's
-    cone recomputes its good value from good fan-ins, and the site row is
-    re-pinned after its group evaluates, so each column reproduces
-    exactly the faulty machine the walk would build.  The win is dispatch
-    amortization: per-fault work inflates by roughly
+    Where the interpreted walk visits one machine's cone gate by gate,
+    this pass stacks ``B`` machines into a ``(n_rows, B, n_words)`` cube
+    and re-runs the *grouped* full-circuit sweep on it, so each ufunc
+    call covers ``group × B`` gate evaluations.  Every gate outside a
+    machine's cone recomputes its good value from good fan-ins, and the
+    flipped row is re-pinned after its group evaluates, so each column
+    reproduces exactly the machine the walk would build.  The win is
+    dispatch amortization: per-machine work inflates by roughly
     ``n_gates / mean(|cone|)``, but thousands of Python-level gate steps
     collapse into one sweep of a few hundred array calls.
 
     Chunks are capped by ``chunk_bytes`` (cube plus staging rows — see
-    :func:`batch_capacity`; at least one machine per chunk) and sites are
-    processed in ascending row order: every row below a chunk's first
-    site is provably fault-free, so it is block-copied from the good
-    matrix instead of re-evaluated.  One cube buffer and one staging
+    :func:`batch_capacity`; at least one machine per chunk) and machines
+    are processed in ascending row order: every row below a chunk's first
+    flipped row is provably unchanged, so it is block-copied from the
+    good matrix instead of re-evaluated.  One cube buffer and one staging
     buffer are allocated per call, sized for the first (widest) chunk;
     every chunk runs on a contiguous prefix view of them, so no two cubes
     are ever resident at once.
 
-    Returns ``(detect, gate_evals)`` — a ``(len(sites), n_words)`` uint64
+    Returns ``(detect, gate_evals)`` — a ``(len(roots), n_words)`` uint64
     detection matrix in input order (row ``i`` packs, per pattern,
-    whether fault ``i`` flips any primary output), and the number of
-    gate-machine evaluations performed.
+    whether flipping ``roots[i]`` flips any primary output), and the
+    number of gate-machine evaluations performed.
     """
     plan = state.plan
     V = state.values
@@ -532,8 +505,8 @@ def propagate_batch(
     mask = state.mask
     n_rows = plan.n_rows
     n_in = len(plan.inputs)
-    n_sites = len(sites)
-    rows = np.fromiter((r for r, _ in sites), dtype=np.intp, count=n_sites)
+    n_sites = len(roots)
+    rows = np.asarray(roots, dtype=np.intp).reshape(n_sites)
     order = np.argsort(rows, kind="stable")
     po_rows = np.fromiter(
         (r for _, r in plan.output_rows),
@@ -561,7 +534,7 @@ def propagate_batch(
         chunk = order[c0 : c0 + capacity]
         B = len(chunk)
         site_rows = rows[chunk]
-        forced = np.stack([sites[i][1] for i in chunk])
+        forced = V[site_rows] ^ mask
         # Rows below the chunk's first site carry no fault effect; copy.
         copy_to = max(n_in, int(site_rows[0]))
         bidx = np.arange(B)
@@ -1091,23 +1064,25 @@ def placement_batch_declined(
 
 
 def fault_batch_declined(
-    plan: Optional["CircuitPlan"], n_faults: int, n_patterns: int
+    plan: Optional["CircuitPlan"], n_machines: int, n_patterns: int
 ) -> Optional[str]:
-    """Why :func:`propagate_batch` should not take a block of faults.
+    """Why :func:`propagate_batch` should not take a block's flip machines.
 
-    ``None`` means batch it.  Otherwise the block walks on the
-    interpreter, and the reason is one of ``"interp"`` (no plan: the
-    interpreted kernel), ``"few_faults"`` (fewer than
-    :data:`BATCH_MIN_FAULTS`), ``"too_wide"`` (more than
-    :data:`BATCH_MAX_WORDS` words) or ``"over_budget"`` (one fault
-    machine alone exceeds :data:`BATCH_CHUNK_BYTES`).  :func:`forced`
-    overrides every reason but ``"interp"``.
+    ``n_machines`` counts the block's region-root machines (one per
+    distinct root that a live fault of the block reaches).  ``None``
+    means batch them.  Otherwise they walk on the interpreter, and the
+    reason is one of ``"interp"`` (no plan: the interpreted kernel),
+    ``"few_faults"`` (fewer than :data:`BATCH_MIN_FAULTS` machines),
+    ``"too_wide"`` (more than :data:`BATCH_MAX_WORDS` words) or
+    ``"over_budget"`` (one machine alone exceeds
+    :data:`BATCH_CHUNK_BYTES`).  :func:`forced` overrides every reason
+    but ``"interp"``.
     """
     if plan is None:
         return "interp"
     if _FORCED:
         return None
-    if n_faults < BATCH_MIN_FAULTS:
+    if n_machines < BATCH_MIN_FAULTS:
         return "few_faults"
     if word_count(n_patterns) > BATCH_MAX_WORDS:
         return "too_wide"

@@ -143,7 +143,8 @@ def _refuse_removed_paths(manifest) -> None:
 
 
 def _compare_fault_cone(circuit: Circuit, context) -> tuple:
-    """``fault_sim.cone``: one guard-sampled fault of a batched block."""
+    """``fault_sim.cone``: one guard-sampled fault of a numpy block, its
+    region-factored word vs the per-fault walk."""
     fault = fault_from_payload(context["fault"])
     n_patterns = int(context["n_patterns"])
     kernel = _fast_kernel(context)
@@ -153,8 +154,9 @@ def _compare_fault_cone(circuit: Circuit, context) -> tuple:
     good_values = LogicSimulator(circuit).run(
         {pi: recorded[pi] for pi in circuit.inputs}, n_patterns
     )
-    # The recorded word came from the batched sweep, whatever the batch
-    # rule says about a one-fault list on this (often minimized) circuit.
+    # The recorded block may have batched its root machines, whatever
+    # the batch rule says about a one-fault list on this (often
+    # minimized) circuit.
     with npsim.forced():
         fast = FaultSimulator(circuit, kernel=kernel).run(
             {}, n_patterns, faults=[fault], good_values=good_values
@@ -166,7 +168,8 @@ def _compare_fault_cone(circuit: Circuit, context) -> tuple:
 
 
 def _compare_fault_list(circuit: Circuit, context) -> tuple:
-    """``fuzz.fault_sim``: every collapsed fault, batched vs walked."""
+    """``fuzz.fault_sim``: every collapsed fault, region-factored with
+    its root machines batched vs the per-fault walk."""
     stimulus = _words(context, "stimulus")
     n_patterns = int(context["n_patterns"])
     # One batch of the whole list, whatever the batch rule says about a
@@ -179,35 +182,42 @@ def _compare_fault_list(circuit: Circuit, context) -> tuple:
     return (
         _detection_words(fast),
         _detection_words(slow),
-        f"batched fault list over {n_patterns} patterns vs the "
+        f"region-factored fault list over {n_patterns} patterns vs the "
         "interpreted walk",
     )
 
 
 def _compare_batch_seams(circuit: Circuit, context) -> tuple:
-    """``fuzz.batch_seams``: :func:`~repro.sim.npsim.propagate_batch`
-    with ``chunk_bytes`` as its memory budget vs the interpreted walk over
+    """``fuzz.batch_seams``: the region-factored fault list with its root
+    machines run through :func:`~repro.sim.npsim.propagate_batch` under
+    ``chunk_bytes`` as its memory budget, vs the interpreted walk over
     the same good machine, for every collapsed fault."""
     stimulus = _words(context, "stimulus")
     n_patterns = int(context["n_patterns"])
     chunk_bytes = int(context["chunk_bytes"])
     faults = collapse_faults(circuit).representatives
     good = LogicSimulator(circuit).run(stimulus, n_patterns)
-    state = npsim.PackedState(npsim.get_plan(circuit), good, n_patterns)
-    detect, _evals = npsim.propagate_batch(
-        state,
-        FaultSimulator(circuit, kernel="numpy")._batch_sites(faults, state),
-        chunk_bytes=chunk_bytes,
+    plan = npsim.get_plan(circuit)
+    state = npsim.PackedState(plan, good, n_patterns)
+
+    def batch(roots):
+        detect, _evals = npsim.propagate_batch(
+            state, [plan.row[root] for root in roots], chunk_bytes=chunk_bytes
+        )
+        return npsim.rows_to_words(detect)
+
+    words = FaultSimulator(circuit, kernel="numpy")._factored_words(
+        faults, good, n_patterns, batch
     )
     arbiter = FaultSimulator(circuit, kernel="interp")
     names = [f.describe() for f in faults]
-    fast = dict(zip(names, npsim.rows_to_words(detect)))
+    fast = dict(zip(names, words))
     slow = {
         name: arbiter.simulate_fault(f, good, n_patterns)
         for name, f in zip(names, faults)
     }
     return fast, slow, (
-        f"batched sweep in {chunk_bytes}-byte chunks over "
+        f"root machines batched in {chunk_bytes}-byte chunks over "
         f"{n_patterns} patterns vs the interpreted walk"
     )
 

@@ -62,8 +62,8 @@ class TestNumpyKernelFuzz:
 
         real_batch = npsim.propagate_batch
 
-        def corrupt_batch(state, sites, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
-            detect, evals = real_batch(state, sites, chunk_bytes)
+        def corrupt_batch(state, roots, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
+            detect, evals = real_batch(state, roots, chunk_bytes)
             detect[:, 0] ^= self.np.uint64(1)
             return detect, evals
 
@@ -110,8 +110,8 @@ class TestBatchSeamLane:
 
         real = npsim.propagate_batch
 
-        def flip_bit_zero(state, sites, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
-            detect, evals = real(state, sites, chunk_bytes)
+        def flip_bit_zero(state, roots, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
+            detect, evals = real(state, roots, chunk_bytes)
             detect[:, 0] ^= np.uint64(1)
             return detect, evals
 
@@ -279,9 +279,9 @@ def _batch_plant(corrupt):
 
         real = npsim.propagate_batch
 
-        def planted(state, sites, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
-            detect, evals = real(state, sites, chunk_bytes)
-            corrupt(detect, state, len(sites))
+        def planted(state, roots, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
+            detect, evals = real(state, roots, chunk_bytes)
+            corrupt(detect, state, len(roots))
             return detect, evals
 
         monkeypatch.setattr(npsim, "propagate_batch", planted)
@@ -300,17 +300,35 @@ def _flip_second_machine(detect, _state, n):
         detect[1, 0] ^= np.uint64(1)
 
 
-def _unmask_top_word(detect, state, _n):
-    # Sets the bits above a partial last word: the dropping run's narrow
-    # blocks see them, the exact run's full word has none.
-    detect[:, -1] |= ~state.mask[-1]
-
-
-def _flip_in_workers(detect, _state, _n):
-    # Forked pool workers inherit the plant; the parent's serial run is
-    # spared.
-    if os.getpid() != _TEST_PID:
+def _flip_partial_blocks(detect, state, _n):
+    # Hits only blocks whose last word is partial: the dropping run's
+    # narrow blocks see it, the exact run's full word does not.
+    if state.mask[-1] != ~np.uint64(0):
         detect[:, 0] ^= np.uint64(1)
+
+
+def _fold_plant(only_in_workers=False):
+    """An in-region fold that forgets the side inputs: every excited
+    fault reaches its region root.  With ``only_in_workers``, forked
+    pool workers inherit the bug and the parent's serial run is
+    spared."""
+
+    def plant(monkeypatch, _engine_bug):
+        from repro.sim.fault_sim import FaultSimulator
+
+        real = FaultSimulator._sensitization
+
+        def planted(self, line, good_values, mask, memo):
+            if only_in_workers and os.getpid() == _TEST_PID:
+                return real(self, line, good_values, mask, memo)
+            return mask
+
+        monkeypatch.setattr(FaultSimulator, "_sensitization", planted)
+        return lambda: monkeypatch.setattr(
+            FaultSimulator, "_sensitization", real
+        )
+
+    return plant
 
 
 def _method_plant(owner, name, wrap):
@@ -372,9 +390,13 @@ def _lane_cases():
             lambda c: fuzz._check_fault_sim(c, 0, 64), "fuzz.fault_sim",
             dag, _batch_plant(_flip_second_machine), 60,
         ),
+        "fault_sim-fold": (
+            lambda c: fuzz._check_fault_sim(c, 0, 64), "fuzz.fault_sim",
+            dag, _fold_plant(), 60,
+        ),
         "coverage": (
             lambda c: fuzz._check_coverage(c, 0, 64), "fuzz.coverage",
-            dag, _batch_plant(_unmask_top_word), 60,
+            dag, _batch_plant(_flip_partial_blocks), 60,
         ),
         "placement": (
             lambda c: fuzz._check_placement(c, 0), "fuzz.placement",
@@ -406,7 +428,7 @@ def _lane_cases():
         # every probe would start a process pool: bundled unshrunk
         "parallel": (
             lambda c: fuzz._check_parallel(c, 0, 64), "fuzz.parallel",
-            dag, _batch_plant(_flip_in_workers), 0,
+            dag, _fold_plant(only_in_workers=True), 0,
         ),
     }
 

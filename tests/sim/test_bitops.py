@@ -83,12 +83,11 @@ class TestNdarrayBridge:
         st.integers(0, 200),
     )
     def test_word_roundtrip(self, words, n_patterns):
-        from repro.sim import ndarray_to_word, ones_mask
+        from repro.sim import ones_mask
         from repro.sim.npsim import rows_to_words, words_to_rows
 
         rows = words_to_rows(words, n_patterns)
         masked = [word & ones_mask(n_patterns) for word in words]
-        assert [ndarray_to_word(row) for row in rows] == masked
         assert rows_to_words(rows) == masked
 
     @pytest.mark.parametrize("n_patterns", [0, 1, 63, 64, 65, 128, 129])
@@ -108,11 +107,10 @@ class TestNdarrayBridge:
             rows[0, 0] = 1
 
     def test_high_bits_masked(self):
-        from repro.sim import ndarray_to_word
-        from repro.sim.npsim import words_to_rows
+        from repro.sim.npsim import rows_to_words, words_to_rows
 
         # Bits above n_patterns never leak into the array.
-        assert ndarray_to_word(words_to_rows([0b111], 2)[0]) == 0b11
+        assert rows_to_words(words_to_rows([0b111], 2)) == [0b11]
 
 
 class TestRandomWords:

@@ -141,3 +141,28 @@ class TestConvenience:
         good = {"a": 0b11, "b": 0b11, "y": 0b11}
         # y stuck at 1 while y is already 1 everywhere → never excited.
         assert sim.simulate_fault(Fault("y", 1), good, 2) == 0
+
+
+class TestCoverageBlocks:
+    @pytest.mark.parametrize("block", [64, 7])
+    @pytest.mark.parametrize("n_patterns", [1, 63, 64, 65, 100, 65537])
+    def test_blocks_match_the_shift_split(self, block, n_patterns):
+        # Each block's input words equal the old split, which peeled
+        # blocks off the low end with ``&`` and ``>>``; a bit above
+        # n_patterns in the stimulus never reaches a block.
+        circuit = generators.random_dag(6, 20, seed=1)
+        stim = UniformRandomSource(seed=2).generate(circuit.inputs, n_patterns)
+        stim[circuit.inputs[0]] |= 1 << (n_patterns + 3)
+        remaining = {pi: stim[pi] for pi in circuit.inputs}
+        sizes = []
+        for blk_n, good in FaultSimulator(circuit).coverage_blocks(
+            stim, n_patterns, block
+        ):
+            sizes.append(blk_n)
+            lo_mask = (1 << blk_n) - 1
+            assert {pi: good[pi] for pi in circuit.inputs} == {
+                pi: word & lo_mask for pi, word in remaining.items()
+            }
+            remaining = {pi: word >> blk_n for pi, word in remaining.items()}
+        assert sum(sizes) == n_patterns
+        assert sizes[0] == min(block, n_patterns)

@@ -20,6 +20,7 @@ from repro.circuit import generators
 from repro.core import TestPoint, TestPointType, TPIProblem, evaluate_placement
 from repro.errors import DivergenceError
 from repro.sim import (
+    Fault,
     FaultSimulator,
     LogicSimulator,
     all_stuck_at_faults,
@@ -165,20 +166,31 @@ class TestFaultSimEquality:
             ) == interp.simulate_fault(fault, good, 128), fault
             assert nump.gate_evals == interp.gate_evals, fault
 
-    def test_batched_run_counts_full_sweep_evals(self):
-        # run() on a wide fault list takes the batched full-circuit pass,
-        # whose honest work metric is gate rows × fault machines — at
-        # least the gates the per-fault walks would evaluate.
+    def test_batched_run_counts_full_sweep_evals(self, monkeypatch):
+        # run() on a wide fault list factors it by fanout-free region and
+        # batches one flip machine per live root: gate_evals counts one
+        # injection per branch fault plus the sweep's gate rows × root
+        # machines, and the simulator counts those machines.
         circuit = generators.random_dag(5, 40, seed=11)
         stim = _stim(circuit, 128, seed=7)
         faults = all_stuck_at_faults(circuit)
-        good = LogicSimulator(circuit).run(stim, 128)
-        walks = FaultSimulator(circuit, kernel="numpy")
-        for fault in faults:
-            walks.simulate_fault(fault, good, 128)
+        sweeps = []
+        real = npsim.propagate_batch
+
+        def spy(state, roots, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
+            detect, evals = real(state, roots, chunk_bytes)
+            sweeps.append((len(roots), evals))
+            return detect, evals
+
+        monkeypatch.setattr(npsim, "propagate_batch", spy)
         batched = FaultSimulator(circuit, kernel="numpy")
         batched.run(stim, 128, faults=faults)
-        assert batched.gate_evals >= walks.gate_evals
+        ((machines, evals),) = sweeps
+        assert machines == batched.machines
+        assert 0 < machines < len(faults)
+        branches = sum(1 for f in faults if f.branch is not None)
+        assert batched.gate_evals == branches + evals
+        assert evals <= machines * get_plan(circuit).n_rows
 
     def test_accepts_plain_dict_good_values(self):
         # Parallel workers hand run() the parent's int words; a batched
@@ -198,20 +210,17 @@ class TestFaultSimEquality:
 
 
 class TestBatchedFaultSim:
-    """The fault-parallel batched sweep: one strategy, same answers."""
+    """The flip-machine sweep: every column matches the walk."""
 
-    def _sites(self, plan, state, faults):
-        sites = []
-        for f in faults:
-            if f.branch is None:
-                sites.append((plan.row[f.node], state.stuck_row(f.value)))
-            else:
-                sink, pin = f.branch
-                forced = state.inject_branch(
-                    sink, pin, state.stuck_row(f.value)
-                ).copy()
-                sites.append((plan.row[sink], forced))
-        return sites
+    def _flips(self, circuit, good, n_patterns):
+        # Flipping a node at every pattern is stuck-at-0 where it is 1
+        # and stuck-at-1 where it is 0: the two stem walks, ORed.
+        interp = FaultSimulator(circuit, kernel="interp")
+        return [
+            interp.simulate_fault(Fault(name, 0), good, n_patterns)
+            | interp.simulate_fault(Fault(name, 1), good, n_patterns)
+            for name in get_plan(circuit)._row_names
+        ]
 
     @pytest.mark.parametrize("n_patterns", [64, 100, 200])
     def test_matches_per_cone_walks(self, n_patterns):
@@ -220,17 +229,11 @@ class TestBatchedFaultSim:
         stim = _stim(circuit, n_patterns, seed=3)
         good = LogicSimulator(circuit).run(stim, n_patterns)
         state = PackedState(plan, good, n_patterns)
-        faults = all_stuck_at_faults(circuit)
-        detect, evals = npsim.propagate_batch(
-            state, self._sites(plan, state, faults)
-        )
+        detect, evals = npsim.propagate_batch(state, range(plan.n_rows))
         assert evals > 0
-        interp = FaultSimulator(circuit, kernel="interp")
-        words = npsim.rows_to_words(detect)
-        for fault, word in zip(faults, words):
-            assert word == interp.simulate_fault(
-                fault, good, n_patterns
-            ), fault
+        assert npsim.rows_to_words(detect) == self._flips(
+            circuit, good, n_patterns
+        )
 
     def test_chunking_is_result_invariant(self):
         circuit = generators.random_dag(5, 40, seed=11)
@@ -240,15 +243,15 @@ class TestBatchedFaultSim:
         state = PackedState(
             plan, LogicSimulator(circuit).run(stim, n_patterns), n_patterns
         )
-        sites = self._sites(plan, state, all_stuck_at_faults(circuit))
-        full, evals_full = npsim.propagate_batch(state, sites)
-        # ~4 fault machines per chunk forces many site-sorted chunks.
+        roots = range(plan.n_rows)
+        full, evals_full = npsim.propagate_batch(state, roots)
+        # ~4 machines per chunk forces many row-sorted chunks.
         tiny_budget = 8 * plan.n_rows * state.values.shape[1] * 4
         tiny, evals_tiny = npsim.propagate_batch(
-            state, sites, chunk_bytes=tiny_budget
+            state, roots, chunk_bytes=tiny_budget
         )
         assert np.array_equal(full, tiny)
-        # Site-sorted chunks block-copy their fault-free prefix rows, so
+        # Row-sorted chunks block-copy their unchanged prefix rows, so
         # splitting can only shed evaluations, never add them.
         assert 0 < evals_tiny <= evals_full
 
@@ -259,21 +262,22 @@ class TestBatchedFaultSim:
         n_patterns=st.sampled_from([130, 192, 323]),
     )
     def test_chunk_seams_bit_identical(self, seed, machines, n_patterns):
-        # Any chunk width (including one fault machine per chunk) yields
-        # the single-chunk detection matrix exactly.
+        # Any chunk width (including one machine per chunk) yields the
+        # single-chunk detection matrix exactly, on roots in any order.
         circuit = generators.random_dag(5, 40, seed=seed)
         plan = get_plan(circuit)
         stim = _stim(circuit, n_patterns, seed=seed + 1)
         state = PackedState(
             plan, LogicSimulator(circuit).run(stim, n_patterns), n_patterns
         )
-        sites = self._sites(plan, state, all_stuck_at_faults(circuit))
+        roots = list(range(plan.n_rows))
+        random.Random(seed).shuffle(roots)
         footprint = 8 * (plan.n_rows + npsim.batch_staging_rows(plan)) * (
             state.values.shape[1]
         )
-        full, _ = npsim.propagate_batch(state, sites)
+        full, _ = npsim.propagate_batch(state, roots)
         chunked, _ = npsim.propagate_batch(
-            state, sites, chunk_bytes=footprint * machines
+            state, roots, chunk_bytes=footprint * machines
         )
         assert np.array_equal(full, chunked)
 
@@ -319,42 +323,46 @@ class TestBatchedFaultSim:
         assert capacity(footprint * K - 1) == K - 1
         assert 8 * plan.n_rows * words * K <= footprint * K - 1
 
-    def test_strategy_picked_only_for_wide_fault_lists(self, monkeypatch):
-        circuit = generators.c17()
-        stim = _stim(circuit, 64)
+    def test_strategy_picked_only_for_many_root_machines(self, monkeypatch):
+        # The rule counts root machines, not faults: c17's whole list
+        # reaches 3 non-output roots and walks them; a DAG whose list
+        # reaches 28 batches them in one sweep.
         calls = []
         real = npsim.propagate_batch
 
-        def spy(state, sites, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
-            calls.append(len(sites))
-            return real(state, sites, chunk_bytes)
+        def spy(state, roots, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
+            calls.append(len(roots))
+            return real(state, roots, chunk_bytes)
 
         monkeypatch.setattr(npsim, "propagate_batch", spy)
-        faults = all_stuck_at_faults(circuit)
-        sim = FaultSimulator(circuit, kernel="numpy")
-        sim.run(stim, 64, faults=faults[:4])
-        assert calls == []  # short list: walked on the interpreter
-        sim.run(stim, 64, faults=faults)
-        assert calls == [len(faults)]
+        c17 = generators.c17()
+        sim = FaultSimulator(c17, kernel="numpy")
+        sim.run(_stim(c17, 64), 64, faults=all_stuck_at_faults(c17))
+        assert calls == [] and sim.machines == 3
+        dag = generators.random_dag(5, 40, seed=11)
+        sim = FaultSimulator(dag, kernel="numpy")
+        sim.run(_stim(dag, 64), 64, faults=all_stuck_at_faults(dag))
+        assert calls == [sim.machines]
+        assert sim.machines >= npsim.BATCH_MIN_FAULTS
 
     def test_batch_declined_outside_its_regime(self):
         plan = get_plan(generators.c17())
         declined = npsim.fault_batch_declined
         floor, cap = npsim.BATCH_MIN_FAULTS, npsim.BATCH_MAX_WORDS
-        assert (floor, cap) == (16, 16)
+        assert (floor, cap) == (16, 64)
         assert declined(plan, 1000, 64) is None
         assert declined(plan, 16, 64) is None
         assert declined(plan, 15, 64) == "few_faults"
-        assert declined(plan, 1000, 1024) is None
-        assert declined(plan, 1000, 1025) == "too_wide"
+        assert declined(plan, 1000, 4096) is None
+        assert declined(plan, 1000, 4097) == "too_wide"
         assert declined(plan, 1000, 65536) == "too_wide"
         assert declined(None, 1000, 64) == "interp"
 
-    @pytest.mark.parametrize("words", [1, 16])
+    @pytest.mark.parametrize("words", [1, 64])
     def test_budget_admits_one_machine_at_most(self, words):
-        # The batch takes a block while one fault machine (its value
+        # The batch takes a block while one root machine (its value
         # rows plus staging rows at the block's width) fits
-        # BATCH_CHUNK_BYTES: at 16 words that is 49152 rows.
+        # BATCH_CHUNK_BYTES: at 64 words that is 12288 rows.
         from types import SimpleNamespace
 
         outputs = ["y"] * 5
@@ -368,8 +376,8 @@ class TestBatchedFaultSim:
             npsim.fault_batch_declined(over, 1000, 64 * words)
             == "over_budget"
         )
-        if words == 16:
-            assert limit == 49152
+        if words == 64:
+            assert limit == 12288
 
     def test_forced_overrides_every_decline(self, monkeypatch):
         plan = get_plan(generators.c17())
@@ -378,7 +386,7 @@ class TestBatchedFaultSim:
         assert declined(plan, 1000, 64) == "over_budget"
         with npsim.forced():
             assert declined(plan, 15, 64) is None
-            assert declined(plan, 1000, 1025) is None
+            assert declined(plan, 1000, 4097) is None
             assert declined(plan, 1000, 64) is None
             assert declined(None, 1000, 64) == "interp"
             with npsim.forced():  # nesting restores the outer state
@@ -409,7 +417,7 @@ class TestDispatchCounters:
     def test_each_walk_reason_is_counted(self, monkeypatch):
         circuit = generators.random_dag(5, 40, seed=11)
         faults = all_stuck_at_faults(circuit)
-        stim = _stim(circuit, 2048, seed=1)
+        stim = _stim(circuit, 4160, seed=1)
 
         def run(kernel, n_patterns, fault_list):
             FaultSimulator(circuit, kernel=kernel).run(
@@ -422,10 +430,10 @@ class TestDispatchCounters:
         assert self._counters(lambda: run("numpy", 64, faults[:15])) == {
             "dispatch.fault_sim.walk.few_faults": 1
         }
-        assert self._counters(lambda: run("numpy", 1088, faults)) == {
+        assert self._counters(lambda: run("numpy", 4160, faults)) == {
             "dispatch.fault_sim.walk.too_wide": 1
         }
-        assert self._counters(lambda: run("numpy", 1024, faults)) == {
+        assert self._counters(lambda: run("numpy", 4096, faults)) == {
             "dispatch.fault_sim.batch": 1
         }
         monkeypatch.setattr(npsim, "BATCH_CHUNK_BYTES", 8)
@@ -456,14 +464,12 @@ class TestDispatchCounters:
     def test_trace_file_carries_the_counters(self, tmp_path):
         import json
 
-        circuit = generators.c17()
-        stim = _stim(circuit, 64)
+        wide = generators.random_dag(5, 40, seed=11)
+        narrow = generators.c17()
         trace = tmp_path / "run.jsonl"
         with obs.recording(obs.RunRecorder(trace)):
-            FaultSimulator(circuit, kernel="numpy").run(stim, 64)
-            FaultSimulator(circuit, kernel="numpy").run(
-                stim, 64, faults=all_stuck_at_faults(circuit)[:3]
-            )
+            FaultSimulator(wide, kernel="numpy").run(_stim(wide, 64), 64)
+            FaultSimulator(narrow, kernel="numpy").run(_stim(narrow, 64), 64)
         records = [json.loads(line) for line in trace.read_text().splitlines()]
         counters = next(
             r["metrics"]["counters"]
@@ -472,6 +478,41 @@ class TestDispatchCounters:
         )
         assert counters["dispatch.fault_sim.batch"] == 1
         assert counters["dispatch.fault_sim.walk.few_faults"] == 1
+
+    @pytest.mark.parametrize("kernel", BACKENDS)
+    def test_trace_carries_the_machine_count(self, tmp_path, kernel):
+        # fault_sim.machines sits beside fault_sim.faults, and each run's
+        # span says how many machines it simulated: one per live region
+        # root on numpy, one per fault on the interpreter.
+        import json
+
+        circuit = generators.random_dag(5, 40, seed=11)
+        stim = _stim(circuit, 256, seed=3)
+        trace = tmp_path / "run.jsonl"
+        sim = FaultSimulator(circuit, kernel=kernel)
+        with obs.recording(obs.RunRecorder(trace)):
+            exact = sim.run(stim, 256)
+            sim.run_coverage(stim, 256, block=64)
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        spans = {
+            r["name"]: r["attrs"]["machines"]
+            for r in records
+            if r.get("event") == "span"
+            and r["name"] in ("fault_sim.run", "fault_sim.run_coverage")
+        }
+        counters = next(
+            r["metrics"]["counters"]
+            for r in reversed(records)
+            if r.get("event") == "metrics"
+        )
+        n_faults = len(exact.detection_word)
+        assert counters["fault_sim.faults"] == 2 * n_faults
+        assert counters["fault_sim.machines"] == sum(spans.values())
+        assert counters["fault_sim.machines"] == sim.machines
+        if kernel == "interp":
+            assert spans["fault_sim.run"] == n_faults
+        else:
+            assert 0 < spans["fault_sim.run"] < n_faults
 
 
 def _random_points(circuit, seed, max_points=3):
@@ -549,17 +590,18 @@ class TestGuardOnNumpy:
         assert result.detection_word == arbiter.detection_word
 
     def test_planted_cone_divergence_raises(self, tmp_path, monkeypatch):
-        # A short fault list walks unless forced onto the batch; forced,
-        # a planted batch bug must raise a ``fault_sim.cone`` divergence
-        # whose bundle replays while planted and goes stale once lifted.
+        # A short fault list walks its root machines unless forced onto
+        # the batch; forced, a planted batch bug must raise a
+        # ``fault_sim.cone`` divergence whose bundle replays while
+        # planted and goes stale once lifted.
         from repro.verify import replay_bundle
 
         circuit = generators.c17()
         stim = _stim(circuit, 64)
         real = npsim.propagate_batch
 
-        def corrupt(state, sites, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
-            detect, evals = real(state, sites, chunk_bytes)
+        def corrupt(state, roots, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
+            detect, evals = real(state, roots, chunk_bytes)
             detect[:, 0] ^= np.uint64(1)  # flip pattern 0's verdict
             return detect, evals
 
@@ -578,23 +620,52 @@ class TestGuardOnNumpy:
         assert not replay_bundle(bundle).reproduced
 
     def test_planted_batch_divergence_raises(self, tmp_path, monkeypatch):
-        circuit = generators.c17()
+        circuit = generators.random_dag(5, 40, seed=11)
         stim = _stim(circuit, 64)
         real = npsim.propagate_batch
 
-        def corrupt(state, sites, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
-            detect, evals = real(state, sites, chunk_bytes)
+        def corrupt(state, roots, chunk_bytes=npsim.BATCH_CHUNK_BYTES):
+            detect, evals = real(state, roots, chunk_bytes)
             detect[:, 0] ^= np.uint64(1)
             return detect, evals
 
         monkeypatch.setattr(npsim, "propagate_batch", corrupt)
         guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
         sim = FaultSimulator(circuit, kernel="numpy", guard=guard)
-        # c17's full collapsed list is wide enough for the batched pass.
+        # This DAG's full collapsed list reaches enough region roots for
+        # the batched pass.
         with pytest.raises(DivergenceError) as info:
             sim.run(stim, 64)
         assert info.value.kind == "fault_sim.cone"
         assert guard.divergences == 1
+
+    def test_planted_fold_divergence_raises_on_walked_blocks(
+        self, tmp_path, monkeypatch
+    ):
+        # The in-region fold runs on every numpy block, walked ones
+        # included, so the Guard checks those too: a fold that forgets
+        # the side inputs is caught on c17, whose roots walk.
+        from repro.verify import replay_bundle
+
+        circuit = generators.c17()
+        stim = _stim(circuit, 64)
+        real = FaultSimulator._sensitization
+        monkeypatch.setattr(
+            FaultSimulator, "_sensitization",
+            lambda self, line, good, mask, memo: mask,
+        )
+        guard = Guard(fraction=1.0, seed=0, bundle_dir=tmp_path)
+        sim = FaultSimulator(circuit, kernel="numpy", guard=guard)
+        with obs.recording(obs.RunRecorder(None)) as recorder:
+            with pytest.raises(DivergenceError) as info:
+                sim.run(stim, 64)
+        counters = recorder.metrics.snapshot()["counters"]
+        assert counters["dispatch.fault_sim.walk.few_faults"] == 1
+        assert info.value.kind == "fault_sim.cone"
+        bundle = info.value.bundle_path
+        assert replay_bundle(bundle).reproduced
+        monkeypatch.setattr(FaultSimulator, "_sensitization", real)
+        assert not replay_bundle(bundle).reproduced
 
 
 class TestBackendProperties:
@@ -621,13 +692,13 @@ class TestBackendProperties:
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(0, 5000),
-        n_patterns=st.sampled_from([960, 1024, 1088, 4096]),
-        block=st.sampled_from([64, 1024]),
+        n_patterns=st.sampled_from([960, 4096, 4160, 8192]),
+        block=st.sampled_from([64, 4096]),
     )
     def test_run_and_coverage_across_the_width_cap(
         self, seed, n_patterns, block
     ):
-        # Widths on both sides of BATCH_MAX_WORDS (16 words = 1024
+        # Widths on both sides of BATCH_MAX_WORDS (64 words = 4096
         # patterns): exact runs and dropping blocks switch between the
         # batch and the walk, and every result must match the arbiter.
         circuit = generators.random_dag(6, 60, seed=seed)
